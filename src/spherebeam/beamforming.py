@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelVector, channel_energy
-from .errors import DegeneratePattern, DimensionMismatch, NoVisibleElements
+from .errors import DegeneratePattern, DimensionMismatch, NoVisibleElements, require_positive
 from .geometry import SphericalPoint
 
 DB_FLOOR = -300.0
@@ -77,11 +77,7 @@ def normalize_pattern(raw, mode: str = "grid_max", *, reference: float | None = 
         if ref == 0.0:
             raise DegeneratePattern("all-zero pattern has no maximum to normalize by")
     elif mode == "focal_response":
-        if reference is None:
-            raise ValueError("focal_response mode requires a reference value")
-        ref = float(reference)
-        if not ref > 0.0:
-            raise ValueError(f"normalization reference must be positive, got {reference!r}")
+        ref = require_positive(reference, "reference")
     else:
         raise ValueError(f"unknown normalization mode {mode!r}")
     norm = arr / ref

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvalidWavelength, TargetInsideArray
-from .geometry import TWO_PI, ArrayGeometry, Element, SphericalPoint
+from .errors import DegenerateGeometry, InvalidWavelength, require_clearance, require_positive
+from .geometry import TWO_PI, ArrayGeometry, SphericalPoint
 
 FOUR_PI = 4.0 * math.pi
 
@@ -65,27 +65,10 @@ def los_gains(positions, normals, tx, ty, tz, wavelength):
     return gains, visible, dist
 
 
-def element_visible(element: Element, target_xyz) -> bool:
-    """True when the element's normal strictly faces the target point."""
-    t = np.asarray(target_xyz, dtype=np.float64)
-    dx = t[0] - element.position[0]
-    dy = t[1] - element.position[1]
-    dz = t[2] - element.position[2]
-    if dx * dx + dy * dy + dz * dz == 0.0:
-        raise DegenerateGeometry("target coincides with the element position")
-    facing = dx * element.normal[0] + dy * element.normal[1] + dz * element.normal[2]
-    return bool(facing > 0.0)
-
-
 def los_channel(geometry: ArrayGeometry, target: SphericalPoint, wavelength: float) -> ChannelVector:
     """Channel coefficients from every element toward one target point."""
-    wl = float(wavelength)
-    if not math.isfinite(wl) or wl <= 0.0:
-        raise InvalidWavelength(f"wavelength must be positive and finite, got {wavelength!r}")
-    if geometry.radius_m is not None and target.r <= geometry.radius_m:
-        raise TargetInsideArray(
-            f"target range {target.r} m does not clear the array radius {geometry.radius_m} m"
-        )
+    wl = require_positive(wavelength, "wavelength", InvalidWavelength)
+    require_clearance(target.r, geometry.radius_m, "target")
     t = target.to_cartesian()
     gains, visible, _ = los_gains(geometry.positions, geometry.normals, t[0], t[1], t[2], wl)
     return ChannelVector(gains=gains, visible=visible, wavelength_m=wl, target=target)

@@ -21,8 +21,10 @@ from . import fileio
 from .errors import MainLobeMissed, ParseError, SpherebeamError, ValidationError
 from .metrics import angular_metrics, focus_metrics
 from .scenario import (
+    GEOMETRY_KEYS,
     geometry_from_fields,
     load_preset,
+    parse_field,
     parse_focal_text,
     parse_scenario,
     preset_names,
@@ -31,18 +33,16 @@ from .scenario import (
 from .sweep import AngularPatternGrid, DistancePattern
 
 
-def _add_geometry_flags(parser: argparse.ArgumentParser, as_text: bool) -> None:
-    """Geometry flags; string-typed when they feed the scenario parser."""
-    num = str if as_text else float
-    cnt = str if as_text else int
+def _add_geometry_flags(parser: argparse.ArgumentParser) -> None:
+    """Geometry flags, kept as text for the scenario's value parser."""
     parser.add_argument("--kind", required=True, help="array layout family")
-    parser.add_argument("--n", type=cnt, help="element count")
-    parser.add_argument("--radius", type=num, help="sphere radius in meters")
-    parser.add_argument("--spacing", type=num, help="planar lattice pitch in meters")
-    parser.add_argument("--n-rings", dest="n_rings", type=cnt, help="latitude ring count")
+    parser.add_argument("--n", help="element count")
+    parser.add_argument("--radius", help="sphere radius in meters")
+    parser.add_argument("--spacing", help="planar lattice pitch in meters")
+    parser.add_argument("--n-rings", dest="n_rings", help="latitude ring count")
     parser.add_argument("--ring-policy", dest="ring_policy", help="'proportional' or 'fixed:<count>'")
-    parser.add_argument("--subdivision", type=cnt, help="icosahedron subdivision level")
-    parser.add_argument("--turns", type=num, help="spiral curve turn count")
+    parser.add_argument("--subdivision", help="icosahedron subdivision level")
+    parser.add_argument("--turns", help="spiral curve turn count")
 
 
 def _add_beam_flags(parser: argparse.ArgumentParser) -> None:
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("geometry", help="emit an element layout CSV")
-    _add_geometry_flags(g, as_text=False)
+    _add_geometry_flags(g)
     g.add_argument("--out", required=True, help="output directory")
     g.set_defaults(func=_cmd_geometry)
 
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pat_sub = pat.add_subparsers(dest="pattern_kind", required=True)
 
     pa = pat_sub.add_parser("angle", help="theta x phi sweep at a fixed probe range")
-    _add_geometry_flags(pa, as_text=True)
+    _add_geometry_flags(pa)
     _add_beam_flags(pa)
     pa.add_argument("--theta-samples", dest="theta_samples", help="theta sample count")
     pa.add_argument("--phi-samples", dest="phi_samples", help="phi sample count")
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_pattern_angle)
 
     pd = pat_sub.add_parser("distance", help="range sweep along the focal direction")
-    _add_geometry_flags(pd, as_text=True)
+    _add_geometry_flags(pd)
     _add_beam_flags(pd)
     pd.add_argument("--r-min", dest="r_min", help="sweep window start in meters")
     pd.add_argument("--r-max", dest="r_max", help="sweep window end in meters")
@@ -116,16 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_geometry(args) -> int:
-    geometry = geometry_from_fields(
-        args.kind,
-        n=args.n,
-        radius=args.radius,
-        spacing=args.spacing,
-        n_rings=args.n_rings,
-        ring_policy=_ring_policy_value(args.ring_policy),
-        subdivision=args.subdivision,
-        turns=args.turns,
-    )
+    fields = {
+        key: parse_field(key, getattr(args, key))
+        for key in GEOMETRY_KEYS
+        if getattr(args, key) is not None
+    }
+    geometry = geometry_from_fields(args.kind, **fields)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "geometry.csv"
@@ -134,27 +130,10 @@ def _cmd_geometry(args) -> int:
     return 0
 
 
-def _ring_policy_value(text):
-    if text is None:
-        return None
-    if text == "proportional":
-        return "proportional"
-    if text.startswith("fixed:"):
-        try:
-            return int(text[len("fixed:") :])
-        except ValueError:
-            pass
-    raise ValidationError(
-        f"ring_policy must be 'proportional' or 'fixed:<count>', got {text!r}",
-        field="ring_policy",
-    )
-
-
 def _document_from_args(args, sweep: str, extra_keys) -> str:
     """Rebuild a scenario document from flags so validation has one path."""
     lines = []
-    keys = ("kind", "n", "radius", "spacing", "n_rings", "ring_policy", "subdivision", "turns", "wavelength")
-    for key in keys:
+    for key in ("kind", *GEOMETRY_KEYS, "wavelength"):
         value = getattr(args, key)
         if value is not None:
             lines.append(f"{key} = {value}")
@@ -222,14 +201,6 @@ def _cmd_metrics(args) -> int:
             peak_capture=_meta_float(meta, "peak_capture", None),
         )
         m = angular_metrics(grid)
-        print(f"peak_theta = {fileio.fmt(m.peak_theta)}")
-        print(f"peak_phi = {fileio.fmt(m.peak_phi)}")
-        print(f"pointing_err = {fileio.fmt(m.pointing_error_rad)}")
-        print(f"hpbw_theta = {fileio.fmt(m.hpbw_theta)}")
-        print(f"hpbw_phi = {fileio.fmt(m.hpbw_phi)}")
-        print(f"psl_db = {fileio.fmt(m.peak_sidelobe_db)}")
-        if m.peak_capture is not None:
-            print(f"peak_capture = {fileio.fmt(m.peak_capture)}")
     elif header == fileio.DISTANCE_HEADER:
         r_axis, power = fileio.read_distance_csv(path)
         pattern = DistancePattern(
@@ -239,12 +210,10 @@ def _cmd_metrics(args) -> int:
             focal_range_m=focal.r,
         )
         m = focus_metrics(pattern)
-        print(f"peak_r_m = {fileio.fmt(m.peak_r_m)}")
-        print(f"depth_of_focus_m = {fileio.fmt(m.depth_of_focus_m)}")
-        print(f"focal_error_m = {fileio.fmt(m.focal_error_m)}")
-        print(f"one_sided = {int(m.one_sided)}")
     else:
         raise ValidationError(f"unrecognized pattern CSV header {header!r}")
+    for key, value in fileio.metric_entries(m):
+        print(f"{key} = {value}")
     return 0
 
 

@@ -3,29 +3,19 @@
 Every error inherits from SpherebeamError so callers can catch one base
 class at the CLI boundary and map it to an exit code. Warnings flag results
 that were computed but may not mean what their names say.
+
+Each input rule has one checker here (the ``require_*`` functions), and the
+geometry constructors, the sweeps, the channel and the scenario parser all
+call it, so they accept and reject the same values.
 """
 
 from __future__ import annotations
 
+import math
+
 
 class SpherebeamError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class InvalidCount(SpherebeamError):
-    """Element count is zero, negative, or otherwise unusable."""
-
-
-class InvalidRadius(SpherebeamError):
-    """Sphere or ring radius is non-positive or non-finite."""
-
-
-class NotSquare(SpherebeamError):
-    """Planar array size is not a perfect square."""
-
-
-class InvalidSpacing(SpherebeamError):
-    """Lattice spacing is non-positive."""
 
 
 class InvalidRotation(SpherebeamError):
@@ -34,14 +24,6 @@ class InvalidRotation(SpherebeamError):
 
 class DegenerateGeometry(SpherebeamError):
     """A target point coincides with an element position."""
-
-
-class TargetInsideArray(SpherebeamError):
-    """Focal or sweep point lies inside or on the array sphere."""
-
-
-class InvalidWavelength(SpherebeamError):
-    """Carrier wavelength is non-positive."""
 
 
 class NoVisibleElements(SpherebeamError):
@@ -74,12 +56,96 @@ class ParseError(SpherebeamError):
         super().__init__(message)
 
 
-class ValidationError(SpherebeamError):
-    """Scenario parsed but a field value violates its contract."""
+class ValidationError(SpherebeamError, ValueError):
+    """An input value violates its contract; ``field`` names that input.
+
+    It is also a ``ValueError``, so callers of the library functions can
+    catch bad arguments either way.
+    """
 
     def __init__(self, message: str, field: str | None = None):
         self.field = field
         super().__init__(message)
+
+
+class InvalidCount(ValidationError):
+    """A count is not an integer or is below its minimum."""
+
+
+class InvalidRadius(ValidationError):
+    """Sphere or ring radius is non-positive or non-finite."""
+
+
+class NotSquare(ValidationError):
+    """Planar array size is not a perfect square."""
+
+
+class InvalidSpacing(ValidationError):
+    """Lattice spacing is non-positive or non-finite."""
+
+
+class InvalidWavelength(ValidationError):
+    """Carrier wavelength is non-positive or non-finite."""
+
+
+class TargetInsideArray(ValidationError):
+    """Focal or sweep point lies inside or on the array sphere."""
+
+
+def require_positive(value, field: str, error: type[ValidationError] = ValidationError) -> float:
+    """``value`` as a float that is positive and finite."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and x > 0.0):
+        raise error(f"{field} must be positive and finite, got {value!r}", field)
+    return x
+
+
+def require_count(value, field: str, minimum: int = 1) -> int:
+    """``value`` as an int of at least ``minimum``; fractions are rejected.
+
+    Element counts take the default minimum of 1, subdivision levels 0,
+    sample counts 2, and worker thread counts 1.
+    """
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or n < minimum:
+        raise InvalidCount(f"{field} must be an integer >= {minimum}, got {value!r}", field)
+    return n
+
+
+def require_square(n: int, field: str) -> int:
+    """The side of a square count ``n``."""
+    side = math.isqrt(n)
+    if side * side != n:
+        raise NotSquare(f"{field} must be a perfect square", field)
+    return side
+
+
+def require_clearance(range_m: float, radius: float | None, field: str) -> None:
+    """Reject a range at or inside the array sphere; ``radius`` None means planar."""
+    if radius is not None and range_m <= radius:
+        raise TargetInsideArray(
+            f"{field} {range_m} m does not clear the array radius {radius} m", field
+        )
+
+
+def require_window(r_min, r_max, *focal_ranges: float) -> tuple[float, float]:
+    """A range window ``0 < r_min < r_max`` that contains every focal range."""
+    r_min = require_positive(r_min, "r_min")
+    r_max = require_positive(r_max, "r_max")
+    if not r_min < r_max:
+        raise ValidationError(f"need 0 < r_min < r_max, got [{r_min!r}, {r_max!r}]", "r_min")
+    for r in focal_ranges:
+        if not r_min <= r <= r_max:
+            raise ValidationError(
+                f"focal range {r} m lies outside the sweep window [{r_min}, {r_max}] m", "focal"
+            )
+    return r_min, r_max
 
 
 class MainLobeMissed(UserWarning):

@@ -15,6 +15,7 @@ import numpy as np
 from .beamforming import DB_FLOOR, to_db
 from .errors import ParseError
 from .geometry import ArrayGeometry
+from .metrics import FocusMetrics
 from .sweep import AngularPatternGrid, DistancePattern
 
 GEOMETRY_HEADER = "index,x,y,z,nx,ny,nz"
@@ -29,7 +30,8 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_lines(path, lines) -> None:
+def write_lines(path, lines) -> None:
+    """Text file of ``lines``, each ended by LF."""
     with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line)
@@ -46,7 +48,7 @@ def write_geometry_csv(path, geometry: ArrayGeometry) -> None:
         fields.extend(fmt(v) for v in pos[k])
         fields.extend(fmt(v) for v in nrm[k])
         lines.append(",".join(fields))
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def write_angular_csv(path, grid: AngularPatternGrid) -> None:
@@ -57,7 +59,7 @@ def write_angular_csv(path, grid: AngularPatternGrid) -> None:
         ts = fmt(th)
         for j, ph in enumerate(grid.phi_axis):
             lines.append(f"{ts},{fmt(ph)},{fmt(db[i, j])}")
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def write_distance_csv(path, pattern: DistancePattern) -> None:
@@ -65,13 +67,39 @@ def write_distance_csv(path, pattern: DistancePattern) -> None:
     lines = [DISTANCE_HEADER]
     for i, r in enumerate(pattern.r_axis):
         lines.append(f"{fmt(r)},{fmt(db[i])}")
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def write_meta(path, entries: dict) -> None:
     """Sidecar of ``key = value`` lines, in insertion order."""
     lines = [f"{key} = {value}" for key, value in entries.items()]
-    _write_lines(path, lines)
+    write_lines(path, lines)
+
+
+def metric_entries(m) -> list[tuple[str, str]]:
+    """Text ``key = value`` pairs of a ``BeamMetrics`` or ``FocusMetrics``.
+
+    ``metrics.txt`` lists them per pattern and ``spherebeam metrics`` prints
+    them; ``peak_capture`` is left out when the beam does not carry it.
+    """
+    if isinstance(m, FocusMetrics):
+        return [
+            ("peak_r_m", fmt(m.peak_r_m)),
+            ("depth_of_focus_m", fmt(m.depth_of_focus_m)),
+            ("focal_error_m", fmt(m.focal_error_m)),
+            ("one_sided", str(int(m.one_sided))),
+        ]
+    entries = [
+        ("peak_theta", fmt(m.peak_theta)),
+        ("peak_phi", fmt(m.peak_phi)),
+        ("pointing_err", fmt(m.pointing_error_rad)),
+        ("hpbw_theta", fmt(m.hpbw_theta)),
+        ("hpbw_phi", fmt(m.hpbw_phi)),
+        ("psl_db", fmt(m.peak_sidelobe_db)),
+    ]
+    if m.peak_capture is not None:
+        entries.append(("peak_capture", fmt(m.peak_capture)))
+    return entries
 
 
 def read_meta(path) -> dict:
@@ -97,7 +125,7 @@ def write_metrics_csv(path, rows) -> None:
     lines = [METRICS_HEADER]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def write_focus_csv(path, rows) -> None:
@@ -106,7 +134,7 @@ def write_focus_csv(path, rows) -> None:
     for row in rows:
         *floats, one_sided = row
         lines.append(",".join([fmt(v) for v in floats] + [str(int(one_sided))]))
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def _split_csv_line(line: str, expected: int, lineno: int):

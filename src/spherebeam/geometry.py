@@ -14,11 +14,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    InvalidCount,
     InvalidRadius,
     InvalidRotation,
     InvalidSpacing,
-    NotSquare,
+    require_count,
+    require_positive,
+    require_square,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -57,11 +58,9 @@ class SphericalPoint:
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "r", require_positive(self.r, "r"))
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "phi", float(self.phi))
-        if not (math.isfinite(self.r) and self.r > 0.0):
-            raise ValueError(f"r must be positive and finite, got {self.r!r}")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
         if not 0.0 <= self.phi <= TWO_PI:
@@ -82,14 +81,6 @@ class SphericalPoint:
         if phi < 0.0:
             phi += TWO_PI
         return cls(r, theta, phi)
-
-
-@dataclass(frozen=True, eq=False)
-class Element:
-    """One array element: a position in meters and a unit normal."""
-
-    position: np.ndarray
-    normal: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,27 +105,6 @@ class ArrayGeometry:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def elements(self) -> list[Element]:
-        return [Element(self.positions[k], self.normals[k]) for k in range(self.n)]
-
-
-def _validated_count(value, what: str) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise InvalidCount(f"{what} must be a positive integer, got {value!r}") from None
-    if n != value or n < 1:
-        raise InvalidCount(f"{what} must be a positive integer, got {value!r}")
-    return n
-
-
-def _validated_radius(value) -> float:
-    r = float(value)
-    if not math.isfinite(r) or r <= 0.0:
-        raise InvalidRadius(f"radius must be positive and finite, got {value!r}")
-    return r
-
 
 def golden_spiral_saa(n: int, radius: float) -> ArrayGeometry:
     """Fibonacci-lattice layout covering the sphere near-uniformly.
@@ -143,8 +113,8 @@ def golden_spiral_saa(n: int, radius: float) -> ArrayGeometry:
     element lands on a pole) and azimuth k times the golden angle. The
     height formula is written so that z_k == -z_{n-1-k} exactly.
     """
-    n = _validated_count(n, "n")
-    radius = _validated_radius(radius)
+    n = require_count(n, "n")
+    radius = require_positive(radius, "radius", InvalidRadius)
     k = np.arange(n, dtype=np.float64)
     nf = float(n)
     z = (nf - 2.0 * k - 1.0) / nf
@@ -161,13 +131,9 @@ def upa(n: int, spacing: float) -> ArrayGeometry:
     Elements are ordered row-major over the sqrt(n) x sqrt(n) grid and all
     normals point along +z.
     """
-    n = _validated_count(n, "n")
-    m = math.isqrt(n)
-    if m * m != n:
-        raise NotSquare(f"n must be a perfect square, got {n}")
-    s = float(spacing)
-    if not math.isfinite(s) or s <= 0.0:
-        raise InvalidSpacing(f"spacing must be positive and finite, got {spacing!r}")
+    n = require_count(n, "n")
+    m = require_square(n, "n")
+    s = require_positive(spacing, "spacing", InvalidSpacing)
     coords = (np.arange(m, dtype=np.float64) - (m - 1) / 2.0) * s
     gx, gy = np.meshgrid(coords, coords, indexing="ij")
     positions = np.stack([gx.ravel(), gy.ravel(), np.zeros(n)], axis=1)
@@ -184,15 +150,15 @@ def ring_saa(n_rings: int, per_ring_policy, radius: float) -> ArrayGeometry:
     is either the string ``"proportional"`` (count scales with the ring
     circumference, at least one element) or an integer fixed count.
     """
-    n_rings = _validated_count(n_rings, "n_rings")
-    radius = _validated_radius(radius)
+    n_rings = require_count(n_rings, "n_rings")
+    radius = require_positive(radius, "radius", InvalidRadius)
     rings = []
     for i in range(n_rings):
         theta = ((i + 0.5) * math.pi) / n_rings
         if per_ring_policy == "proportional":
             count = max(1, round((2 * n_rings) * math.sin(theta)))
         else:
-            count = _validated_count(per_ring_policy, "per-ring count")
+            count = require_count(per_ring_policy, "ring_policy")
         phis = (TWO_PI * np.arange(count, dtype=np.float64)) / count
         ux, uy, uz = np.broadcast_arrays(*sph_to_cart(1.0, theta, phis))
         rings.append(np.stack([ux, uy, uz], axis=1))
@@ -215,13 +181,8 @@ def polyhedral_saa(subdivision: int, radius: float) -> ArrayGeometry:
     count is exactly 10*4**subdivision + 2. Ordering is construction
     order: the 12 base vertices first, then midpoints as created.
     """
-    try:
-        s = int(subdivision)
-    except (TypeError, ValueError):
-        raise InvalidCount(f"subdivision must be a non-negative integer, got {subdivision!r}") from None
-    if s != subdivision or s < 0:
-        raise InvalidCount(f"subdivision must be a non-negative integer, got {subdivision!r}")
-    radius = _validated_radius(radius)
+    s = require_count(subdivision, "subdivision", 0)
+    radius = require_positive(radius, "radius", InvalidRadius)
     t = (1.0 + math.sqrt(5.0)) / 2.0
     base = [
         (-1.0, t, 0.0), (1.0, t, 0.0), (-1.0, -t, 0.0), (1.0, -t, 0.0),
@@ -266,11 +227,9 @@ def spiral_curve_saa(n: int, turns: float, radius: float) -> ArrayGeometry:
     angle is linear in t and the azimuth advances by ``turns`` full
     revolutions over the whole curve.
     """
-    n = _validated_count(n, "n")
-    tr = float(turns)
-    if not math.isfinite(tr) or tr <= 0.0:
-        raise ValueError(f"turns must be positive, got {turns!r}")
-    radius = _validated_radius(radius)
+    n = require_count(n, "n")
+    tr = require_positive(turns, "turns")
+    radius = require_positive(radius, "radius", InvalidRadius)
     t = (np.arange(n, dtype=np.float64) + 0.5) / float(n)
     theta = math.pi * t
     phi = np.mod((TWO_PI * tr) * t, TWO_PI)

@@ -16,7 +16,18 @@ from importlib import resources
 from pathlib import Path
 
 from . import fileio
-from .errors import ParseError, SpherebeamError, ValidationError
+from .errors import (
+    AllBeamsInfeasible,
+    DegeneratePattern,
+    NoVisibleElements,
+    ParseError,
+    ValidationError,
+    require_clearance,
+    require_count,
+    require_positive,
+    require_square,
+    require_window,
+)
 from .geometry import (
     ArrayGeometry,
     ArrayKind,
@@ -35,13 +46,7 @@ from .metrics import (
     focus_metrics,
     isotropy_report,
 )
-from .errors import AllBeamsInfeasible, DegeneratePattern, NoVisibleElements
-from .sweep import (
-    AngularSweepSpec,
-    angular_sweep,
-    distance_sweep,
-    multi_focal_overlay,
-)
+from .sweep import AngularSweepSpec, distance_sweep, multi_focal_overlay
 
 NAN = float("nan")
 
@@ -55,9 +60,13 @@ _KIND_PARAMS = {
     ArrayKind.SPIRAL_CURVE.value: ("n", "turns", "radius"),
 }
 
-_GEOMETRY_KEYS = ("n", "radius", "spacing", "n_rings", "ring_policy", "subdivision", "turns")
+GEOMETRY_KEYS = ("n", "radius", "spacing", "n_rings", "ring_policy", "subdivision", "turns")
 
-_INT_KEYS = frozenset({"n", "n_rings", "subdivision", "theta_samples", "phi_samples", "r_samples"})
+# integer keys with their smallest allowed value; every float key must be
+# positive and finite
+_INT_KEYS = {
+    "n": 1, "n_rings": 1, "subdivision": 0, "theta_samples": 2, "phi_samples": 2, "r_samples": 2,
+}
 _FLOAT_KEYS = frozenset({"radius", "spacing", "turns", "wavelength", "eval_range", "r_min", "r_max"})
 _STR_KEYS = frozenset({"kind", "sweep", "normalization", "out"})
 
@@ -92,18 +101,18 @@ class Scenario:
     out: str | None = None
 
 
-def _parse_int(token: str, lineno: int | None) -> int:
+def _parse_int(key: str, token: str, lineno: int | None) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", line=lineno) from None
+        raise ParseError(f"{key} expects an integer, got {token!r}", line=lineno) from None
 
 
-def _parse_float(token: str, lineno: int | None) -> float:
+def _parse_float(key: str, token: str, lineno: int | None) -> float:
     try:
         return float(token)
     except ValueError:
-        raise ParseError(f"expected a number, got {token!r}", line=lineno) from None
+        raise ParseError(f"{key} expects a number, got {token!r}", line=lineno) from None
 
 
 def _parse_angle(token: str, lineno: int | None) -> float:
@@ -111,22 +120,21 @@ def _parse_angle(token: str, lineno: int | None) -> float:
     token = token.strip()
     m = _PI_RE.match(token)
     if m is not None:
-        coef = float(m.group(1)) if m.group(1) else 1.0
-        value = coef * math.pi
-        if m.group(2):
-            value = value / float(m.group(2))
-        return value
+        divisor = float(m.group(2) or 1.0)
+        if divisor == 0.0:
+            raise ParseError(f"focal angle {token!r} divides by zero", line=lineno)
+        return float(m.group(1) or 1.0) * math.pi / divisor
     try:
         return float(token)
     except ValueError:
-        raise ParseError(f"expected a number or pi fraction, got {token!r}", line=lineno) from None
+        raise ParseError(f"focal expects a number or pi fraction, got {token!r}", line=lineno) from None
 
 
 def _parse_focal(value: str, lineno: int | None) -> SphericalPoint:
     parts = value.split(",")
     if len(parts) != 3:
         raise ParseError(f"focal needs 'r, theta, phi', got {value!r}", line=lineno)
-    r = _parse_float(parts[0].strip(), lineno)
+    r = _parse_float("focal", parts[0].strip(), lineno)
     theta = _parse_angle(parts[1], lineno)
     phi = _parse_angle(parts[2], lineno)
     try:
@@ -135,20 +143,29 @@ def _parse_focal(value: str, lineno: int | None) -> SphericalPoint:
         raise ValidationError(str(exc), field="focal") from None
 
 
-def _parse_ring_policy(value: str, lineno: int):
+def _parse_ring_policy(value: str, lineno: int | None):
     if value == "proportional":
         return "proportional"
     if value.startswith("fixed:"):
-        count = _parse_int(value[len("fixed:") :].strip(), lineno)
-        if count < 1:
-            raise ValidationError(
-                f"fixed ring count must be at least 1, got {count}", field="ring_policy"
-            )
-        return count
+        count = _parse_int("ring_policy", value[len("fixed:") :].strip(), lineno)
+        return require_count(count, "ring_policy")
     raise ValidationError(
         f"ring_policy must be 'proportional' or 'fixed:<count>', got {value!r}",
         field="ring_policy",
     )
+
+
+def parse_field(key: str, token: str, lineno: int | None = None):
+    """Parse and check the value of one scalar scenario key."""
+    if key in _INT_KEYS:
+        return require_count(_parse_int(key, token, lineno), key, _INT_KEYS[key])
+    if key in _FLOAT_KEYS:
+        return require_positive(_parse_float(key, token, lineno), key)
+    if key in _STR_KEYS:
+        return token
+    if key == "ring_policy":
+        return _parse_ring_policy(token, lineno)
+    raise ParseError(f"unknown key {key!r}", line=lineno)
 
 
 def parse_focal_text(text: str) -> SphericalPoint:
@@ -176,25 +193,10 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if key in fields:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
-        if key in _INT_KEYS:
-            fields[key] = _parse_int(value, lineno)
-        elif key in _FLOAT_KEYS:
-            fields[key] = _parse_float(value, lineno)
-        elif key in _STR_KEYS:
-            fields[key] = value
-        elif key == "ring_policy":
-            fields[key] = _parse_ring_policy(value, lineno)
-        else:
-            raise ParseError(f"unknown key {key!r}", line=lineno)
+        fields[key] = parse_field(key, value, lineno)
     if not saw_content:
         raise ParseError("empty scenario document")
     return _build_scenario(fields, tuple(focals))
-
-
-def _require_positive(fields: dict, key: str) -> None:
-    value = fields.get(key)
-    if value is not None and not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{key} must be positive and finite, got {value!r}", field=key)
 
 
 def _validate_geometry_fields(fields: dict) -> str:
@@ -212,48 +214,27 @@ def _validate_geometry_fields(fields: dict) -> str:
     for name in required:
         if fields.get(name) is None:
             raise ValidationError(f"kind {kind!r} requires {name}", field=name)
-    for name in _GEOMETRY_KEYS:
+    for name in GEOMETRY_KEYS:
         if name not in allowed and fields.get(name) is not None:
             raise ValidationError(f"{name} is not used by kind {kind!r}", field=name)
-
-    if fields.get("n") is not None and fields["n"] < 1:
-        raise ValidationError(f"n must be a positive integer, got {fields['n']}", field="n")
-    if kind == ArrayKind.UPA.value:
-        root = math.isqrt(fields["n"])
-        if root * root != fields["n"]:
-            raise ValidationError("n must be a perfect square", field="n")
-    if fields.get("n_rings") is not None and fields["n_rings"] < 1:
-        raise ValidationError(
-            f"n_rings must be a positive integer, got {fields['n_rings']}", field="n_rings"
-        )
-    if fields.get("subdivision") is not None and fields["subdivision"] < 0:
-        raise ValidationError(
-            f"subdivision must be non-negative, got {fields['subdivision']}", field="subdivision"
-        )
-    for key in ("radius", "spacing", "turns"):
-        _require_positive(fields, key)
     return kind
 
 
 def _build_scenario(fields: dict, focals: tuple[SphericalPoint, ...]) -> Scenario:
+    """Cross-field checks; ``parse_field`` has checked each value alone."""
     kind = _validate_geometry_fields(fields)
-    is_saa = kind != ArrayKind.UPA.value
+    if kind == ArrayKind.UPA.value:
+        require_square(fields["n"], "n")
     radius = fields.get("radius")
 
     wavelength = fields.get("wavelength")
     if wavelength is None:
         raise ValidationError("wavelength is required", field="wavelength")
-    _require_positive(fields, "wavelength")
 
     if not focals:
         raise ValidationError("at least one focal point is required", field="focal")
-    if is_saa:
-        for point in focals:
-            if point.r <= radius:
-                raise ValidationError(
-                    f"focal range {point.r} m lies inside the array sphere of radius {radius} m",
-                    field="focal",
-                )
+    for point in focals:
+        require_clearance(point.r, radius, "focal")
 
     sweep = fields.get("sweep")
     if sweep is None:
@@ -274,19 +255,9 @@ def _build_scenario(fields: dict, focals: tuple[SphericalPoint, ...]) -> Scenari
         for key in _DISTANCE_KEYS:
             if fields.get(key) is not None:
                 raise ValidationError(f"{key} applies only to distance sweeps", field=key)
-        theta_samples = fields.get("theta_samples", 181)
-        phi_samples = fields.get("phi_samples", 181)
-        for key, value in (("theta_samples", theta_samples), ("phi_samples", phi_samples)):
-            if value < 2:
-                raise ValidationError(f"{key} must be at least 2, got {value}", field=key)
         eval_range = fields.get("eval_range", 30.0)
-        _require_positive({"eval_range": eval_range}, "eval_range")
-        if is_saa and eval_range <= radius:
-            raise ValidationError(
-                f"eval_range {eval_range} m does not clear the array radius {radius} m",
-                field="eval_range",
-            )
-        angle_values = (theta_samples, phi_samples, eval_range)
+        require_clearance(eval_range, radius, "eval_range")
+        angle_values = (fields.get("theta_samples", 181), fields.get("phi_samples", 181), eval_range)
         distance_values = (None, None, None)
     else:
         if normalization == "focal":
@@ -298,25 +269,10 @@ def _build_scenario(fields: dict, focals: tuple[SphericalPoint, ...]) -> Scenari
                 raise ValidationError(f"{key} applies only to angular sweeps", field=key)
         r_min = fields.get("r_min", 5.0)
         r_max = fields.get("r_max", 100.0)
-        r_samples = fields.get("r_samples", 960)
-        if r_samples < 2:
-            raise ValidationError(f"r_samples must be at least 2, got {r_samples}", field="r_samples")
-        if not (math.isfinite(r_min) and math.isfinite(r_max) and 0.0 < r_min < r_max):
-            raise ValidationError(
-                f"need 0 < r_min < r_max, got [{r_min!r}, {r_max!r}]", field="r_min"
-            )
-        if is_saa and r_min <= radius:
-            raise ValidationError(
-                f"r_min {r_min} m does not clear the array radius {radius} m", field="r_min"
-            )
-        for point in focals:
-            if not r_min <= point.r <= r_max:
-                raise ValidationError(
-                    f"focal range {point.r} m lies outside the sweep window [{r_min}, {r_max}] m",
-                    field="focal",
-                )
+        require_window(r_min, r_max, *(point.r for point in focals))
+        require_clearance(r_min, radius, "r_min")
         angle_values = (None, None, None)
-        distance_values = (r_min, r_max, r_samples)
+        distance_values = (r_min, r_max, fields.get("r_samples", 960))
 
     ring_policy = fields.get("ring_policy")
     if kind == ArrayKind.RING.value and ring_policy is None:
@@ -356,7 +312,10 @@ def geometry_from_fields(
     subdivision: int | None = None,
     turns: float | None = None,
 ) -> ArrayGeometry:
-    """Build a geometry from loose fields with scenario-level validation."""
+    """Build a geometry from loose fields with scenario-level validation.
+
+    The constructors check each value; every error is a ``ValidationError``.
+    """
     fields = {
         "kind": kind,
         "n": n,
@@ -368,20 +327,15 @@ def geometry_from_fields(
         "turns": turns,
     }
     _validate_geometry_fields(fields)
-    try:
-        if kind == ArrayKind.UPA.value:
-            return upa(n, spacing)
-        if kind == ArrayKind.SPIRAL.value:
-            return golden_spiral_saa(n, radius)
-        if kind == ArrayKind.RING.value:
-            return ring_saa(n_rings, ring_policy if ring_policy is not None else "proportional", radius)
-        if kind == ArrayKind.POLYHEDRAL.value:
-            return polyhedral_saa(subdivision, radius)
-        return spiral_curve_saa(n, turns, radius)
-    except (SpherebeamError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(str(exc)) from None
+    if kind == ArrayKind.UPA.value:
+        return upa(n, spacing)
+    if kind == ArrayKind.SPIRAL.value:
+        return golden_spiral_saa(n, radius)
+    if kind == ArrayKind.RING.value:
+        return ring_saa(n_rings, ring_policy if ring_policy is not None else "proportional", radius)
+    if kind == ArrayKind.POLYHEDRAL.value:
+        return polyhedral_saa(subdivision, radius)
+    return spiral_curve_saa(n, turns, radius)
 
 
 def build_geometry(scenario: Scenario) -> ArrayGeometry:
@@ -408,7 +362,7 @@ def _format_value(key: str, value) -> str:
 def _scalar_entries(scenario: Scenario) -> list[tuple[str, str]]:
     """Ordered scalar key/value text pairs, omitting unset fields."""
     entries: list[tuple[str, str]] = [("kind", scenario.kind)]
-    for key in _GEOMETRY_KEYS:
+    for key in GEOMETRY_KEYS:
         value = getattr(scenario, key)
         if value is None:
             continue
@@ -490,10 +444,6 @@ def _focus_metrics_or_degenerate(pattern) -> FocusMetrics:
         return FocusMetrics(NAN, NAN, NAN, one_sided=False)
 
 
-def _degrees(rad: float) -> float:
-    return math.degrees(rad)
-
-
 def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None) -> int:
     """Run a scenario end to end, emitting all files into the output directory.
 
@@ -503,6 +453,8 @@ def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None
     target = out_dir if out_dir is not None else scenario.out
     if target is None:
         raise ValidationError("an output directory is required", field="out")
+    if threads is not None:
+        require_count(threads, "threads")
     out = Path(target)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -541,6 +493,7 @@ def _run_angular(scenario: Scenario, geometry: ArrayGeometry, out: Path, threads
     beams = iter(overlay.beams)
     rows = []
     per_beam: list[tuple[int, BeamMetrics]] = []
+    lines = []
     for index, focal in enumerate(scenario.focals):
         if index in skipped_indices:
             continue
@@ -557,6 +510,20 @@ def _run_angular(scenario: Scenario, geometry: ArrayGeometry, out: Path, threads
             (focal.theta, focal.phi, m.peak_theta, m.peak_phi,
              m.pointing_error_rad, m.hpbw_theta, m.hpbw_phi, m.peak_sidelobe_db)
         )
+        if m.degenerate:
+            lines.append(
+                f"beam {index:02d}: focal theta {math.degrees(focal.theta):.2f} deg, degenerate pattern"
+            )
+            continue
+        lines.append(
+            f"beam {index:02d}: focal (theta {math.degrees(focal.theta):7.2f},"
+            f" phi {math.degrees(focal.phi):7.2f}) deg"
+            f"  err {math.degrees(m.pointing_error_rad):6.3f} deg"
+            f"  hpbw ({math.degrees(m.hpbw_theta):6.3f}, {math.degrees(m.hpbw_phi):6.3f}) deg"
+            f"  psl {m.peak_sidelobe_db:7.2f} dB"
+            f"  capture {m.peak_capture:5.3f}"
+            + ("  (main lobe not sampled)" if m.peak_capture < MIN_PEAK_CAPTURE else "")
+        )
 
     fileio.write_angular_csv(out / "overlay.csv", overlay)
     overlay_meta = dict(meta)
@@ -566,26 +533,37 @@ def _run_angular(scenario: Scenario, geometry: ArrayGeometry, out: Path, threads
 
     fileio.write_metrics_csv(out / "metrics.csv", rows)
 
-    report: list[tuple[str, str]] = []
+    extra = []
     usable = [m for _, m in per_beam if not m.degenerate]
-    for index, m in per_beam:
-        stem = f"beam_{index:02d}"
-        report.append((f"{stem}.peak_theta", fileio.fmt(m.peak_theta)))
-        report.append((f"{stem}.peak_phi", fileio.fmt(m.peak_phi)))
-        report.append((f"{stem}.pointing_err", fileio.fmt(m.pointing_error_rad)))
-        report.append((f"{stem}.hpbw_theta", fileio.fmt(m.hpbw_theta)))
-        report.append((f"{stem}.hpbw_phi", fileio.fmt(m.hpbw_phi)))
-        report.append((f"{stem}.psl_db", fileio.fmt(m.peak_sidelobe_db)))
-        report.append((f"{stem}.peak_capture", fileio.fmt(m.peak_capture)))
     if len(usable) >= 2:
         iso = isotropy_report(usable)
-        report.append(("isotropy.hpbw_theta_ratio", fileio.fmt(iso.hpbw_theta_ratio)))
-        report.append(("isotropy.hpbw_phi_ratio", fileio.fmt(iso.hpbw_phi_ratio)))
-        report.append(("isotropy.sidelobe_spread_db", fileio.fmt(iso.sidelobe_spread_db)))
-    report.append(("skipped", ",".join(str(i) for i in skipped_indices)))
-    fileio.write_meta(out / "metrics.txt", dict(report))
-
-    _write_angular_summary(scenario, geometry, out, per_beam, skipped_indices, usable)
+        extra = [
+            ("isotropy.hpbw_theta_ratio", fileio.fmt(iso.hpbw_theta_ratio)),
+            ("isotropy.hpbw_phi_ratio", fileio.fmt(iso.hpbw_phi_ratio)),
+            ("isotropy.sidelobe_spread_db", fileio.fmt(iso.sidelobe_spread_db)),
+        ]
+        lines.append("")
+        lines.append(
+            f"isotropy: hpbw_theta ratio {iso.hpbw_theta_ratio:.4f}, "
+            f"hpbw_phi ratio {iso.hpbw_phi_ratio:.4f}, "
+            f"sidelobe spread {iso.sidelobe_spread_db:.2f} dB over {iso.n_beams} beams"
+        )
+    _write_reports(
+        scenario, geometry, out,
+        stem="beam",
+        per_focal=per_beam,
+        extra=extra,
+        sweep=(
+            f"angle, {scenario.theta_samples} x {scenario.phi_samples} cells, "
+            f"probe range {fileio.fmt(scenario.eval_range)} m, normalization {scenario.normalization}"
+        ),
+        counted="beams",
+        lines=lines,
+        skipped_indices=skipped_indices,
+        skipped="; ".join(
+            f"#{i} (theta {math.degrees(scenario.focals[i].theta):.1f} deg)" for i in skipped_indices
+        ),
+    )
     return skipped_indices
 
 
@@ -613,6 +591,7 @@ def _run_distance(scenario: Scenario, geometry: ArrayGeometry, out: Path, thread
     meta = _meta_entries(scenario, geometry, skipped_indices)
     rows = []
     per_focal: list[tuple[int, FocusMetrics]] = []
+    lines = []
     for index, pattern in patterns:
         focal = scenario.focals[index]
         stem = f"focus_{index:02d}"
@@ -626,20 +605,32 @@ def _run_distance(scenario: Scenario, geometry: ArrayGeometry, out: Path, thread
             (focal.theta, focal.phi, m.peak_r_m, m.depth_of_focus_m, m.focal_error_m,
              m.one_sided)
         )
+        if math.isnan(m.peak_r_m):
+            lines.append(f"focus {index:02d}: focal {fileio.fmt(focal.r)} m, degenerate pattern")
+            continue
+        side = " (one-sided)" if m.one_sided else ""
+        lines.append(
+            f"focus {index:02d}: focal {fileio.fmt(focal.r)} m"
+            f"  peak {m.peak_r_m:.3f} m  err {m.focal_error_m:.3f} m"
+            f"  depth {m.depth_of_focus_m:.3f} m{side}"
+        )
 
     fileio.write_focus_csv(out / "focus_metrics.csv", rows)
 
-    report: list[tuple[str, str]] = []
-    for index, m in per_focal:
-        stem = f"focus_{index:02d}"
-        report.append((f"{stem}.peak_r_m", fileio.fmt(m.peak_r_m)))
-        report.append((f"{stem}.depth_of_focus_m", fileio.fmt(m.depth_of_focus_m)))
-        report.append((f"{stem}.focal_error_m", fileio.fmt(m.focal_error_m)))
-        report.append((f"{stem}.one_sided", str(int(m.one_sided))))
-    report.append(("skipped", ",".join(str(i) for i in skipped_indices)))
-    fileio.write_meta(out / "metrics.txt", dict(report))
-
-    _write_distance_summary(scenario, geometry, out, per_focal, skipped_indices)
+    _write_reports(
+        scenario, geometry, out,
+        stem="focus",
+        per_focal=per_focal,
+        extra=[],
+        sweep=(
+            f"distance, window [{fileio.fmt(scenario.r_min)}, {fileio.fmt(scenario.r_max)}] m, "
+            f"{scenario.r_samples} samples"
+        ),
+        counted="patterns",
+        lines=lines,
+        skipped_indices=skipped_indices,
+        skipped=", ".join("#" + str(i) for i in skipped_indices),
+    )
     return skipped_indices
 
 
@@ -652,86 +643,40 @@ def _geometry_blurb(scenario: Scenario, geometry: ArrayGeometry) -> str:
     return ", ".join(bits)
 
 
-def _write_angular_summary(scenario, geometry, out: Path, per_beam, skipped_indices, usable) -> None:
-    lines = [
-        "spherebeam run summary",
-        "======================",
-        f"geometry: {_geometry_blurb(scenario, geometry)}",
-        f"wavelength: {fileio.fmt(scenario.wavelength)} m",
-        (
-            f"sweep: angle, {scenario.theta_samples} x {scenario.phi_samples} cells, "
-            f"probe range {fileio.fmt(scenario.eval_range)} m, normalization {scenario.normalization}"
-        ),
-        (
-            f"beams: {len(scenario.focals)} requested, {len(per_beam)} evaluated, "
-            f"{len(skipped_indices)} skipped"
-        ),
-        "",
-    ]
-    for index, m in per_beam:
-        focal = scenario.focals[index]
-        if m.degenerate:
-            lines.append(f"beam {index:02d}: focal theta {_degrees(focal.theta):.2f} deg, degenerate pattern")
-            continue
-        lines.append(
-            f"beam {index:02d}: focal (theta {_degrees(focal.theta):7.2f}, phi {_degrees(focal.phi):7.2f}) deg"
-            f"  err {_degrees(m.pointing_error_rad):6.3f} deg"
-            f"  hpbw ({_degrees(m.hpbw_theta):6.3f}, {_degrees(m.hpbw_phi):6.3f}) deg"
-            f"  psl {m.peak_sidelobe_db:7.2f} dB"
-            f"  capture {m.peak_capture:5.3f}"
-            + ("  (main lobe not sampled)" if m.peak_capture < MIN_PEAK_CAPTURE else "")
-        )
-    if len(usable) >= 2:
-        iso = isotropy_report(usable)
-        lines.append("")
-        lines.append(
-            f"isotropy: hpbw_theta ratio {iso.hpbw_theta_ratio:.4f}, "
-            f"hpbw_phi ratio {iso.hpbw_phi_ratio:.4f}, "
-            f"sidelobe spread {iso.sidelobe_spread_db:.2f} dB over {iso.n_beams} beams"
-        )
-    lines.append("")
-    if skipped_indices:
-        focals = "; ".join(
-            f"#{i} (theta {_degrees(scenario.focals[i].theta):.1f} deg)" for i in skipped_indices
-        )
-        lines.append(f"skipped focals: {focals}")
-    else:
-        lines.append("skipped focals: none")
-    with open(out / "summary.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_reports(
+    scenario, geometry, out: Path, *,
+    stem, per_focal, extra, sweep, counted, lines, skipped_indices, skipped,
+) -> None:
+    """``metrics.txt`` and ``summary.txt`` for either sweep kind.
 
-
-def _write_distance_summary(scenario, geometry, out: Path, per_focal, skipped_indices) -> None:
-    lines = [
-        "spherebeam run summary",
-        "======================",
-        f"geometry: {_geometry_blurb(scenario, geometry)}",
-        f"wavelength: {fileio.fmt(scenario.wavelength)} m",
-        (
-            f"sweep: distance, window [{fileio.fmt(scenario.r_min)}, {fileio.fmt(scenario.r_max)}] m, "
-            f"{scenario.r_samples} samples"
-        ),
-        (
-            f"patterns: {len(scenario.focals)} requested, {len(per_focal)} evaluated, "
-            f"{len(skipped_indices)} skipped"
-        ),
-        "",
+    ``per_focal`` pairs each evaluated focal index with its metrics, which
+    ``metrics.txt`` lists under ``<stem>_NN.``; ``extra`` adds entries
+    after them. ``summary.txt`` names the ``sweep`` and the ``counted``
+    patterns, then holds ``lines`` and the ``skipped`` focals.
+    """
+    report = [
+        (f"{stem}_{index:02d}.{key}", value)
+        for index, m in per_focal
+        for key, value in fileio.metric_entries(m)
     ]
-    for index, m in per_focal:
-        focal = scenario.focals[index]
-        if math.isnan(m.peak_r_m):
-            lines.append(f"focus {index:02d}: focal {fileio.fmt(focal.r)} m, degenerate pattern")
-            continue
-        side = " (one-sided)" if m.one_sided else ""
-        lines.append(
-            f"focus {index:02d}: focal {fileio.fmt(focal.r)} m"
-            f"  peak {m.peak_r_m:.3f} m  err {m.focal_error_m:.3f} m"
-            f"  depth {m.depth_of_focus_m:.3f} m{side}"
-        )
-    lines.append("")
-    if skipped_indices:
-        lines.append(f"skipped focals: {', '.join('#' + str(i) for i in skipped_indices)}")
-    else:
-        lines.append("skipped focals: none")
-    with open(out / "summary.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    report.extend(extra)
+    report.append(("skipped", ",".join(str(i) for i in skipped_indices)))
+    fileio.write_meta(out / "metrics.txt", dict(report))
+    fileio.write_lines(
+        out / "summary.txt",
+        [
+            "spherebeam run summary",
+            "======================",
+            f"geometry: {_geometry_blurb(scenario, geometry)}",
+            f"wavelength: {fileio.fmt(scenario.wavelength)} m",
+            f"sweep: {sweep}",
+            (
+                f"{counted}: {len(scenario.focals)} requested, {len(per_focal)} evaluated, "
+                f"{len(skipped_indices)} skipped"
+            ),
+            "",
+            *lines,
+            "",
+            f"skipped focals: {skipped or 'none'}",
+        ],
+    )

@@ -18,7 +18,14 @@ import numpy as np
 
 from .beamforming import beam_response, conjugate_weights, normalize_pattern
 from .channel import los_channel, los_gains
-from .errors import AllBeamsInfeasible, NoVisibleElements, TargetInsideArray
+from .errors import (
+    AllBeamsInfeasible,
+    NoVisibleElements,
+    require_clearance,
+    require_count,
+    require_positive,
+    require_window,
+)
 from .geometry import TWO_PI, ArrayGeometry, SphericalPoint, sph_to_cart
 
 
@@ -33,16 +40,15 @@ class AngularSweepSpec:
     eval_range_m: float = 30.0
 
     def __post_init__(self):
-        if self.theta_samples < 2 or self.phi_samples < 2:
-            raise ValueError("sample counts must be at least 2")
+        object.__setattr__(self, "theta_samples", require_count(self.theta_samples, "theta_samples", 2))
+        object.__setattr__(self, "phi_samples", require_count(self.phi_samples, "phi_samples", 2))
+        object.__setattr__(self, "eval_range_m", require_positive(self.eval_range_m, "eval_range_m"))
         t0, t1 = self.theta_range
         p0, p1 = self.phi_range
         if not 0.0 <= t0 < t1 <= math.pi:
             raise ValueError(f"theta_range must be an interval within [0, pi], got {self.theta_range!r}")
         if not 0.0 <= p0 < p1 <= TWO_PI:
             raise ValueError(f"phi_range must be an interval within [0, 2*pi], got {self.phi_range!r}")
-        if not self.eval_range_m > 0.0:
-            raise ValueError(f"eval_range_m must be positive, got {self.eval_range_m!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,17 +99,16 @@ class DistancePattern:
 def _resolve_threads(threads) -> int:
     if threads is None:
         return os.cpu_count() or 1
-    t = int(threads)
-    if t < 1:
-        raise ValueError(f"threads must be at least 1, got {threads!r}")
-    return t
+    return require_count(threads, "threads")
 
 
 def _run_chunked(fill, total: int, threads: int) -> None:
-    if threads <= 1 or total < 2:
+    """Fill rows [0, total) in at most ``threads`` chunks, never more than
+    there are rows or CPUs."""
+    chunks = min(threads, total, os.cpu_count() or 1)
+    if chunks < 2:
         fill(0, total)
         return
-    chunks = min(threads, total)
     edges = [i * total // chunks for i in range(chunks + 1)]
     spans = [(edges[i], edges[i + 1]) for i in range(chunks) if edges[i] < edges[i + 1]]
     with ThreadPoolExecutor(max_workers=len(spans)) as pool:
@@ -143,10 +148,7 @@ def angular_sweep(
 ) -> AngularPatternGrid:
     """Evaluate one beam over the angular grid at the spec's probe range."""
     spec = spec if spec is not None else AngularSweepSpec()
-    if geometry.radius_m is not None and spec.eval_range_m <= geometry.radius_m:
-        raise TargetInsideArray(
-            f"probe range {spec.eval_range_m} m does not clear the array radius {geometry.radius_m} m"
-        )
+    require_clearance(spec.eval_range_m, geometry.radius_m, "eval_range_m")
     h_focal = los_channel(geometry, focal, wavelength)
     w = conjugate_weights(h_focal)
 
@@ -242,21 +244,9 @@ def distance_sweep(
     matches at each range instead of the 1/d amplitude growth; the result
     peaks at the design range and equals 1 there up to the grid maximum.
     """
-    r_min = float(r_min)
-    r_max = float(r_max)
-    samples = int(samples)
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples!r}")
-    if not 0.0 < r_min < r_max:
-        raise ValueError(f"need 0 < r_min < r_max, got [{r_min!r}, {r_max!r}]")
-    if geometry.radius_m is not None and r_min <= geometry.radius_m:
-        raise TargetInsideArray(
-            f"sweep window starts at {r_min} m, inside the array radius {geometry.radius_m} m"
-        )
-    if not r_min <= focal.r <= r_max:
-        raise ValueError(
-            f"focal range {focal.r} m lies outside the sweep window [{r_min}, {r_max}] m"
-        )
+    samples = require_count(samples, "samples", 2)
+    r_min, r_max = require_window(r_min, r_max, focal.r)
+    require_clearance(r_min, geometry.radius_m, "r_min")
     h_focal = los_channel(geometry, focal, wavelength)
     w = conjugate_weights(h_focal)
 

@@ -16,11 +16,11 @@ from spherebeam import (
     SphericalPoint,
     TargetInsideArray,
     channel_energy,
-    element_visible,
     golden_spiral_saa,
     los_channel,
     upa,
 )
+from spherebeam.channel import los_gains
 
 FIG4_TARGET = SphericalPoint(30.0, math.pi / 6, math.pi / 6)
 
@@ -63,9 +63,14 @@ class TestLosChannel:
                 float(rng.uniform(0.0, 2.0 * math.pi)),
             )
             h = los_channel(g, target, 0.01)
-            txyz = target.to_cartesian()
-            scalar = [element_visible(e, txyz) for e in g.elements]
-            assert_array_equal(np.asarray(scalar), h.visible)
+            tx, ty, tz = target.to_cartesian()
+            _, visible, _ = los_gains(g.positions, g.normals, tx, ty, tz, 0.01)
+            # reference: each element's normal dotted with its own offset to the target
+            scalar = []
+            for (px, py, pz), (nx, ny, nz) in zip(g.positions, g.normals):
+                scalar.append((tx - px) * nx + (ty - py) * ny + (tz - pz) * nz > 0.0)
+            assert_array_equal(visible, np.asarray(scalar))
+            assert_array_equal(visible, h.visible)
 
     def test_upa_hemisphere_rule(self):
         g = upa(100, 0.005)

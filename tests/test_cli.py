@@ -128,6 +128,14 @@ class TestRunCommand:
         assert run_cli("run", "--scenario", str(cfg), "--out", str(out)) == 0
         assert (out / "summary.txt").is_file()
 
+    def test_zero_threads_exits_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "zero"
+        assert run_cli("run", "--preset", "fig5_r2", "--threads", "0", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "threads" in err
+        assert not out.exists()
+
     def test_fig4_saa_warns_for_the_two_off_lattice_beams(self, tmp_path, capsys):
         out = tmp_path / "fig4"
         assert run_cli("run", "--preset", "fig4_saa", "--threads", "2", "--out", str(out)) == 0

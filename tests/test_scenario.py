@@ -64,6 +64,8 @@ class TestFocalText:
         with pytest.raises(ParseError):
             parse_focal_text("30, pi/banana, 1.0")
         with pytest.raises(ParseError):
+            parse_focal_text("10, pi/0, 1")
+        with pytest.raises(ParseError):
             parse_focal_text("thirty, 1.0, 1.0")
 
 

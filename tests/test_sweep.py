@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_rotation
 
+from spherebeam import sweep
 from spherebeam import (
     AllBeamsInfeasible,
     AngularSweepSpec,
@@ -99,6 +101,10 @@ class TestAngularSweep:
             AngularSweepSpec(phi_range=(-0.1, 1.0))
         with pytest.raises(ValueError):
             AngularSweepSpec(eval_range_m=0.0)
+        with pytest.raises(ValueError):
+            AngularSweepSpec(eval_range_m=math.inf)
+        with pytest.raises(ValueError):
+            AngularSweepSpec(eval_range_m=math.nan)
 
 
 class TestMultiFocalOverlay:
@@ -168,6 +174,33 @@ class TestDistanceSweep:
             other = distance_sweep(g, 0.01, focal, samples=240, threads=threads)
             assert_array_equal(base.power, other.power)
 
+    def test_worker_threads_capped_at_cpu_count(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            """Records the requested worker count and runs the map inline."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        g = golden_spiral_saa(64, 0.5)
+        focal = SphericalPoint(30.0, math.pi / 4, math.pi / 4)
+        base = distance_sweep(g, 0.01, focal, samples=240, threads=1)
+        monkeypatch.setattr(sweep, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        capped = distance_sweep(g, 0.01, focal, samples=240, threads=100_000)
+        assert started == [3]
+        assert_array_equal(capped.power, base.power)
+
     def test_window_validation(self):
         g = golden_spiral_saa(30, 0.5)
         focal = SphericalPoint(30.0, 1.0, 1.0)
@@ -177,6 +210,10 @@ class TestDistanceSweep:
             distance_sweep(g, 0.01, focal, r_min=10.0, r_max=10.0)
         with pytest.raises(ValueError):
             distance_sweep(g, 0.01, focal, r_min=-1.0, r_max=50.0)
+        with pytest.raises(ValueError):
+            distance_sweep(g, 0.01, focal, r_min=5.0, r_max=math.inf)
+        with pytest.raises(ValueError):
+            distance_sweep(g, 0.01, focal, r_min=math.nan, r_max=50.0)
         with pytest.raises(ValueError):
             # focal range outside the sweep window
             distance_sweep(g, 0.01, focal, r_min=40.0, r_max=100.0)
