@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelVector, channel_energy
-from .errors import DegeneratePattern, DimensionMismatch, NoVisibleElements, require_positive
+from .errors import DegeneratePattern, DimensionMismatch, NoVisibleElements, ValidationError, require_positive
 from .geometry import SphericalPoint
 
 DB_FLOOR = -300.0
@@ -36,9 +36,15 @@ class BeamWeights:
 
 def conjugate_weights(h: ChannelVector) -> BeamWeights:
     """Matched-filter weights: conjugate of the channel, scaled to unit norm."""
+    if not np.any(h.visible):
+        raise NoVisibleElements("no element has line of sight to the target")
     energy = channel_energy(h)
     if energy == 0.0:
-        raise NoVisibleElements("no element has line of sight to the target")
+        raise ValidationError(
+            f"channel energy underflows to 0 although {int(np.count_nonzero(h.visible))} elements"
+            f" face the target at wavelength {h.wavelength_m} m",
+            "wavelength",
+        )
     return BeamWeights(weights=np.conj(h.gains) / np.sqrt(energy), focal=h.target)
 
 
@@ -48,8 +54,13 @@ def beam_response(w: BeamWeights, h_probe: ChannelVector) -> float:
         raise DimensionMismatch(
             f"weight length {len(w)} does not match channel length {len(h_probe)}"
         )
-    s = np.cumsum(w.weights * h_probe.gains)[-1]
-    return float(s.real * s.real + s.imag * s.imag)
+    return float(coherent_power(w.weights, h_probe.gains))
+
+
+def coherent_power(weights: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """|sum_k w_k g_k|^2 over the last (element) axis, summed in element order."""
+    s = np.cumsum(weights * gains, axis=-1)[..., -1]
+    return s.real * s.real + s.imag * s.imag
 
 
 def to_db(linear) -> np.ndarray:

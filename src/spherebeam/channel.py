@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvalidWavelength, require_clearance, require_positive
+from .errors import DegenerateGeometry, InvalidWavelength, ValidationError, require_clearance, require_positive
 from .geometry import TWO_PI, ArrayGeometry, SphericalPoint
 
 FOUR_PI = 4.0 * math.pi
@@ -46,10 +46,21 @@ def los_gains(positions, normals, tx, ty, tz, wavelength):
     both the single-target path and the vectorized sweeps run through this
     one function (and accumulate in element index order), their per-element
     values agree bit for bit.
+
+    Raises ``ValidationError`` before any arithmetic when a distance's
+    square or phase could overflow float64. The bound, twice the sum of the
+    largest element and target coordinates, exceeds every distance and
+    costs O(elements + targets).
     """
     tx = np.asarray(tx, dtype=np.float64)[..., np.newaxis]
     ty = np.asarray(ty, dtype=np.float64)[..., np.newaxis]
     tz = np.asarray(tz, dtype=np.float64)[..., np.newaxis]
+    reach = max(float(np.max(np.abs(t))) for t in (tx, ty, tz))
+    bound = 2.0 * (float(np.max(np.abs(positions))) + reach)
+    if not (math.isfinite(bound * bound) and math.isfinite(bound * (TWO_PI / float(wavelength)))):
+        raise ValidationError(
+            f"target distances up to {bound:.3g} m overflow float64 at wavelength {wavelength} m", "target"
+        )
     dx = tx - positions[:, 0]
     dy = ty - positions[:, 1]
     dz = tz - positions[:, 2]
@@ -74,8 +85,13 @@ def los_channel(geometry: ArrayGeometry, target: SphericalPoint, wavelength: flo
     return ChannelVector(gains=gains, visible=visible, wavelength_m=wl, target=target)
 
 
+def gain_energy(gains) -> np.ndarray:
+    """Sum of squared gain magnitudes over the last (element) axis,
+    accumulated in element order."""
+    e = gains.real * gains.real + gains.imag * gains.imag
+    return np.cumsum(e, axis=-1)[..., -1]
+
+
 def channel_energy(h: ChannelVector) -> float:
-    """Sum of squared gain magnitudes, accumulated in element order."""
-    g = h.gains
-    e = g.real * g.real + g.imag * g.imag
-    return float(np.cumsum(e)[-1])
+    """Sum of squared gain magnitudes of one channel, in element order."""
+    return float(gain_energy(h.gains))

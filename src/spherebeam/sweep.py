@@ -1,10 +1,11 @@
 """Angular and range sweeps of beam patterns.
 
-Grids are evaluated through the same gain kernel as single-target
-channels, and every reduction accumulates in element index order, so a
-sweep cell is bitwise identical to evaluating that probe on its own.
-Concurrency splits the grid into disjoint row chunks; chunking never
-changes any value, only who computes it.
+Grids are evaluated through the same gain kernel and the same element-order
+sums as single-target channels, so a sweep cell is bitwise identical to
+evaluating that probe on its own. One private kernel walks the probes in
+fixed blocks, computes each block's gains once for every beam, and spreads
+the blocks over threads; blocking never changes any value, only who
+computes it and how much memory it takes.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamforming import beam_response, conjugate_weights, normalize_pattern
-from .channel import los_channel, los_gains
+from .beamforming import beam_response, coherent_power, conjugate_weights, normalize_pattern
+from .channel import gain_energy, los_channel, los_gains
 from .errors import (
     AllBeamsInfeasible,
     NoVisibleElements,
@@ -27,6 +28,9 @@ from .errors import (
     require_window,
 )
 from .geometry import TWO_PI, ArrayGeometry, SphericalPoint, sph_to_cart
+
+BLOCK_PROBES = 1024
+"""Most probes per gain evaluation in a sweep, which bounds its working set."""
 
 
 @dataclass(frozen=True)
@@ -102,39 +106,79 @@ def _resolve_threads(threads) -> int:
     return require_count(threads, "threads")
 
 
-def _run_chunked(fill, total: int, threads: int) -> None:
-    """Fill rows [0, total) in at most ``threads`` chunks, never more than
-    there are rows or CPUs."""
-    chunks = min(threads, total, os.cpu_count() or 1)
-    if chunks < 2:
-        fill(0, total)
-        return
-    edges = [i * total // chunks for i in range(chunks + 1)]
-    spans = [(edges[i], edges[i + 1]) for i in range(chunks) if edges[i] < edges[i + 1]]
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        list(pool.map(lambda span: fill(*span), spans))
+def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_sets, threads):
+    """Raw coherent power of every weight vector, and channel energy, per probe.
+
+    ``probes`` holds the x, y, z arrays of the probe points, which are
+    flattened. Each block of at most ``BLOCK_PROBES`` probes makes one
+    ``los_gains`` call shared by all weight vectors, and blocks run on at
+    most ``min(threads, blocks, os.cpu_count())`` threads. Returns
+    ``(powers, energy)`` of shapes ``(len(weight_sets), probes)`` and
+    ``(probes,)``.
+    """
+    px, py, pz = (np.ravel(a) for a in probes)
+    total = px.shape[0]
+    workers = min(_resolve_threads(threads), total, os.cpu_count() or 1)
+    block = min(BLOCK_PROBES, -(-total // workers))
+    starts = range(0, total, block)
+    workers = min(workers, len(starts))
+    powers = np.empty((len(weight_sets), total))
+    energy = np.empty(total)
+
+    def fill(i0: int) -> None:
+        i1 = i0 + block
+        gains, _, _ = los_gains(
+            geometry.positions, geometry.normals, px[i0:i1], py[i0:i1], pz[i0:i1], wavelength
+        )
+        for row, weights in zip(powers, weight_sets):
+            row[i0:i1] = coherent_power(weights, gains)
+        energy[i0:i1] = gain_energy(gains)
+
+    if workers < 2:
+        for i0 in starts:
+            fill(i0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, starts))
+    return powers, energy
 
 
-def _accumulate_power(positions, normals, weights, tx, ty, tz, wavelength):
-    """Raw coherent power per probe, accumulated over elements in index order."""
-    gains, _, _ = los_gains(positions, normals, tx, ty, tz, wavelength)
-    acc = weights[0] * gains[..., 0]
-    for k in range(1, weights.shape[0]):
-        acc = acc + weights[k] * gains[..., k]
-    return acc.real * acc.real + acc.imag * acc.imag
+def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, skipped=None):
+    """Normalized grids of the focal points in order, from one kernel pass.
 
-
-def _accumulate_power_and_energy(positions, normals, weights, tx, ty, tz, wavelength):
-    """Raw coherent power plus channel energy per probe, same element order."""
-    gains, _, _ = los_gains(positions, normals, tx, ty, tz, wavelength)
-    g0 = gains[..., 0]
-    acc = weights[0] * g0
-    energy = g0.real * g0.real + g0.imag * g0.imag
-    for k in range(1, weights.shape[0]):
-        gk = gains[..., k]
-        acc = acc + weights[k] * gk
-        energy = energy + (gk.real * gk.real + gk.imag * gk.imag)
-    return acc.real * acc.real + acc.imag * acc.imag, energy
+    A focal point with no visible element raises ``NoVisibleElements``, or
+    is appended to ``skipped`` when a list is given.
+    """
+    spec = spec if spec is not None else AngularSweepSpec()
+    require_clearance(spec.eval_range_m, geometry.radius_m, "eval_range_m")
+    matched = []
+    for focal in focals:
+        h = los_channel(geometry, focal, wavelength)
+        try:
+            matched.append((h, conjugate_weights(h)))
+        except NoVisibleElements:
+            if skipped is None:
+                raise
+            skipped.append(focal)
+    if not matched:
+        return []
+    theta_axis = np.linspace(spec.theta_range[0], spec.theta_range[1], spec.theta_samples)
+    phi_axis = np.linspace(spec.phi_range[0], spec.phi_range[1], spec.phi_samples)
+    th, ph = np.meshgrid(theta_axis, phi_axis, indexing="ij")
+    probes = sph_to_cart(spec.eval_range_m, th, ph)
+    powers, _ = _sweep_kernel(geometry, wavelength, probes, [w.weights for _, w in matched], threads)
+    mode = "focal_response" if normalization == "focal" else normalization
+    beams = []
+    for (h_focal, w), raw in zip(matched, powers):
+        raw = raw.reshape(th.shape)
+        reference = beam_response(w, h_focal)
+        power, _ = normalize_pattern(raw, mode, reference=reference)
+        beams.append(AngularPatternGrid(
+            theta_axis=theta_axis, phi_axis=phi_axis, power=power, focal=h_focal.target,
+            eval_range_m=spec.eval_range_m, normalization=normalization,
+            peak_capture=float(np.max(raw)) / reference,
+        ))
+    return beams
 
 
 def angular_sweep(
@@ -147,40 +191,7 @@ def angular_sweep(
     threads: int | None = None,
 ) -> AngularPatternGrid:
     """Evaluate one beam over the angular grid at the spec's probe range."""
-    spec = spec if spec is not None else AngularSweepSpec()
-    require_clearance(spec.eval_range_m, geometry.radius_m, "eval_range_m")
-    h_focal = los_channel(geometry, focal, wavelength)
-    w = conjugate_weights(h_focal)
-
-    theta_axis = np.linspace(spec.theta_range[0], spec.theta_range[1], spec.theta_samples)
-    phi_axis = np.linspace(spec.phi_range[0], spec.phi_range[1], spec.phi_samples)
-    th, ph = np.meshgrid(theta_axis, phi_axis, indexing="ij")
-    gx, gy, gz = sph_to_cart(spec.eval_range_m, th, ph)
-
-    raw = np.empty((spec.theta_samples, spec.phi_samples))
-
-    def fill(i0: int, i1: int) -> None:
-        raw[i0:i1] = _accumulate_power(
-            geometry.positions, geometry.normals, w.weights,
-            gx[i0:i1], gy[i0:i1], gz[i0:i1], wavelength,
-        )
-
-    _run_chunked(fill, spec.theta_samples, _resolve_threads(threads))
-
-    reference = beam_response(w, h_focal)
-    if normalization == "focal":
-        power, _ = normalize_pattern(raw, "focal_response", reference=reference)
-    else:
-        power, _ = normalize_pattern(raw, normalization)
-    return AngularPatternGrid(
-        theta_axis=theta_axis,
-        phi_axis=phi_axis,
-        power=power,
-        focal=focal,
-        eval_range_m=spec.eval_range_m,
-        normalization=normalization,
-        peak_capture=float(np.max(raw)) / reference,
-    )
+    return _angular_beams(geometry, wavelength, [focal], spec, normalization, threads)[0]
 
 
 def multi_focal_overlay(
@@ -195,35 +206,21 @@ def multi_focal_overlay(
     """Per-cell maximum over independently normalized beams.
 
     Focal points whose weights cannot be formed (no visible elements) are
-    skipped and reported on the returned grid.
+    skipped and reported on the returned grid. The other beams share one
+    kernel pass over the grid.
     """
     focals = list(focals)
     if not focals:
         raise ValueError("focal list is empty")
-    beams: list[AngularPatternGrid] = []
     skipped: list[SphericalPoint] = []
-    for focal in focals:
-        try:
-            beams.append(
-                angular_sweep(geometry, wavelength, focal, spec, normalization=normalization, threads=threads)
-            )
-        except NoVisibleElements:
-            skipped.append(focal)
+    beams = _angular_beams(geometry, wavelength, focals, spec, normalization, threads, skipped)
     if not beams:
         raise AllBeamsInfeasible(f"all {len(focals)} focal points were skipped")
     power = beams[0].power
     for beam in beams[1:]:
         power = np.maximum(power, beam.power)
-    first = beams[0]
-    return AngularPatternGrid(
-        theta_axis=first.theta_axis,
-        phi_axis=first.phi_axis,
-        power=power,
-        focal=None,
-        eval_range_m=first.eval_range_m,
-        normalization=normalization,
-        beams=tuple(beams),
-        skipped=tuple(skipped),
+    return replace(
+        beams[0], power=power, focal=None, beams=tuple(beams), skipped=tuple(skipped), peak_capture=None
     )
 
 
@@ -251,19 +248,8 @@ def distance_sweep(
     w = conjugate_weights(h_focal)
 
     r_axis = np.linspace(r_min, r_max, samples)
-    gx, gy, gz = sph_to_cart(r_axis, focal.theta, focal.phi)
-    gx, gy, gz = np.broadcast_arrays(gx, gy, gz)
-
-    raw = np.empty(samples)
-    energy = np.empty(samples)
-
-    def fill(i0: int, i1: int) -> None:
-        raw[i0:i1], energy[i0:i1] = _accumulate_power_and_energy(
-            geometry.positions, geometry.normals, w.weights,
-            gx[i0:i1], gy[i0:i1], gz[i0:i1], wavelength,
-        )
-
-    _run_chunked(fill, samples, _resolve_threads(threads))
+    probes = np.broadcast_arrays(*sph_to_cart(r_axis, focal.theta, focal.phi))
+    (raw,), energy = _sweep_kernel(geometry, wavelength, probes, [w.weights], threads)
 
     fraction = np.zeros(samples)
     np.divide(raw, energy, out=fraction, where=energy > 0.0)

@@ -11,6 +11,7 @@ from spherebeam import (
     DimensionMismatch,
     NoVisibleElements,
     SphericalPoint,
+    ValidationError,
     beam_response,
     channel_energy,
     conjugate_weights,
@@ -61,6 +62,18 @@ class TestConjugateWeights:
         h = los_channel(g, SphericalPoint(30.0, 3.0 * math.pi / 4, 0.3), 0.01)
         with pytest.raises(NoVisibleElements):
             conjugate_weights(h)
+
+    def test_underflowed_energy_is_not_mistaken_for_no_visibility(self):
+        # half the elements face the target, but at this wavelength each
+        # gain is about 8e-303 and its square underflows to zero
+        g = golden_spiral_saa(16, 0.3)
+        h = los_channel(g, SphericalPoint(10.0, math.pi / 4, math.pi / 4), 1e-300)
+        assert np.count_nonzero(h.visible) == 8
+        assert channel_energy(h) == 0.0
+        with pytest.raises(ValidationError, match="underflows") as info:
+            conjugate_weights(h)
+        assert not isinstance(info.value, NoVisibleElements)
+        assert info.value.field == "wavelength"
 
 
 class TestBeamResponse:

@@ -15,6 +15,7 @@ from spherebeam import (
     InvalidWavelength,
     SphericalPoint,
     TargetInsideArray,
+    ValidationError,
     channel_energy,
     golden_spiral_saa,
     los_channel,
@@ -92,6 +93,14 @@ class TestLosChannel:
         g = golden_spiral_saa(10, 0.5)
         with pytest.raises(InvalidWavelength):
             los_channel(g, FIG4_TARGET, lam)
+
+    @pytest.mark.parametrize("r, lam", [(1e300, 0.01), (1e154, 0.01), (30.0, 1e-309)])
+    def test_overflowing_distance_or_phase_raises(self, r, lam):
+        # the squared distance (or the phase 2*pi*d/lam) would overflow float64
+        g = golden_spiral_saa(10, 0.5)
+        with pytest.raises(ValidationError, match="overflow") as info:
+            los_channel(g, SphericalPoint(r, 1.0, 1.0), lam)
+        assert info.value.field == "target"
 
     def test_target_on_element_raises(self):
         # synthetic single-element geometry whose element sits exactly at

@@ -114,6 +114,13 @@ class TestPatternCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_focal_range_exits_1(self, tmp_path, capsys):
+        code = run_cli(*ANGLE_ARGS, "--focal", "1e300, 1, 1", "--out", str(tmp_path / "far"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "overflow" in err
+
 
 class TestRunCommand:
     def test_scenario_file(self, tmp_path):

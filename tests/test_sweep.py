@@ -31,6 +31,20 @@ FOCAL = SphericalPoint(30.0, math.pi / 6, math.pi / 6)
 SMALL_SPEC = AngularSweepSpec(theta_samples=19, phi_samples=19, eval_range_m=30.0)
 
 
+@pytest.fixture
+def gain_calls(monkeypatch):
+    """Probe counts of the gain evaluations the sweeps make, in call order."""
+    calls = []
+    real = sweep.los_gains
+
+    def recording(positions, normals, tx, ty, tz, wavelength):
+        calls.append(np.size(tx))
+        return real(positions, normals, tx, ty, tz, wavelength)
+
+    monkeypatch.setattr(sweep, "los_gains", recording)
+    return calls
+
+
 class TestAngularSweep:
     def test_axis_contract(self):
         g = golden_spiral_saa(36, 0.5)
@@ -151,6 +165,36 @@ class TestMultiFocalOverlay:
             multi_focal_overlay(g, 0.01, [], SMALL_SPEC)
 
 
+class TestSweepKernel:
+    def test_no_gain_call_exceeds_block_probes(self, gain_calls):
+        g = golden_spiral_saa(16, 0.5)
+        spec = AngularSweepSpec(theta_samples=2, phi_samples=sweep.BLOCK_PROBES + 1)
+        angular_sweep(g, 0.01, FOCAL, spec, threads=1)
+        assert sum(gain_calls) == 2 * (sweep.BLOCK_PROBES + 1)
+        assert max(gain_calls) <= sweep.BLOCK_PROBES
+        gain_calls.clear()
+        focal = SphericalPoint(30.0, math.pi / 4, math.pi / 4)
+        distance_sweep(g, 0.01, focal, samples=2 * sweep.BLOCK_PROBES + 1, threads=1)
+        assert sum(gain_calls) == 2 * sweep.BLOCK_PROBES + 1
+        assert max(gain_calls) <= sweep.BLOCK_PROBES
+
+    def test_overlay_makes_one_gain_pass_for_all_beams(self, gain_calls, monkeypatch):
+        monkeypatch.setattr(sweep, "BLOCK_PROBES", 100)
+        g = golden_spiral_saa(36, 0.5)
+        angular_sweep(g, 0.01, FOCAL, SMALL_SPEC, threads=1)
+        single = len(gain_calls)
+        assert single == 4
+        gain_calls.clear()
+        focals = [
+            FOCAL,
+            SphericalPoint(30.0, 2.0 * math.pi / 3, 3.0 * math.pi / 4),
+            SphericalPoint(30.0, 1.0, 4.0),
+        ]
+        overlay = multi_focal_overlay(g, 0.01, focals, SMALL_SPEC, threads=1)
+        assert len(overlay.beams) == 3
+        assert len(gain_calls) == single
+
+
 class TestDistanceSweep:
     def test_peak_sits_within_one_sample_of_focal_range(self):
         g = golden_spiral_saa(100, 2.0)
@@ -200,6 +244,16 @@ class TestDistanceSweep:
         capped = distance_sweep(g, 0.01, focal, samples=240, threads=100_000)
         assert started == [3]
         assert_array_equal(capped.power, base.power)
+
+        # never more workers than blocks: 361 probes make 8 blocks of 50, and
+        # 4 probes split over 3 workers make 2 blocks of 2
+        monkeypatch.setattr(sweep, "BLOCK_PROBES", 50)
+        tiny = AngularSweepSpec(theta_samples=2, phi_samples=2)
+        for spec, blocks in ((SMALL_SPEC, 8), (tiny, 2)):
+            started.clear()
+            grid = angular_sweep(g, 0.01, FOCAL, spec, threads=100_000)
+            assert started == [min(3, blocks)]
+            assert_array_equal(grid.power, angular_sweep(g, 0.01, FOCAL, spec, threads=1).power)
 
     def test_window_validation(self):
         g = golden_spiral_saa(30, 0.5)
