@@ -42,10 +42,18 @@ def los_gains(positions, normals, tx, ty, tz, wavelength):
     """Gain kernel shared by the scalar channel and the grid sweeps.
 
     Target components broadcast against the element axis, giving arrays of
-    shape ``targets + (n,)``. Returns ``(gains, visible, dist)``. Because
+    shape ``targets + (n,)``. Returns ``(gains, visible, dist)``: the
+    complex gains, the facing mask, and the distances of the visible
+    entries only, flattened in row-major order of ``visible``. Because
     both the single-target path and the vectorized sweeps run through this
     one function (and accumulate in element index order), their per-element
     values agree bit for bit.
+
+    The square root, amplitude and complex exponential are evaluated only
+    where the element faces the target; hidden entries are exactly
+    ``+0+0j``. Each visible value is the same elementwise arithmetic as
+    evaluating every entry, so masking changes no bit. Every entry is still
+    checked for coinciding with an element.
 
     Raises ``ValidationError`` before any arithmetic when a distance's
     square or phase could overflow float64. The bound, twice the sum of the
@@ -65,14 +73,15 @@ def los_gains(positions, normals, tx, ty, tz, wavelength):
     dy = ty - positions[:, 1]
     dz = tz - positions[:, 2]
     d2 = dx * dx + dy * dy + dz * dz
-    dist = np.sqrt(d2)
-    if np.any(dist == 0.0):
+    if np.any(d2 == 0.0):
         raise DegenerateGeometry("target coincides with an element position")
     facing = dx * normals[:, 0] + dy * normals[:, 1] + dz * normals[:, 2]
     visible = facing > 0.0
+    dist = np.sqrt(d2[visible])
     amp = wavelength / (FOUR_PI * dist)
     phase = (TWO_PI / wavelength) * dist
-    gains = np.where(visible, amp * np.exp(-1j * phase), 0j)
+    gains = np.zeros(d2.shape, dtype=np.complex128)
+    gains[visible] = amp * np.exp(-1j * phase)
     return gains, visible, dist
 
 

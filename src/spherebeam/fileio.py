@@ -4,10 +4,18 @@ All files are written with LF line endings and 17-significant-digit
 decimals, enough to reconstruct every double exactly. Pattern CSVs carry
 power in dB with exact zeros pinned at the floor value; readers map
 anything at or below the floor back to linear 0.
+
+The angular writer formats each value once and writes one string per
+theta row, so no more than a row of text is held at a time. The pattern
+readers parse the body in chunks of about ``READ_CHUNK_BYTES`` of whole
+lines through one ``numpy`` conversion per chunk, which calls the same
+parser as ``float``. A chunk that does not convert is parsed again line by
+line, so a ``ParseError`` names the first bad line exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +31,9 @@ ANGULAR_HEADER = "theta_rad,phi_rad,power_db"
 DISTANCE_HEADER = "r_m,power_db"
 METRICS_HEADER = "focal_theta,focal_phi,peak_theta,peak_phi,pointing_err,hpbw_theta,hpbw_phi,psl_db"
 FOCUS_HEADER = "focal_theta,focal_phi,peak_r_m,depth_of_focus_m,focal_error_m,one_sided"
+
+READ_CHUNK_BYTES = 1 << 16
+"""Text the pattern readers parse at once, which bounds their working set."""
 
 
 def fmt(x: float) -> str:
@@ -53,13 +64,12 @@ def write_geometry_csv(path, geometry: ArrayGeometry) -> None:
 
 def write_angular_csv(path, grid: AngularPatternGrid) -> None:
     """Full grid in dB, theta outer loop, phi inner loop."""
-    db = to_db(grid.power)
-    lines = [ANGULAR_HEADER]
-    for i, th in enumerate(grid.theta_axis):
-        ts = fmt(th)
-        for j, ph in enumerate(grid.phi_axis):
-            lines.append(f"{ts},{fmt(ph)},{fmt(db[i, j])}")
-    write_lines(path, lines)
+    phis = [fmt(ph) for ph in grid.phi_axis.tolist()]
+    rows = (
+        "\n".join(f"{ts},{ph},{db:.17g}" for ph, db in zip(phis, row))
+        for ts, row in zip(map(fmt, grid.theta_axis.tolist()), to_db(grid.power).tolist())
+    )
+    write_lines(path, itertools.chain([ANGULAR_HEADER], rows))
 
 
 def write_distance_csv(path, pattern: DistancePattern) -> None:
@@ -153,51 +163,65 @@ def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def _parse_chunk(chunk, expected: int, lineno: int) -> np.ndarray:
+    """Non-blank lines of ``chunk`` as a ``(rows, expected)`` float array.
+
+    The first line of the chunk is line ``lineno`` of the file. When every
+    line has ``expected`` fields, the fields convert in one call; otherwise
+    the lines are split one by one, which raises the ``ParseError`` of the
+    first bad line.
+    """
+    lines = [line for line in map(str.strip, chunk) if line]
+    if lines and all(line.count(",") == expected - 1 for line in lines):
+        try:
+            return np.array(",".join(lines).split(","), dtype=np.float64).reshape(-1, expected)
+        except ValueError:
+            pass
+    rows = [
+        _split_csv_line(line, expected, n)
+        for n, line in enumerate(map(str.strip, chunk), start=lineno)
+        if line
+    ]
+    return np.array(rows, dtype=np.float64).reshape(-1, expected)
+
+
+def _read_rows(path, header: str, expected: int) -> np.ndarray:
+    """Body of a pattern CSV as a ``(rows, expected)`` float array, read in
+    chunks of about ``READ_CHUNK_BYTES``; blank lines are skipped."""
+    parts = []
+    with open(Path(path), "r", encoding="utf-8") as fh:
+        first = fh.readline().strip()
+        if first != header:
+            raise ParseError(f"expected header {header!r}, got {first!r}", line=1)
+        lineno = 2
+        while chunk := fh.readlines(READ_CHUNK_BYTES):
+            parts.append(_parse_chunk(chunk, expected, lineno))
+            lineno += len(chunk)
+    rows = np.concatenate(parts) if parts else np.empty((0, expected))
+    if not rows.size:
+        raise ParseError("no data rows")
+    return rows
+
+
+def _linear_column(db) -> np.ndarray:
+    return np.asarray([_db_to_linear(v) for v in db.tolist()], dtype=np.float64)
+
+
 def read_angular_csv(path):
     """Reconstruct (theta_axis, phi_axis, linear power) from a pattern CSV."""
-    thetas: list[float] = []
-    phis: list[float] = []
-    values: list[float] = []
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != ANGULAR_HEADER:
-            raise ParseError(f"expected header {ANGULAR_HEADER!r}, got {header!r}", line=1)
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            th, ph, db = _split_csv_line(line, 3, lineno)
-            if not thetas or th != thetas[-1]:
-                thetas.append(th)
-            if len(thetas) == 1:
-                phis.append(ph)
-            values.append(_db_to_linear(db))
-    if not values:
-        raise ParseError("no data rows")
-    t_n, p_n = len(thetas), len(phis)
-    if t_n * p_n != len(values):
-        raise ParseError(f"grid is ragged: {t_n} thetas x {p_n} phis != {len(values)} rows")
-    theta_axis = np.asarray(thetas, dtype=np.float64)
-    phi_axis = np.asarray(phis, dtype=np.float64)
-    power = np.asarray(values, dtype=np.float64).reshape(t_n, p_n)
-    return theta_axis, phi_axis, power
+    rows = _read_rows(path, ANGULAR_HEADER, 3)
+    th = rows[:, 0]
+    # a theta row starts wherever theta differs from the line before
+    starts = np.flatnonzero(np.concatenate(([True], th[1:] != th[:-1])))
+    t_n = starts.size
+    p_n = int(starts[1]) if t_n > 1 else th.size
+    if t_n * p_n != th.size:
+        raise ParseError(f"grid is ragged: {t_n} thetas x {p_n} phis != {th.size} rows")
+    power = _linear_column(rows[:, 2]).reshape(t_n, p_n)
+    return th[starts], rows[:p_n, 1].copy(), power
 
 
 def read_distance_csv(path):
     """Reconstruct (r_axis, linear power) from a distance CSV."""
-    rs: list[float] = []
-    values: list[float] = []
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != DISTANCE_HEADER:
-            raise ParseError(f"expected header {DISTANCE_HEADER!r}, got {header!r}", line=1)
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            r, db = _split_csv_line(line, 2, lineno)
-            rs.append(r)
-            values.append(_db_to_linear(db))
-    if not values:
-        raise ParseError("no data rows")
-    return np.asarray(rs, dtype=np.float64), np.asarray(values, dtype=np.float64)
+    rows = _read_rows(path, DISTANCE_HEADER, 2)
+    return rows[:, 0].copy(), _linear_column(rows[:, 1])

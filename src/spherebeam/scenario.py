@@ -448,7 +448,8 @@ def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None
     """Run a scenario end to end, emitting all files into the output directory.
 
     Returns 0 when every focal point produced a beam and 2 when some were
-    skipped for lacking visible elements. Hard failures raise.
+    skipped for lacking visible elements. Hard failures raise; a failure in
+    the sweep leaves no output directory behind.
     """
     target = out_dir if out_dir is not None else scenario.out
     if target is None:
@@ -456,20 +457,25 @@ def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None
     if threads is not None:
         require_count(threads, "threads")
     out = Path(target)
-    out.mkdir(parents=True, exist_ok=True)
-
     geometry = build_geometry(scenario)
-    fileio.write_geometry_csv(out / "geometry.csv", geometry)
-
-    effective = replace(scenario, out=str(out))
-    with open(out / "scenario.cfg", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(emit_scenario(effective))
-
     if scenario.sweep == "angle":
         skipped_indices = _run_angular(scenario, geometry, out, threads)
     else:
         skipped_indices = _run_distance(scenario, geometry, out, threads)
     return 2 if skipped_indices else 0
+
+
+def _start_output(scenario: Scenario, geometry: ArrayGeometry, out: Path) -> None:
+    """Create the output directory with ``geometry.csv`` and ``scenario.cfg``.
+
+    Called only once the sweep has succeeded, so that a failed sweep
+    leaves no partial directory.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    fileio.write_geometry_csv(out / "geometry.csv", geometry)
+    effective = replace(scenario, out=str(out))
+    with open(out / "scenario.cfg", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(emit_scenario(effective))
 
 
 def _run_angular(scenario: Scenario, geometry: ArrayGeometry, out: Path, threads) -> list[int]:
@@ -486,6 +492,7 @@ def _run_angular(scenario: Scenario, geometry: ArrayGeometry, out: Path, threads
         normalization=scenario.normalization,
         threads=threads,
     )
+    _start_output(scenario, geometry, out)
     skipped = set(overlay.skipped)
     skipped_indices = [i for i, f in enumerate(scenario.focals) if f in skipped]
 
@@ -587,6 +594,7 @@ def _run_distance(scenario: Scenario, geometry: ArrayGeometry, out: Path, thread
         patterns.append((index, pattern))
     if not patterns:
         raise AllBeamsInfeasible("every focal point was skipped, no distance pattern to emit")
+    _start_output(scenario, geometry, out)
 
     meta = _meta_entries(scenario, geometry, skipped_indices)
     rows = []

@@ -106,7 +106,7 @@ def _resolve_threads(threads) -> int:
     return require_count(threads, "threads")
 
 
-def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_sets, threads):
+def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_sets, threads, *, energy=False):
     """Raw coherent power of every weight vector, and channel energy, per probe.
 
     ``probes`` holds the x, y, z arrays of the probe points, which are
@@ -114,7 +114,8 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_set
     ``los_gains`` call shared by all weight vectors, and blocks run on at
     most ``min(threads, blocks, os.cpu_count())`` threads. Returns
     ``(powers, energy)`` of shapes ``(len(weight_sets), probes)`` and
-    ``(probes,)``.
+    ``(probes,)``; the channel energy is computed only when ``energy`` is
+    true and is ``None`` otherwise.
     """
     px, py, pz = (np.ravel(a) for a in probes)
     total = px.shape[0]
@@ -123,7 +124,7 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_set
     starts = range(0, total, block)
     workers = min(workers, len(starts))
     powers = np.empty((len(weight_sets), total))
-    energy = np.empty(total)
+    energies = np.empty(total) if energy else None
 
     def fill(i0: int) -> None:
         i1 = i0 + block
@@ -132,7 +133,8 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_set
         )
         for row, weights in zip(powers, weight_sets):
             row[i0:i1] = coherent_power(weights, gains)
-        energy[i0:i1] = gain_energy(gains)
+        if energies is not None:
+            energies[i0:i1] = gain_energy(gains)
 
     if workers < 2:
         for i0 in starts:
@@ -140,7 +142,7 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_set
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
-    return powers, energy
+    return powers, energies
 
 
 def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, skipped=None):
@@ -249,7 +251,7 @@ def distance_sweep(
 
     r_axis = np.linspace(r_min, r_max, samples)
     probes = np.broadcast_arrays(*sph_to_cart(r_axis, focal.theta, focal.phi))
-    (raw,), energy = _sweep_kernel(geometry, wavelength, probes, [w.weights], threads)
+    (raw,), energy = _sweep_kernel(geometry, wavelength, probes, [w.weights], threads, energy=True)
 
     fraction = np.zeros(samples)
     np.divide(raw, energy, out=fraction, where=energy > 0.0)

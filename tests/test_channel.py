@@ -21,9 +21,50 @@ from spherebeam import (
     los_channel,
     upa,
 )
-from spherebeam.channel import los_gains
+from spherebeam.channel import FOUR_PI, los_gains
+from spherebeam.geometry import TWO_PI
 
 FIG4_TARGET = SphericalPoint(30.0, math.pi / 6, math.pi / 6)
+
+
+def unmasked_gains(positions, normals, tx, ty, tz, wavelength):
+    """Reference kernel: every entry evaluated, hidden ones then set to zero."""
+    tx = np.asarray(tx, dtype=np.float64)[..., np.newaxis]
+    ty = np.asarray(ty, dtype=np.float64)[..., np.newaxis]
+    tz = np.asarray(tz, dtype=np.float64)[..., np.newaxis]
+    dx = tx - positions[:, 0]
+    dy = ty - positions[:, 1]
+    dz = tz - positions[:, 2]
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    visible = dx * normals[:, 0] + dy * normals[:, 1] + dz * normals[:, 2] > 0.0
+    amp = wavelength / (FOUR_PI * dist)
+    phase = (TWO_PI / wavelength) * dist
+    return np.where(visible, amp * np.exp(-1j * phase), 0j), visible, dist
+
+
+def random_array(rng):
+    if rng.random() < 0.5:
+        return golden_spiral_saa(int(rng.integers(4, 200)), float(rng.uniform(0.1, 2.0)))
+    side = int(rng.integers(2, 13))
+    return upa(side * side, float(rng.uniform(0.001, 0.05)))
+
+
+def probes_with_tangents(rng, g, count):
+    """Random probes, plus probes that graze elements' tangent planes to
+    within rounding on either side."""
+    r = rng.uniform(3.0, 100.0, count)
+    theta = rng.uniform(0.0, math.pi, count)
+    phi = rng.uniform(0.0, 2.0 * math.pi, count)
+    points = [r * np.sin(theta) * np.cos(phi), r * np.sin(theta) * np.sin(phi), r * np.cos(theta)]
+    grazing = []
+    for k in rng.integers(0, g.n, count):
+        n = g.normals[k]
+        u = np.cross(n, rng.standard_normal(3))
+        u /= np.linalg.norm(u)
+        s = rng.uniform(1.0, 30.0)
+        grazing.append(g.positions[k] + s * u + rng.choice([-1e-13, 0.0, 1e-13]) * s * n)
+    grazing = np.asarray(grazing)
+    return [np.concatenate([p, grazing[:, i]]) for i, p in enumerate(points)]
 
 
 class TestLosChannel:
@@ -117,6 +158,43 @@ class TestLosChannel:
         direct = sum(float(v.real * v.real + v.imag * v.imag) for v in h.gains)
         assert_allclose(channel_energy(h), direct, rtol=1e-14)
         assert channel_energy(h) > 0.0
+
+
+class TestVisibleOnlyEvaluation:
+    """``los_gains`` evaluates only facing entries; no bit may differ from
+    evaluating every entry."""
+
+    def test_gains_match_the_unmasked_kernel_bit_for_bit(self):
+        rng = np.random.default_rng(606)
+        grazed = 0
+        for _ in range(24):
+            g = random_array(rng)
+            wl = float(rng.uniform(0.001, 0.1))
+            tx, ty, tz = (c.reshape(2, -1) for c in probes_with_tangents(rng, g, 40))
+            gains, visible, dist = los_gains(g.positions, g.normals, tx, ty, tz, wl)
+            ref, ref_visible, ref_dist = unmasked_gains(g.positions, g.normals, tx, ty, tz, wl)
+            assert gains.shape == ref.shape == (2, 40, g.n)
+            assert_array_equal(visible, ref_visible)
+            assert_array_equal(gains.view(np.uint64), ref.view(np.uint64))
+            assert_array_equal(dist.view(np.uint64), ref_dist[ref_visible].view(np.uint64))
+            facing = (
+                (tx[..., None] - g.positions[:, 0]) * g.normals[:, 0]
+                + (ty[..., None] - g.positions[:, 1]) * g.normals[:, 1]
+                + (tz[..., None] - g.positions[:, 2]) * g.normals[:, 2]
+            )
+            grazed += int(np.count_nonzero(np.abs(facing) < 1e-9))
+        # the grazing probes really sit on the visibility boundary
+        assert grazed > 100
+
+    def test_hidden_entries_are_positive_zero(self):
+        rng = np.random.default_rng(607)
+        for _ in range(12):
+            g = random_array(rng)
+            tx, ty, tz = probes_with_tangents(rng, g, 30)
+            gains, visible, _ = los_gains(g.positions, g.normals, tx, ty, tz, 0.01)
+            assert np.any(~visible)
+            assert not np.any(gains[~visible].view(np.uint64))
+            assert np.all(np.abs(gains[visible]) > 0.0)
 
 
 class TestPlatformDeterminism:

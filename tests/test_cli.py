@@ -121,6 +121,25 @@ class TestPatternCommands:
         assert err.startswith("error:")
         assert "overflow" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*ANGLE_ARGS, "--eval-range", "1e300"),
+            (
+                "pattern", "distance",
+                "--kind", "spiral_saa", "--n", "16", "--radius", "0.3",
+                "--wavelength", "1e-300", "--focal", "10, pi/4, pi/4",
+                "--r-min", "2", "--r-max", "40", "--r-samples", "50",
+            ),
+        ],
+        ids=["angle", "distance"],
+    )
+    def test_failed_sweep_leaves_no_output_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "nested" / "failed"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "nested").exists()
+
 
 class TestRunCommand:
     def test_scenario_file(self, tmp_path):

@@ -7,19 +7,23 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherebeam import (
+    AngularPatternGrid,
     AngularSweepSpec,
     ParseError,
     SphericalPoint,
     angular_sweep,
     distance_sweep,
     golden_spiral_saa,
+    upa,
 )
+from spherebeam.beamforming import DB_FLOOR, to_db
 from spherebeam.fileio import (
     ANGULAR_HEADER,
     DISTANCE_HEADER,
     FOCUS_HEADER,
     GEOMETRY_HEADER,
     METRICS_HEADER,
+    READ_CHUNK_BYTES,
     fmt,
     read_angular_csv,
     read_distance_csv,
@@ -33,6 +37,47 @@ from spherebeam.fileio import (
 )
 
 FOCAL = SphericalPoint(30.0, math.pi / 6, math.pi / 6)
+
+
+def per_cell_angular_text(grid) -> str:
+    """Reference writer: every cell formatted on its own, line by line."""
+    db = to_db(grid.power)
+    lines = [ANGULAR_HEADER]
+    for i, th in enumerate(grid.theta_axis):
+        for j, ph in enumerate(grid.phi_axis):
+            lines.append(f"{format(float(th), '.17g')},{format(float(ph), '.17g')},{format(float(db[i, j]), '.17g')}")
+    return "".join(line + "\n" for line in lines)
+
+
+def random_grid(rng, theta_samples, phi_samples) -> AngularPatternGrid:
+    """Grid with exact zeros (the dB floor), subnormal and tiny cells, and 1."""
+    power = rng.random((theta_samples, phi_samples)) ** 8
+    power[rng.random(power.shape) < 0.2] = 0.0
+    power.flat[rng.integers(0, power.size, 5)] = 5e-324
+    power.flat[rng.integers(0, power.size, 5)] = 1e-31
+    power.flat[0] = 1.0
+    power.flat[-1] = 0.0
+    return AngularPatternGrid(
+        theta_axis=np.linspace(0.0, math.pi, theta_samples),
+        phi_axis=np.linspace(0.0, 2.0 * math.pi, phi_samples),
+        power=power,
+        focal=FOCAL,
+        eval_range_m=30.0,
+    )
+
+
+def expected_linear(grid) -> np.ndarray:
+    """What reading the written dB text back must give, computed per cell."""
+    out = []
+    for v in to_db(grid.power).ravel():
+        db = float(format(float(v), ".17g"))
+        out.append(0.0 if db <= DB_FLOOR else 10.0 ** (db / 10.0))
+    return np.asarray(out).reshape(grid.power.shape)
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert_array_equal(np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
 
 
 class TestFmt:
@@ -115,6 +160,79 @@ class TestAngularCsv:
         with pytest.raises(ParseError) as err:
             read_angular_csv(path)
         assert err.value.line == 2
+
+
+class TestAngularCsvBulk:
+    """Row-wise writing and chunked reading give the per-cell bytes and values."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 13), (31, 9)])
+    def test_writer_bytes_equal_per_cell_formatting(self, tmp_path, shape):
+        grid = random_grid(np.random.default_rng(sum(shape)), *shape)
+        assert np.any(grid.power == 0.0)
+        path = tmp_path / "beam.csv"
+        write_angular_csv(path, grid)
+        assert path.read_bytes() == per_cell_angular_text(grid).encode("utf-8")
+        assert b",-300\n" in path.read_bytes()
+
+    def test_writer_bytes_on_a_swept_grid_with_a_dark_rear(self, tmp_path):
+        spec = AngularSweepSpec(theta_samples=19, phi_samples=23)
+        grid = angular_sweep(upa(16, 0.005), 0.01, FOCAL, spec)
+        path = tmp_path / "beam.csv"
+        write_angular_csv(path, grid)
+        assert path.read_bytes() == per_cell_angular_text(grid).encode("utf-8")
+        assert b",-300\n" in path.read_bytes()
+
+    @pytest.fixture()
+    def large(self, tmp_path):
+        grid = random_grid(np.random.default_rng(11), 60, 70)
+        path = tmp_path / "large.csv"
+        write_angular_csv(path, grid)
+        assert path.stat().st_size > 3 * READ_CHUNK_BYTES
+        return grid, path
+
+    def test_multi_chunk_round_trip_is_bitwise(self, large):
+        grid, path = large
+        theta_axis, phi_axis, power = read_angular_csv(path)
+        assert_bits_equal(theta_axis, grid.theta_axis)
+        assert_bits_equal(phi_axis, grid.phi_axis)
+        assert_bits_equal(power, expected_linear(grid))
+
+    def test_blank_lines_are_skipped_across_chunks(self, large):
+        grid, path = large
+        lines = path.read_text(encoding="utf-8").splitlines()
+        padded = [lines[0]]
+        for k, line in enumerate(lines[1:]):
+            padded.append(line)
+            if k % 97 == 0:
+                padded.extend(["", "   ", "\t"])
+        path.write_text("\n".join(padded) + "\n\n", encoding="utf-8")
+        theta_axis, phi_axis, power = read_angular_csv(path)
+        assert_bits_equal(theta_axis, grid.theta_axis)
+        assert_bits_equal(phi_axis, grid.phi_axis)
+        assert_bits_equal(power, expected_linear(grid))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["0,0,banana"], "could not convert"),
+            (["0,1"], "expected 3 fields, got 2"),
+            (["0,1,2,3", "0,1"], "expected 3 fields, got 4"),
+            (["0,,-3"], "could not convert"),
+        ],
+    )
+    def test_bad_row_in_a_later_chunk_reports_its_line(self, large, bad, message):
+        _, path = large
+        lines = path.read_text(encoding="utf-8").splitlines()
+        target = len(lines) // 2
+        assert sum(len(line) + 1 for line in lines[:target]) > READ_CHUNK_BYTES
+        # blank lines before the bad row, in its chunk and in the first one,
+        # still count toward its number
+        lines[3] = lines[target - 5] = ""
+        lines[target : target + len(bad)] = bad
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as err:
+            read_angular_csv(path)
+        assert err.value.line == target + 1
 
 
 class TestDistanceCsv:

@@ -195,6 +195,23 @@ class TestSweepKernel:
         assert len(gain_calls) == single
 
 
+    def test_only_distance_sweeps_compute_channel_energy(self, monkeypatch):
+        calls = []
+        real = sweep.gain_energy
+
+        def recording(gains):
+            calls.append(gains.shape)
+            return real(gains)
+
+        monkeypatch.setattr(sweep, "gain_energy", recording)
+        g = golden_spiral_saa(16, 0.5)
+        angular_sweep(g, 0.01, FOCAL, SMALL_SPEC, threads=1)
+        multi_focal_overlay(g, 0.01, [FOCAL, SphericalPoint(30.0, 1.0, 4.0)], SMALL_SPEC, threads=2)
+        assert calls == []
+        distance_sweep(g, 0.01, FOCAL, samples=50, threads=1)
+        assert calls == [(50, 16)]
+
+
 class TestDistanceSweep:
     def test_peak_sits_within_one_sample_of_focal_range(self):
         g = golden_spiral_saa(100, 2.0)
