@@ -2,8 +2,9 @@
 
 Weights are the normalized conjugate of the desired channel, so the
 response at the design target meets the Cauchy-Schwarz bound exactly.
-Reductions run in element index order (via cumsum, never pairwise sums)
-to keep sweep results reproducible against direct summation.
+Reductions add one element row after another in element index order
+(never pairwise sums) to keep sweep results reproducible against direct
+summation.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelVector, channel_energy
+from .channel import ChannelVector, channel_energy, element_sum
 from .errors import DegeneratePattern, DimensionMismatch, NoVisibleElements, ValidationError, require_positive
 from .geometry import SphericalPoint
 
@@ -58,8 +59,9 @@ def beam_response(w: BeamWeights, h_probe: ChannelVector) -> float:
 
 
 def coherent_power(weights: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """|sum_k w_k g_k|^2 over the last (element) axis, summed in element order."""
-    s = np.cumsum(weights * gains, axis=-1)[..., -1]
+    """|sum_k w_k g_k|^2 over the first (element) axis of element-major
+    ``gains``, summed in element order."""
+    s = element_sum(weights.reshape(weights.shape + (1,) * (gains.ndim - 1)) * gains)
     return s.real * s.real + s.imag * s.imag
 
 

@@ -41,13 +41,14 @@ class ChannelVector:
 def los_gains(positions, normals, tx, ty, tz, wavelength):
     """Gain kernel shared by the scalar channel and the grid sweeps.
 
-    Target components broadcast against the element axis, giving arrays of
-    shape ``targets + (n,)``. Returns ``(gains, visible, dist)``: the
+    Element columns broadcast against the target components, giving
+    element-major arrays of shape ``(n,) + targets``, so a sum over elements
+    runs over the first axis. Returns ``(gains, visible, dist)``: the
     complex gains, the facing mask, and the distances of the visible
-    entries only, flattened in row-major order of ``visible``. Because
-    both the single-target path and the vectorized sweeps run through this
-    one function (and accumulate in element index order), their per-element
-    values agree bit for bit.
+    entries only, flattened in row-major order of ``visible`` (element by
+    element, targets within each). Because both the single-target path and
+    the vectorized sweeps run through this one function (and accumulate in
+    element index order), their per-element values agree bit for bit.
 
     The square root, amplitude and complex exponential are evaluated only
     where the element faces the target; hidden entries are exactly
@@ -60,22 +61,23 @@ def los_gains(positions, normals, tx, ty, tz, wavelength):
     largest element and target coordinates, exceeds every distance and
     costs O(elements + targets).
     """
-    tx = np.asarray(tx, dtype=np.float64)[..., np.newaxis]
-    ty = np.asarray(ty, dtype=np.float64)[..., np.newaxis]
-    tz = np.asarray(tz, dtype=np.float64)[..., np.newaxis]
+    tx, ty, tz = (np.asarray(t, dtype=np.float64) for t in (tx, ty, tz))
     reach = max(float(np.max(np.abs(t))) for t in (tx, ty, tz))
     bound = 2.0 * (float(np.max(np.abs(positions))) + reach)
     if not (math.isfinite(bound * bound) and math.isfinite(bound * (TWO_PI / float(wavelength)))):
         raise ValidationError(
             f"target distances up to {bound:.3g} m overflow float64 at wavelength {wavelength} m", "target"
         )
-    dx = tx - positions[:, 0]
-    dy = ty - positions[:, 1]
-    dz = tz - positions[:, 2]
+    column = (positions.shape[0],) + (1,) * np.broadcast(tx, ty, tz).ndim
+    px, py, pz = (positions[:, i].reshape(column) for i in range(3))
+    nx, ny, nz = (normals[:, i].reshape(column) for i in range(3))
+    dx = tx - px
+    dy = ty - py
+    dz = tz - pz
     d2 = dx * dx + dy * dy + dz * dz
     if np.any(d2 == 0.0):
         raise DegenerateGeometry("target coincides with an element position")
-    facing = dx * normals[:, 0] + dy * normals[:, 1] + dz * normals[:, 2]
+    facing = dx * nx + dy * ny + dz * nz
     visible = facing > 0.0
     dist = np.sqrt(d2[visible])
     amp = wavelength / (FOUR_PI * dist)
@@ -94,11 +96,24 @@ def los_channel(geometry: ArrayGeometry, target: SphericalPoint, wavelength: flo
     return ChannelVector(gains=gains, visible=visible, wavelength_m=wl, target=target)
 
 
+def element_sum(terms) -> np.ndarray:
+    """Sum over the first (element) axis, added one element row after
+    another into a running total.
+
+    Axis-0 ``np.add.reduce`` or ``np.sum`` would sum pairwise on an
+    ``(n, 1)`` block and change bits; this loop keeps every value equal to
+    direct summation in element order.
+    """
+    s = terms[0].copy()
+    for t in terms[1:]:
+        s += t
+    return s
+
+
 def gain_energy(gains) -> np.ndarray:
-    """Sum of squared gain magnitudes over the last (element) axis,
+    """Sum of squared gain magnitudes over the first (element) axis,
     accumulated in element order."""
-    e = gains.real * gains.real + gains.imag * gains.imag
-    return np.cumsum(e, axis=-1)[..., -1]
+    return element_sum(gains.real * gains.real + gains.imag * gains.imag)
 
 
 def channel_energy(h: ChannelVector) -> float:

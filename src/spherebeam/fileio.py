@@ -5,12 +5,13 @@ decimals, enough to reconstruct every double exactly. Pattern CSVs carry
 power in dB with exact zeros pinned at the floor value; readers map
 anything at or below the floor back to linear 0.
 
-The angular writer formats each value once and writes one string per
-theta row, so no more than a row of text is held at a time. The pattern
-readers parse the body in chunks of about ``READ_CHUNK_BYTES`` of whole
-lines through one ``numpy`` conversion per chunk, which calls the same
-parser as ``float``. A chunk that does not convert is parsed again line by
-line, so a ``ParseError`` names the first bad line exactly.
+Writers format plain Python floats from ``.tolist()``. The angular writer
+fills one ``%`` row template per grid and writes one string per theta row,
+so no more than a row of text is held at a time. The pattern readers parse
+the body in chunks of about ``READ_CHUNK_BYTES`` of whole lines through one
+``numpy`` conversion per chunk, which calls the same parser as ``float``.
+A chunk that does not convert is parsed again line by line, so a
+``ParseError`` names the first bad line exactly.
 """
 
 from __future__ import annotations
@@ -51,33 +52,28 @@ def write_lines(path, lines) -> None:
 
 def write_geometry_csv(path, geometry: ArrayGeometry) -> None:
     """One row per element: index, position, outward normal."""
-    lines = [GEOMETRY_HEADER]
-    pos = geometry.positions
-    nrm = geometry.normals
-    for k in range(geometry.n):
-        fields = [str(k)]
-        fields.extend(fmt(v) for v in pos[k])
-        fields.extend(fmt(v) for v in nrm[k])
-        lines.append(",".join(fields))
-    write_lines(path, lines)
+    rows = (
+        f"{k},{','.join(map(fmt, p))},{','.join(map(fmt, n))}"
+        for k, (p, n) in enumerate(zip(geometry.positions.tolist(), geometry.normals.tolist()))
+    )
+    write_lines(path, itertools.chain([GEOMETRY_HEADER], rows))
 
 
 def write_angular_csv(path, grid: AngularPatternGrid) -> None:
     """Full grid in dB, theta outer loop, phi inner loop."""
-    phis = [fmt(ph) for ph in grid.phi_axis.tolist()]
+    # one "%" template per grid; NUL stands for the theta text of a row
+    template = "\n".join(f"\0,{fmt(ph)},%.17g" for ph in grid.phi_axis.tolist())
     rows = (
-        "\n".join(f"{ts},{ph},{db:.17g}" for ph, db in zip(phis, row))
-        for ts, row in zip(map(fmt, grid.theta_axis.tolist()), to_db(grid.power).tolist())
+        template.replace("\0", fmt(th)) % tuple(row)
+        for th, row in zip(grid.theta_axis.tolist(), to_db(grid.power).tolist())
     )
     write_lines(path, itertools.chain([ANGULAR_HEADER], rows))
 
 
 def write_distance_csv(path, pattern: DistancePattern) -> None:
-    db = to_db(pattern.power)
-    lines = [DISTANCE_HEADER]
-    for i, r in enumerate(pattern.r_axis):
-        lines.append(f"{fmt(r)},{fmt(db[i])}")
-    write_lines(path, lines)
+    """One row per range sample: range, power in dB."""
+    rows = (f"{fmt(r)},{fmt(db)}" for r, db in zip(pattern.r_axis.tolist(), to_db(pattern.power).tolist()))
+    write_lines(path, itertools.chain([DISTANCE_HEADER], rows))
 
 
 def write_meta(path, entries: dict) -> None:

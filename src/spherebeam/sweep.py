@@ -5,7 +5,10 @@ sums as single-target channels, so a sweep cell is bitwise identical to
 evaluating that probe on its own. One private kernel walks the probes in
 fixed blocks, computes each block's gains once for every beam, and spreads
 the blocks over threads; blocking never changes any value, only who
-computes it and how much memory it takes.
+computes it and how much memory it takes. A block's gains are
+element-major, ``(elements, probes)``, and each sum adds one element row
+after another, so a block of any width, one probe included, sums in
+element order.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from spherebeam import (
     to_db,
     upa,
 )
+from spherebeam.beamforming import coherent_power
+from spherebeam.channel import gain_energy
 
 FOCAL = SphericalPoint(30.0, math.pi / 6, math.pi / 6)
 
@@ -130,6 +134,41 @@ class TestBeamResponse:
         h2 = los_channel(g2, FOCAL, 0.01)
         with pytest.raises(DimensionMismatch):
             beam_response(w, h2)
+
+
+def element_loop(columns):
+    """Sum of each column's values, added one element after another."""
+    return [functools.reduce(operator.add, col) for col in columns]
+
+
+class TestElementOrderReduction:
+    """Sums over elements must be direct summation in element order. The
+    sweep-versus-``beam_response`` properties cannot see a reduction that
+    is pairwise everywhere, so this compares with a Python loop."""
+
+    @pytest.mark.parametrize("n", [1, 9, 100, 1000])
+    @pytest.mark.parametrize("probes", [(), (1,), (2,), (1024,)], ids=["flat", "1probe", "2probes", "1024probes"])
+    def test_sums_match_a_python_loop_bit_for_bit(self, n, probes):
+        rng = np.random.default_rng(n * 7919 + sum(probes))
+        shape = (n,) + probes
+        gains = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        # exact +0+0j element rows (hidden elements) and probe columns
+        gains[rng.random(n) < 0.3] = 0j
+        weights[rng.random(n) < 0.2] = 0j
+        if probes and probes[0] > 1:
+            gains[:, rng.integers(0, probes[0], max(1, probes[0] // 8))] = 0j
+        columns = gains.reshape(n, -1)
+
+        sums = element_loop((weights[:, None] * columns).T.tolist())
+        power = [s.real * s.real + s.imag * s.imag for s in sums]
+        energy = element_loop([[g.real * g.real + g.imag * g.imag for g in col] for col in columns.T.tolist()])
+
+        got_power = np.asarray(coherent_power(weights, gains))
+        got_energy = np.asarray(gain_energy(gains))
+        assert got_power.shape == got_energy.shape == probes
+        np.testing.assert_array_equal(got_power.reshape(-1).view(np.uint64), np.array(power).view(np.uint64))
+        np.testing.assert_array_equal(got_energy.reshape(-1).view(np.uint64), np.array(energy).view(np.uint64))
 
 
 class TestDbAndNormalization:

@@ -172,8 +172,12 @@ class TestVisibleOnlyEvaluation:
             wl = float(rng.uniform(0.001, 0.1))
             tx, ty, tz = (c.reshape(2, -1) for c in probes_with_tangents(rng, g, 40))
             gains, visible, dist = los_gains(g.positions, g.normals, tx, ty, tz, wl)
-            ref, ref_visible, ref_dist = unmasked_gains(g.positions, g.normals, tx, ty, tz, wl)
-            assert gains.shape == ref.shape == (2, 40, g.n)
+            # the reference is target-major; los_gains is element-major
+            ref, ref_visible, ref_dist = (
+                np.ascontiguousarray(np.moveaxis(a, -1, 0))
+                for a in unmasked_gains(g.positions, g.normals, tx, ty, tz, wl)
+            )
+            assert gains.shape == ref.shape == (g.n, 2, 40)
             assert_array_equal(visible, ref_visible)
             assert_array_equal(gains.view(np.uint64), ref.view(np.uint64))
             assert_array_equal(dist.view(np.uint64), ref_dist[ref_visible].view(np.uint64))

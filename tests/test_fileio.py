@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from spherebeam import (
     AngularPatternGrid,
     AngularSweepSpec,
+    DistancePattern,
     ParseError,
     SphericalPoint,
     angular_sweep,
@@ -49,6 +51,14 @@ def per_cell_angular_text(grid) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def per_value_text(header, rows) -> str:
+    """Reference writer: every float formatted on its own, line by line."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row))
+    return "".join(line + "\n" for line in lines)
+
+
 def random_grid(rng, theta_samples, phi_samples) -> AngularPatternGrid:
     """Grid with exact zeros (the dB floor), subnormal and tiny cells, and 1."""
     power = rng.random((theta_samples, phi_samples)) ** 8
@@ -64,6 +74,31 @@ def random_grid(rng, theta_samples, phi_samples) -> AngularPatternGrid:
         focal=FOCAL,
         eval_range_m=30.0,
     )
+
+
+def exponent_axes_grid() -> AngularPatternGrid:
+    """Grid whose theta and phi texts are all in exponent form, such as
+    1.0000000000000001e-05."""
+    grid = random_grid(np.random.default_rng(3), 5, 6)
+    grid = replace(grid, theta_axis=np.linspace(1e-5, 3e-5, 5), phi_axis=np.linspace(1.5e-5, 9.5e-5, 6))
+    assert all("e-05" in fmt(v) for v in [*grid.theta_axis, *grid.phi_axis])
+    return grid
+
+
+def pole_rows_grid() -> AngularPatternGrid:
+    """Grid whose first row is one constant and whose last row is dark."""
+    grid = random_grid(np.random.default_rng(4), 9, 12)
+    power = grid.power.copy()
+    power[0] = 0.25
+    power[-1] = 0.0
+    return replace(grid, power=power)
+
+
+def swept_2x2_grid() -> AngularPatternGrid:
+    """UPA sweep on a 2 x 2 grid: the theta = 0 row is one point for every
+    phi, and the rear row is dark."""
+    spec = AngularSweepSpec(theta_samples=2, phi_samples=2)
+    return angular_sweep(upa(16, 0.005), 0.01, FOCAL, spec)
 
 
 def expected_linear(grid) -> np.ndarray:
@@ -105,6 +140,13 @@ class TestGeometryCsv:
         assert first[0] == "0"
         assert [float(v) for v in first[1:4]] == list(g.positions[0])
         assert [float(v) for v in first[4:7]] == list(g.normals[0])
+
+    @pytest.mark.parametrize("g", [golden_spiral_saa(1000, 0.7), upa(25, 0.005)], ids=["spiral", "upa"])
+    def test_bytes_equal_per_value_formatting(self, tmp_path, g):
+        path = tmp_path / "geometry.csv"
+        write_geometry_csv(path, g)
+        rows = ([str(k), *g.positions[k], *g.normals[k]] for k in range(g.n))
+        assert path.read_bytes() == per_value_text(GEOMETRY_HEADER, rows).encode("utf-8")
 
 
 class TestAngularCsv:
@@ -168,6 +210,17 @@ class TestAngularCsvBulk:
     @pytest.mark.parametrize("shape", [(2, 2), (7, 13), (31, 9)])
     def test_writer_bytes_equal_per_cell_formatting(self, tmp_path, shape):
         grid = random_grid(np.random.default_rng(sum(shape)), *shape)
+        assert np.any(grid.power == 0.0)
+        path = tmp_path / "beam.csv"
+        write_angular_csv(path, grid)
+        assert path.read_bytes() == per_cell_angular_text(grid).encode("utf-8")
+        assert b",-300\n" in path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "make", [exponent_axes_grid, pole_rows_grid, swept_2x2_grid], ids=["exponent_axes", "pole_rows", "swept_2x2"]
+    )
+    def test_writer_bytes_on_edge_grids(self, tmp_path, make):
+        grid = make()
         assert np.any(grid.power == 0.0)
         path = tmp_path / "beam.csv"
         write_angular_csv(path, grid)
@@ -251,6 +304,21 @@ class TestDistanceCsv:
         path.write_text(ANGULAR_HEADER + "\n", encoding="utf-8")
         with pytest.raises(ParseError):
             read_distance_csv(path)
+
+    def test_writer_bytes_equal_per_value_formatting(self, tmp_path):
+        swept = distance_sweep(golden_spiral_saa(30, 0.5), 0.01, SphericalPoint(30.0, 1.0, 1.0), samples=64)
+        power = np.random.default_rng(8).random(4000) ** 8
+        power[::7] = 0.0
+        power[1::11] = 5e-324
+        floored = DistancePattern(
+            r_axis=np.linspace(5.0, 100.0, 4000), power=power, direction=(1.0, 1.0), focal_range_m=30.0
+        )
+        for pattern in (swept, floored):
+            path = tmp_path / "focus.csv"
+            write_distance_csv(path, pattern)
+            rows = zip(pattern.r_axis, to_db(pattern.power))
+            assert path.read_bytes() == per_value_text(DISTANCE_HEADER, rows).encode("utf-8")
+        assert b",-300\n" in path.read_bytes()
 
 
 class TestMeta:

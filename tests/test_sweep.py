@@ -209,7 +209,7 @@ class TestSweepKernel:
         multi_focal_overlay(g, 0.01, [FOCAL, SphericalPoint(30.0, 1.0, 4.0)], SMALL_SPEC, threads=2)
         assert calls == []
         distance_sweep(g, 0.01, FOCAL, samples=50, threads=1)
-        assert calls == [(50, 16)]
+        assert calls == [(16, 50)]
 
 
 class TestDistanceSweep:
