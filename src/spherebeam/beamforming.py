@@ -75,7 +75,7 @@ def to_db(linear) -> np.ndarray:
 
 
 def normalize_pattern(raw, mode: str = "grid_max", *, reference: float | None = None):
-    """Scale a non-negative pattern by a reference and return (linear, db).
+    """Scale a non-negative pattern by a reference and return it, still linear.
 
     ``mode`` is ``"grid_max"`` (divide by the array maximum) or
     ``"focal_response"`` (divide by the caller-supplied ``reference``).
@@ -93,5 +93,4 @@ def normalize_pattern(raw, mode: str = "grid_max", *, reference: float | None = 
         ref = require_positive(reference, "reference")
     else:
         raise ValueError(f"unknown normalization mode {mode!r}")
-    norm = arr / ref
-    return norm, to_db(norm)
+    return arr / ref

@@ -22,6 +22,7 @@ from .errors import MainLobeMissed, ParseError, SpherebeamError, ValidationError
 from .metrics import angular_metrics, focus_metrics
 from .scenario import (
     GEOMETRY_KEYS,
+    SWEEP_KEYS,
     geometry_from_fields,
     load_preset,
     parse_field,
@@ -80,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--theta-samples", dest="theta_samples", help="theta sample count")
     pa.add_argument("--phi-samples", dest="phi_samples", help="phi sample count")
     pa.add_argument("--eval-range", dest="eval_range", help="probe range in meters")
-    pa.set_defaults(func=_cmd_pattern_angle)
+    pa.set_defaults(func=_cmd_pattern)
 
     pd = pat_sub.add_parser("distance", help="range sweep along the focal direction")
     _add_geometry_flags(pd)
@@ -88,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--r-min", dest="r_min", help="sweep window start in meters")
     pd.add_argument("--r-max", dest="r_max", help="sweep window end in meters")
     pd.add_argument("--r-samples", dest="r_samples", help="range sample count")
-    pd.set_defaults(func=_cmd_pattern_distance)
+    pd.set_defaults(func=_cmd_pattern)
 
     m = sub.add_parser("metrics", help="recompute metrics from an emitted pattern CSV")
     m.add_argument("pattern", help="path to a pattern CSV")
@@ -130,34 +131,20 @@ def _cmd_geometry(args) -> int:
     return 0
 
 
-def _document_from_args(args, sweep: str, extra_keys) -> str:
+def _flag_lines(args, keys) -> list[str]:
+    return [f"{key} = {getattr(args, key)}" for key in keys if getattr(args, key) is not None]
+
+
+def _cmd_pattern(args) -> int:
     """Rebuild a scenario document from flags so validation has one path."""
-    lines = []
-    for key in ("kind", *GEOMETRY_KEYS, "wavelength"):
-        value = getattr(args, key)
-        if value is not None:
-            lines.append(f"{key} = {value}")
-    for focal in args.focal:
-        lines.append(f"focal = {focal}")
-    lines.append(f"sweep = {sweep}")
-    for key in extra_keys:
-        value = getattr(args, key)
-        if value is not None:
-            lines.append(f"{key} = {value}")
-    if args.normalization is not None:
-        lines.append(f"normalization = {args.normalization}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_pattern_angle(args) -> int:
-    doc = _document_from_args(args, "angle", ("theta_samples", "phi_samples", "eval_range"))
-    scenario = parse_scenario(doc)
-    return run_scenario(scenario, out_dir=args.out, threads=args.threads)
-
-
-def _cmd_pattern_distance(args) -> int:
-    doc = _document_from_args(args, "distance", ("r_min", "r_max", "r_samples"))
-    scenario = parse_scenario(doc)
+    sweep = args.pattern_kind
+    lines = [
+        *_flag_lines(args, ("kind", *GEOMETRY_KEYS, "wavelength")),
+        *(f"focal = {focal}" for focal in args.focal),
+        f"sweep = {sweep}",
+        *_flag_lines(args, (*SWEEP_KEYS[sweep], "normalization")),
+    ]
+    scenario = parse_scenario("\n".join(lines) + "\n")
     return run_scenario(scenario, out_dir=args.out, threads=args.threads)
 
 
@@ -183,7 +170,7 @@ def _meta_float(meta: dict, key: str, default):
 
 def _cmd_metrics(args) -> int:
     path = Path(args.pattern)
-    with open(path, "r", encoding="utf-8") as fh:
+    with fileio.open_text(path) as fh:
         header = fh.readline().strip()
     sidecar = path.with_suffix(".meta")
     meta = fileio.read_meta(sidecar) if sidecar.exists() else {}
@@ -221,7 +208,7 @@ def _cmd_run(args) -> int:
     if args.preset is not None:
         scenario = load_preset(args.preset)
     else:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
+        with fileio.open_text(args.scenario) as fh:
             scenario = parse_scenario(fh.read())
     return run_scenario(scenario, out_dir=args.out, threads=args.threads)
 

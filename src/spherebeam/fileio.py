@@ -16,6 +16,7 @@ A chunk that does not convert is parsed again line by line, so a
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from pathlib import Path
 
@@ -40,6 +41,17 @@ READ_CHUNK_BYTES = 1 << 16
 def fmt(x: float) -> str:
     """Decimal text with 17 significant digits."""
     return format(float(x), ".17g")
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """Open a text file for reading as UTF-8; every reader of outside text
+    goes through here, so undecodable bytes raise ``ParseError``."""
+    with open(Path(path), "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def write_lines(path, lines) -> None:
@@ -111,7 +123,7 @@ def metric_entries(m) -> list[tuple[str, str]]:
 def read_meta(path) -> dict:
     """Parse a sidecar back into an ordered string-to-string mapping."""
     entries: dict[str, str] = {}
-    with open(Path(path), "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -185,7 +197,7 @@ def _read_rows(path, header: str, expected: int) -> np.ndarray:
     """Body of a pattern CSV as a ``(rows, expected)`` float array, read in
     chunks of about ``READ_CHUNK_BYTES``; blank lines are skipped."""
     parts = []
-    with open(Path(path), "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         first = fh.readline().strip()
         if first != header:
             raise ParseError(f"expected header {header!r}, got {first!r}", line=1)

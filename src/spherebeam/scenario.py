@@ -70,8 +70,11 @@ _INT_KEYS = {
 _FLOAT_KEYS = frozenset({"radius", "spacing", "turns", "wavelength", "eval_range", "r_min", "r_max"})
 _STR_KEYS = frozenset({"kind", "sweep", "normalization", "out"})
 
-_ANGLE_KEYS = ("theta_samples", "phi_samples", "eval_range")
-_DISTANCE_KEYS = ("r_min", "r_max", "r_samples")
+# the keys each sweep kind accepts, in the order a scenario lists them
+SWEEP_KEYS = {
+    "angle": ("theta_samples", "phi_samples", "eval_range"),
+    "distance": ("r_min", "r_max", "r_samples"),
+}
 
 _PI_RE = re.compile(r"^([0-9]*\.?[0-9]+)?\s*pi\s*(?:/\s*([0-9]*\.?[0-9]+))?$")
 
@@ -239,7 +242,7 @@ def _build_scenario(fields: dict, focals: tuple[SphericalPoint, ...]) -> Scenari
     sweep = fields.get("sweep")
     if sweep is None:
         raise ValidationError("sweep is required", field="sweep")
-    if sweep not in ("angle", "distance"):
+    if sweep not in SWEEP_KEYS:
         raise ValidationError(
             f"sweep must be 'angle' or 'distance', got {sweep!r}", field="sweep"
         )
@@ -252,27 +255,25 @@ def _build_scenario(fields: dict, focals: tuple[SphericalPoint, ...]) -> Scenari
         )
 
     if sweep == "angle":
-        for key in _DISTANCE_KEYS:
+        for key in SWEEP_KEYS["distance"]:
             if fields.get(key) is not None:
                 raise ValidationError(f"{key} applies only to distance sweeps", field=key)
         eval_range = fields.get("eval_range", 30.0)
         require_clearance(eval_range, radius, "eval_range")
-        angle_values = (fields.get("theta_samples", 181), fields.get("phi_samples", 181), eval_range)
-        distance_values = (None, None, None)
+        sweep_values = (fields.get("theta_samples", 181), fields.get("phi_samples", 181), eval_range)
     else:
         if normalization == "focal":
             raise ValidationError(
                 "normalization 'focal' applies only to angular sweeps", field="normalization"
             )
-        for key in _ANGLE_KEYS:
+        for key in SWEEP_KEYS["angle"]:
             if fields.get(key) is not None:
                 raise ValidationError(f"{key} applies only to angular sweeps", field=key)
         r_min = fields.get("r_min", 5.0)
         r_max = fields.get("r_max", 100.0)
         require_window(r_min, r_max, *(point.r for point in focals))
         require_clearance(r_min, radius, "r_min")
-        angle_values = (None, None, None)
-        distance_values = (r_min, r_max, fields.get("r_samples", 960))
+        sweep_values = (r_min, r_max, fields.get("r_samples", 960))
 
     ring_policy = fields.get("ring_policy")
     if kind == ArrayKind.RING.value and ring_policy is None:
@@ -290,12 +291,7 @@ def _build_scenario(fields: dict, focals: tuple[SphericalPoint, ...]) -> Scenari
         ring_policy=ring_policy,
         subdivision=fields.get("subdivision"),
         turns=fields.get("turns"),
-        theta_samples=angle_values[0],
-        phi_samples=angle_values[1],
-        eval_range=angle_values[2],
-        r_min=distance_values[0],
-        r_max=distance_values[1],
-        r_samples=distance_values[2],
+        **dict(zip(SWEEP_KEYS[sweep], sweep_values)),
         normalization=normalization,
         out=fields.get("out"),
     )
@@ -339,16 +335,7 @@ def geometry_from_fields(
 
 
 def build_geometry(scenario: Scenario) -> ArrayGeometry:
-    return geometry_from_fields(
-        scenario.kind,
-        n=scenario.n,
-        radius=scenario.radius,
-        spacing=scenario.spacing,
-        n_rings=scenario.n_rings,
-        ring_policy=scenario.ring_policy,
-        subdivision=scenario.subdivision,
-        turns=scenario.turns,
-    )
+    return geometry_from_fields(scenario.kind, **{key: getattr(scenario, key) for key in GEOMETRY_KEYS})
 
 
 def _format_value(key: str, value) -> str:
@@ -376,8 +363,7 @@ def _scalar_entries(scenario: Scenario) -> list[tuple[str, str]]:
 
 def _sweep_entries(scenario: Scenario) -> list[tuple[str, str]]:
     entries: list[tuple[str, str]] = [("sweep", scenario.sweep)]
-    keys = _ANGLE_KEYS if scenario.sweep == "angle" else _DISTANCE_KEYS
-    for key in keys:
+    for key in SWEEP_KEYS[scenario.sweep]:
         entries.append((key, _format_value(key, getattr(scenario, key))))
     entries.append(("normalization", scenario.normalization))
     return entries
@@ -420,49 +406,131 @@ def load_preset(name: str) -> Scenario:
     return parse_scenario(text)
 
 
-def _meta_entries(scenario: Scenario, geometry: ArrayGeometry, skipped_indices) -> list[tuple[str, str]]:
-    entries = _scalar_entries(scenario)
-    entries.append(("n_elements", str(geometry.n)))
-    entries.extend(_sweep_entries(scenario))
-    entries.append(("skipped", ",".join(str(i) for i in skipped_indices)))
-    return entries
-
-
-def _beam_metrics_or_degenerate(grid, focal) -> BeamMetrics:
+def _measured(metrics, *args):
+    """``metrics(*args)``, or None when the pattern is degenerate."""
     try:
-        return angular_metrics(grid, focal)
+        return metrics(*args)
     except DegeneratePattern:
-        return BeamMetrics(
-            NAN, NAN, NAN, NAN, NAN, NAN, degenerate=True, peak_capture=grid.peak_capture
+        return None
+
+
+class _AngleRun:
+    """The parts of an angular run: one shared sweep for every beam, a
+    ``beam_NN`` file pair per beam, then the overlay and the isotropy figures.
+    ``sweep`` keeps the overlay grid for ``finish``."""
+
+    stem = "beam"
+    counted = "beams"
+
+    def sweep(self, s: Scenario, geometry: ArrayGeometry, threads) -> list[tuple[int, object]]:
+        spec = AngularSweepSpec(
+            theta_samples=s.theta_samples, phi_samples=s.phi_samples, eval_range_m=s.eval_range
+        )
+        self.overlay = multi_focal_overlay(
+            geometry, s.wavelength, s.focals, spec, normalization=s.normalization, threads=threads
+        )
+        skipped = set(self.overlay.skipped)
+        kept = [i for i, focal in enumerate(s.focals) if focal not in skipped]
+        return list(zip(kept, self.overlay.beams))
+
+    def step(self, out: Path, stem: str, focal: SphericalPoint, beam, meta: dict):
+        fileio.write_angular_csv(out / f"{stem}.csv", beam)
+        meta["peak_capture"] = fileio.fmt(beam.peak_capture)
+        fileio.write_meta(out / f"{stem}.meta", meta)
+        m = _measured(angular_metrics, beam, focal)
+        if m is None:
+            m = BeamMetrics(NAN, NAN, NAN, NAN, NAN, NAN, degenerate=True, peak_capture=beam.peak_capture)
+            text = f"theta {math.degrees(focal.theta):.2f} deg, degenerate pattern"
+        else:
+            text = (
+                f"(theta {math.degrees(focal.theta):7.2f}, phi {math.degrees(focal.phi):7.2f}) deg"
+                f"  err {math.degrees(m.pointing_error_rad):6.3f} deg"
+                f"  hpbw ({math.degrees(m.hpbw_theta):6.3f}, {math.degrees(m.hpbw_phi):6.3f}) deg"
+                f"  psl {m.peak_sidelobe_db:7.2f} dB"
+                f"  capture {m.peak_capture:5.3f}"
+                + ("  (main lobe not sampled)" if m.peak_capture < MIN_PEAK_CAPTURE else "")
+            )
+        row = (focal.theta, focal.phi, m.peak_theta, m.peak_phi,
+               m.pointing_error_rad, m.hpbw_theta, m.hpbw_phi, m.peak_sidelobe_db)
+        return m, row, text
+
+    def finish(self, s: Scenario, out: Path, meta: dict, rows, measured):
+        fileio.write_angular_csv(out / "overlay.csv", self.overlay)
+        overlay_meta = dict(meta)
+        for index, focal in enumerate(s.focals):
+            overlay_meta[f"focal_{index}"] = _focal_text(focal)
+        fileio.write_meta(out / "overlay.meta", overlay_meta)
+        fileio.write_metrics_csv(out / "metrics.csv", rows)
+        usable = [m for m in measured if not m.degenerate]
+        if len(usable) < 2:
+            return [], []
+        iso = isotropy_report(usable)
+        entries = [
+            ("isotropy.hpbw_theta_ratio", fileio.fmt(iso.hpbw_theta_ratio)),
+            ("isotropy.hpbw_phi_ratio", fileio.fmt(iso.hpbw_phi_ratio)),
+            ("isotropy.sidelobe_spread_db", fileio.fmt(iso.sidelobe_spread_db)),
+        ]
+        line = (
+            f"isotropy: hpbw_theta ratio {iso.hpbw_theta_ratio:.4f}, "
+            f"hpbw_phi ratio {iso.hpbw_phi_ratio:.4f}, "
+            f"sidelobe spread {iso.sidelobe_spread_db:.2f} dB over {iso.n_beams} beams"
+        )
+        return entries, ["", line]
+
+    def describe(self, s: Scenario, skipped) -> tuple[str, str]:
+        return (
+            f"angle, {s.theta_samples} x {s.phi_samples} cells, "
+            f"probe range {fileio.fmt(s.eval_range)} m, normalization {s.normalization}",
+            "; ".join(f"#{i} (theta {math.degrees(s.focals[i].theta):.1f} deg)" for i in skipped),
         )
 
 
-def _focus_metrics_or_degenerate(pattern) -> FocusMetrics:
-    try:
-        return focus_metrics(pattern)
-    except DegeneratePattern:
-        return FocusMetrics(NAN, NAN, NAN, one_sided=False)
+class _DistanceRun:
+    """The parts of a distance run: one range sweep per focal point and a
+    ``focus_NN`` file pair per pattern."""
 
+    stem = "focus"
+    counted = "patterns"
 
-def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None) -> int:
-    """Run a scenario end to end, emitting all files into the output directory.
+    def sweep(self, s: Scenario, geometry: ArrayGeometry, threads) -> list[tuple[int, object]]:
+        patterns = []
+        for index, focal in enumerate(s.focals):
+            try:
+                pattern = distance_sweep(
+                    geometry, s.wavelength, focal, s.r_min, s.r_max, s.r_samples, threads=threads
+                )
+            except NoVisibleElements:
+                continue
+            patterns.append((index, pattern))
+        if not patterns:
+            raise AllBeamsInfeasible("every focal point was skipped, no distance pattern to emit")
+        return patterns
 
-    Returns 0 when every focal point produced a beam and 2 when some were
-    skipped for lacking visible elements. Hard failures raise; a failure in
-    the sweep leaves no output directory behind.
-    """
-    target = out_dir if out_dir is not None else scenario.out
-    if target is None:
-        raise ValidationError("an output directory is required", field="out")
-    if threads is not None:
-        require_count(threads, "threads")
-    out = Path(target)
-    geometry = build_geometry(scenario)
-    if scenario.sweep == "angle":
-        skipped_indices = _run_angular(scenario, geometry, out, threads)
-    else:
-        skipped_indices = _run_distance(scenario, geometry, out, threads)
-    return 2 if skipped_indices else 0
+    def step(self, out: Path, stem: str, focal: SphericalPoint, pattern, meta: dict):
+        fileio.write_distance_csv(out / f"{stem}.csv", pattern)
+        fileio.write_meta(out / f"{stem}.meta", meta)
+        m = _measured(focus_metrics, pattern)
+        if m is None:
+            m = FocusMetrics(NAN, NAN, NAN, one_sided=False)
+            text = f"{fileio.fmt(focal.r)} m, degenerate pattern"
+        else:
+            text = (
+                f"{fileio.fmt(focal.r)} m"
+                f"  peak {m.peak_r_m:.3f} m  err {m.focal_error_m:.3f} m"
+                f"  depth {m.depth_of_focus_m:.3f} m" + (" (one-sided)" if m.one_sided else "")
+            )
+        row = (focal.theta, focal.phi, m.peak_r_m, m.depth_of_focus_m, m.focal_error_m, m.one_sided)
+        return m, row, text
+
+    def finish(self, s: Scenario, out: Path, meta: dict, rows, measured):
+        fileio.write_focus_csv(out / "focus_metrics.csv", rows)
+        return [], []
+
+    def describe(self, s: Scenario, skipped) -> tuple[str, str]:
+        return (
+            f"distance, window [{fileio.fmt(s.r_min)}, {fileio.fmt(s.r_max)}] m, {s.r_samples} samples",
+            ", ".join(f"#{i}" for i in skipped),
+        )
 
 
 def _start_output(scenario: Scenario, geometry: ArrayGeometry, out: Path) -> None:
@@ -478,170 +546,6 @@ def _start_output(scenario: Scenario, geometry: ArrayGeometry, out: Path) -> Non
         fh.write(emit_scenario(effective))
 
 
-def _run_angular(scenario: Scenario, geometry: ArrayGeometry, out: Path, threads) -> list[int]:
-    spec = AngularSweepSpec(
-        theta_samples=scenario.theta_samples,
-        phi_samples=scenario.phi_samples,
-        eval_range_m=scenario.eval_range,
-    )
-    overlay = multi_focal_overlay(
-        geometry,
-        scenario.wavelength,
-        scenario.focals,
-        spec,
-        normalization=scenario.normalization,
-        threads=threads,
-    )
-    _start_output(scenario, geometry, out)
-    skipped = set(overlay.skipped)
-    skipped_indices = [i for i, f in enumerate(scenario.focals) if f in skipped]
-
-    meta = _meta_entries(scenario, geometry, skipped_indices)
-    beams = iter(overlay.beams)
-    rows = []
-    per_beam: list[tuple[int, BeamMetrics]] = []
-    lines = []
-    for index, focal in enumerate(scenario.focals):
-        if index in skipped_indices:
-            continue
-        beam = next(beams)
-        stem = f"beam_{index:02d}"
-        fileio.write_angular_csv(out / f"{stem}.csv", beam)
-        beam_meta = dict(meta)
-        beam_meta["focal"] = _focal_text(focal)
-        beam_meta["peak_capture"] = fileio.fmt(beam.peak_capture)
-        fileio.write_meta(out / f"{stem}.meta", beam_meta)
-        m = _beam_metrics_or_degenerate(beam, focal)
-        per_beam.append((index, m))
-        rows.append(
-            (focal.theta, focal.phi, m.peak_theta, m.peak_phi,
-             m.pointing_error_rad, m.hpbw_theta, m.hpbw_phi, m.peak_sidelobe_db)
-        )
-        if m.degenerate:
-            lines.append(
-                f"beam {index:02d}: focal theta {math.degrees(focal.theta):.2f} deg, degenerate pattern"
-            )
-            continue
-        lines.append(
-            f"beam {index:02d}: focal (theta {math.degrees(focal.theta):7.2f},"
-            f" phi {math.degrees(focal.phi):7.2f}) deg"
-            f"  err {math.degrees(m.pointing_error_rad):6.3f} deg"
-            f"  hpbw ({math.degrees(m.hpbw_theta):6.3f}, {math.degrees(m.hpbw_phi):6.3f}) deg"
-            f"  psl {m.peak_sidelobe_db:7.2f} dB"
-            f"  capture {m.peak_capture:5.3f}"
-            + ("  (main lobe not sampled)" if m.peak_capture < MIN_PEAK_CAPTURE else "")
-        )
-
-    fileio.write_angular_csv(out / "overlay.csv", overlay)
-    overlay_meta = dict(meta)
-    for index, focal in enumerate(scenario.focals):
-        overlay_meta[f"focal_{index}"] = _focal_text(focal)
-    fileio.write_meta(out / "overlay.meta", overlay_meta)
-
-    fileio.write_metrics_csv(out / "metrics.csv", rows)
-
-    extra = []
-    usable = [m for _, m in per_beam if not m.degenerate]
-    if len(usable) >= 2:
-        iso = isotropy_report(usable)
-        extra = [
-            ("isotropy.hpbw_theta_ratio", fileio.fmt(iso.hpbw_theta_ratio)),
-            ("isotropy.hpbw_phi_ratio", fileio.fmt(iso.hpbw_phi_ratio)),
-            ("isotropy.sidelobe_spread_db", fileio.fmt(iso.sidelobe_spread_db)),
-        ]
-        lines.append("")
-        lines.append(
-            f"isotropy: hpbw_theta ratio {iso.hpbw_theta_ratio:.4f}, "
-            f"hpbw_phi ratio {iso.hpbw_phi_ratio:.4f}, "
-            f"sidelobe spread {iso.sidelobe_spread_db:.2f} dB over {iso.n_beams} beams"
-        )
-    _write_reports(
-        scenario, geometry, out,
-        stem="beam",
-        per_focal=per_beam,
-        extra=extra,
-        sweep=(
-            f"angle, {scenario.theta_samples} x {scenario.phi_samples} cells, "
-            f"probe range {fileio.fmt(scenario.eval_range)} m, normalization {scenario.normalization}"
-        ),
-        counted="beams",
-        lines=lines,
-        skipped_indices=skipped_indices,
-        skipped="; ".join(
-            f"#{i} (theta {math.degrees(scenario.focals[i].theta):.1f} deg)" for i in skipped_indices
-        ),
-    )
-    return skipped_indices
-
-
-def _run_distance(scenario: Scenario, geometry: ArrayGeometry, out: Path, threads) -> list[int]:
-    patterns: list[tuple[int, object]] = []
-    skipped_indices: list[int] = []
-    for index, focal in enumerate(scenario.focals):
-        try:
-            pattern = distance_sweep(
-                geometry,
-                scenario.wavelength,
-                focal,
-                scenario.r_min,
-                scenario.r_max,
-                scenario.r_samples,
-                threads=threads,
-            )
-        except NoVisibleElements:
-            skipped_indices.append(index)
-            continue
-        patterns.append((index, pattern))
-    if not patterns:
-        raise AllBeamsInfeasible("every focal point was skipped, no distance pattern to emit")
-    _start_output(scenario, geometry, out)
-
-    meta = _meta_entries(scenario, geometry, skipped_indices)
-    rows = []
-    per_focal: list[tuple[int, FocusMetrics]] = []
-    lines = []
-    for index, pattern in patterns:
-        focal = scenario.focals[index]
-        stem = f"focus_{index:02d}"
-        fileio.write_distance_csv(out / f"{stem}.csv", pattern)
-        pattern_meta = dict(meta)
-        pattern_meta["focal"] = _focal_text(focal)
-        fileio.write_meta(out / f"{stem}.meta", pattern_meta)
-        m = _focus_metrics_or_degenerate(pattern)
-        per_focal.append((index, m))
-        rows.append(
-            (focal.theta, focal.phi, m.peak_r_m, m.depth_of_focus_m, m.focal_error_m,
-             m.one_sided)
-        )
-        if math.isnan(m.peak_r_m):
-            lines.append(f"focus {index:02d}: focal {fileio.fmt(focal.r)} m, degenerate pattern")
-            continue
-        side = " (one-sided)" if m.one_sided else ""
-        lines.append(
-            f"focus {index:02d}: focal {fileio.fmt(focal.r)} m"
-            f"  peak {m.peak_r_m:.3f} m  err {m.focal_error_m:.3f} m"
-            f"  depth {m.depth_of_focus_m:.3f} m{side}"
-        )
-
-    fileio.write_focus_csv(out / "focus_metrics.csv", rows)
-
-    _write_reports(
-        scenario, geometry, out,
-        stem="focus",
-        per_focal=per_focal,
-        extra=[],
-        sweep=(
-            f"distance, window [{fileio.fmt(scenario.r_min)}, {fileio.fmt(scenario.r_max)}] m, "
-            f"{scenario.r_samples} samples"
-        ),
-        counted="patterns",
-        lines=lines,
-        skipped_indices=skipped_indices,
-        skipped=", ".join("#" + str(i) for i in skipped_indices),
-    )
-    return skipped_indices
-
-
 def _geometry_blurb(scenario: Scenario, geometry: ArrayGeometry) -> str:
     bits = [f"{scenario.kind}, {geometry.n} elements"]
     if geometry.radius_m is not None:
@@ -651,25 +555,55 @@ def _geometry_blurb(scenario: Scenario, geometry: ArrayGeometry) -> str:
     return ", ".join(bits)
 
 
-def _write_reports(
-    scenario, geometry, out: Path, *,
-    stem, per_focal, extra, sweep, counted, lines, skipped_indices, skipped,
-) -> None:
-    """``metrics.txt`` and ``summary.txt`` for either sweep kind.
+def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None) -> int:
+    """Run a scenario end to end, emitting all files into the output directory.
 
-    ``per_focal`` pairs each evaluated focal index with its metrics, which
-    ``metrics.txt`` lists under ``<stem>_NN.``; ``extra`` adds entries
-    after them. ``summary.txt`` names the ``sweep`` and the ``counted``
-    patterns, then holds ``lines`` and the ``skipped`` focals.
+    The stages run in order: geometry, sweep, output directory, one
+    write-and-measure step per evaluated focal point, the metrics table
+    with any run-level files, then ``metrics.txt`` and ``summary.txt``.
+    The sweep kind (``_AngleRun`` or ``_DistanceRun``) supplies ``sweep``,
+    ``step``, ``finish`` and ``describe``; the rest is shared.
+
+    Returns 0 when every focal point produced a pattern and 2 when some were
+    skipped for lacking visible elements. Hard failures raise; a failure in
+    the sweep leaves no output directory behind.
     """
+    target = out_dir if out_dir is not None else scenario.out
+    if target is None:
+        raise ValidationError("an output directory is required", field="out")
+    if threads is not None:
+        require_count(threads, "threads")
+    out = Path(target)
+    run = _AngleRun() if scenario.sweep == "angle" else _DistanceRun()
+
+    geometry = build_geometry(scenario)
+    patterns = run.sweep(scenario, geometry, threads)
+    _start_output(scenario, geometry, out)
+
+    evaluated = {index for index, _ in patterns}
+    skipped = [i for i in range(len(scenario.focals)) if i not in evaluated]
+    skipped_entry = ("skipped", ",".join(str(i) for i in skipped))
+    meta = [*_scalar_entries(scenario), ("n_elements", str(geometry.n)), *_sweep_entries(scenario), skipped_entry]
+    per_focal, rows, lines = [], [], []
+    for index, pattern in patterns:
+        focal = scenario.focals[index]
+        stem = f"{run.stem}_{index:02d}"
+        m, row, text = run.step(out, stem, focal, pattern, dict(meta, focal=_focal_text(focal)))
+        per_focal.append((index, m))
+        rows.append(row)
+        lines.append(f"{run.stem} {index:02d}: focal {text}")
+
+    extra, extra_lines = run.finish(scenario, out, meta, rows, [m for _, m in per_focal])
+
     report = [
-        (f"{stem}_{index:02d}.{key}", value)
+        (f"{run.stem}_{index:02d}.{key}", value)
         for index, m in per_focal
         for key, value in fileio.metric_entries(m)
     ]
     report.extend(extra)
-    report.append(("skipped", ",".join(str(i) for i in skipped_indices)))
+    report.append(skipped_entry)
     fileio.write_meta(out / "metrics.txt", dict(report))
+    sweep_text, skipped_text = run.describe(scenario, skipped)
     fileio.write_lines(
         out / "summary.txt",
         [
@@ -677,14 +611,16 @@ def _write_reports(
             "======================",
             f"geometry: {_geometry_blurb(scenario, geometry)}",
             f"wavelength: {fileio.fmt(scenario.wavelength)} m",
-            f"sweep: {sweep}",
+            f"sweep: {sweep_text}",
             (
-                f"{counted}: {len(scenario.focals)} requested, {len(per_focal)} evaluated, "
-                f"{len(skipped_indices)} skipped"
+                f"{run.counted}: {len(scenario.focals)} requested, {len(per_focal)} evaluated, "
+                f"{len(skipped)} skipped"
             ),
             "",
             *lines,
+            *extra_lines,
             "",
-            f"skipped focals: {skipped or 'none'}",
+            f"skipped focals: {skipped_text or 'none'}",
         ],
     )
+    return 2 if skipped else 0

@@ -177,7 +177,7 @@ def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, s
     for (h_focal, w), raw in zip(matched, powers):
         raw = raw.reshape(th.shape)
         reference = beam_response(w, h_focal)
-        power, _ = normalize_pattern(raw, mode, reference=reference)
+        power = normalize_pattern(raw, mode, reference=reference)
         beams.append(AngularPatternGrid(
             theta_axis=theta_axis, phi_axis=phi_axis, power=power, focal=h_focal.target,
             eval_range_m=spec.eval_range_m, normalization=normalization,
@@ -258,7 +258,7 @@ def distance_sweep(
 
     fraction = np.zeros(samples)
     np.divide(raw, energy, out=fraction, where=energy > 0.0)
-    power, _ = normalize_pattern(fraction, "grid_max")
+    power = normalize_pattern(fraction, "grid_max")
     return DistancePattern(
         r_axis=r_axis,
         power=power,

@@ -184,14 +184,13 @@ class TestDbAndNormalization:
 
     def test_normalize_grid_max(self):
         p = np.array([[0.5, 1.0], [2.0, 0.0]])
-        linear, db = normalize_pattern(p, "grid_max")
+        linear = normalize_pattern(p, "grid_max")
         assert_allclose(linear, p / 2.0, rtol=0)
         assert linear.max() == 1.0
-        np.testing.assert_array_equal(db, to_db(linear))
 
     def test_normalize_focal_reference(self):
         p = np.array([[0.5, 1.0], [2.0, 0.0]])
-        linear, _ = normalize_pattern(p, "focal_response", reference=0.5)
+        linear = normalize_pattern(p, "focal_response", reference=0.5)
         assert_allclose(linear, p / 0.5, rtol=0)
 
     def test_normalize_rejects_bad_inputs(self):

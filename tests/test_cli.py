@@ -186,6 +186,14 @@ class TestRunCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_undecodable_scenario_file_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_bytes(b"kind = spiral_saa\n\xff\xfe\x00\n")
+        out = tmp_path / "x"
+        assert run_cli("run", "--scenario", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {cfg} is not UTF-8 text: invalid start byte\n"
+        assert not out.exists()
+
     def test_preset_and_scenario_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli("run", "--preset", "fig4_saa", "--scenario", "x.cfg", "--out", str(tmp_path))
@@ -274,6 +282,18 @@ class TestMetricsCommand:
         text = capsys.readouterr().out
         assert "peak_r_m = " in text
         assert "depth_of_focus_m = " in text
+
+    def test_undecodable_csv_exits_1(self, tmp_path, capsys):
+        odd = tmp_path / "odd.csv"
+        odd.write_bytes(b"\xff\xfe\x00\n")
+        assert run_cli("metrics", str(odd), "--focal", "10, 1, 1") == 1
+        assert capsys.readouterr().err == f"error: {odd} is not UTF-8 text: invalid start byte\n"
+
+    def test_undecodable_sidecar_exits_1(self, angular_run, capsys):
+        sidecar = angular_run / "beam_00.meta"
+        sidecar.write_bytes(b"focal = 10, 1, 1\n\xff\xfe\x00\n")
+        assert run_cli("metrics", str(angular_run / "beam_00.csv")) == 1
+        assert capsys.readouterr().err == f"error: {sidecar} is not UTF-8 text: invalid start byte\n"
 
     def test_unrecognized_csv_exits_1(self, tmp_path, capsys):
         odd = tmp_path / "odd.csv"

@@ -335,6 +335,17 @@ class TestMeta:
         path.write_text("# comment\n\nalpha = 1\n  # indented comment\nbeta = two words\n", encoding="utf-8")
         assert read_meta(path) == {"alpha": "1", "beta": "two words"}
 
+    @pytest.mark.parametrize(
+        "reader, header",
+        [(read_meta, ""), (read_angular_csv, ANGULAR_HEADER + "\n"), (read_distance_csv, DISTANCE_HEADER + "\n")],
+        ids=["meta", "angular", "distance"],
+    )
+    def test_undecodable_bytes_are_a_parse_error(self, tmp_path, reader, header):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(header.encode("utf-8") + b"\xff\xfe\x00\n")
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            reader(path)
+
     def test_reader_flags_malformed_lines(self, tmp_path):
         path = tmp_path / "run.meta"
         path.write_text("alpha = 1\nno separator here\n", encoding="utf-8")

@@ -43,6 +43,12 @@ r_max = 40
 r_samples = 50
 """
 
+# a planar array cannot see the second focal point, which lies behind it
+UPA_REAR = (
+    "kind = upa\nn = 16\nspacing = 0.025\nwavelength = 0.05\n"
+    "focal = 10, pi/4, pi/4\nfocal = 10, 3pi/4, pi/4\nfocal = 10, pi/3, 1\n"
+)
+
 
 class TestFocalText:
     def test_pi_literals(self):
@@ -309,11 +315,7 @@ class TestRunScenario:
         assert "beam_00.hpbw_theta" in report
 
     def test_upa_run_skips_rear_focals_with_exit_2(self, tmp_path):
-        text = (
-            "kind = upa\nn = 16\nspacing = 0.025\nwavelength = 0.05\n"
-            "focal = 10, pi/4, pi/4\nfocal = 10, 3pi/4, pi/4\nfocal = 10, pi/3, 1\n"
-            "sweep = angle\ntheta_samples = 19\nphi_samples = 19\neval_range = 10\n"
-        )
+        text = UPA_REAR + "sweep = angle\ntheta_samples = 19\nphi_samples = 19\neval_range = 10\n"
         s = parse_scenario(text)
         out = tmp_path / "run"
         assert run_scenario(s, out) == 2
@@ -325,6 +327,108 @@ class TestRunScenario:
         overlay_meta = read_meta(out / "overlay.meta")
         assert "focal_0" in overlay_meta and "focal_1" in overlay_meta and "focal_2" in overlay_meta
         assert overlay_meta["skipped"] == "1"
+
+    def test_upa_angular_reports_with_a_rear_focal_skipped(self, tmp_path):
+        text = UPA_REAR + "sweep = angle\ntheta_samples = 19\nphi_samples = 19\neval_range = 10\n"
+        out = tmp_path / "run"
+        assert run_scenario(parse_scenario(text), out) == 2
+        assert sorted(p.name for p in out.iterdir()) == [
+            "beam_00.csv", "beam_00.meta", "beam_02.csv", "beam_02.meta", "geometry.csv",
+            "metrics.csv", "metrics.txt", "overlay.csv", "overlay.meta", "scenario.cfg", "summary.txt",
+        ]
+        assert (out / "summary.txt").read_text(encoding="utf-8") == (
+            "spherebeam run summary\n"
+            "======================\n"
+            "geometry: upa, 16 elements, spacing 0.025000000000000001 m\n"
+            "wavelength: 0.050000000000000003 m\n"
+            "sweep: angle, 19 x 19 cells, probe range 10 m, normalization grid_max\n"
+            "beams: 3 requested, 2 evaluated, 1 skipped\n"
+            "\n"
+            "beam 00: focal (theta   45.00, phi   45.00) deg  err  6.209 deg"
+            "  hpbw (42.895, 38.883) deg  psl  -11.18 dB  capture 0.910\n"
+            "beam 02: focal (theta   60.00, phi   57.30) deg  err  2.342 deg"
+            "  hpbw (54.510, 29.687) deg  psl  -10.32 dB  capture 0.980\n"
+            "\n"
+            "isotropy: hpbw_theta ratio 1.2708, hpbw_phi ratio 1.3098, sidelobe spread 0.87 dB over 2 beams\n"
+            "\n"
+            "skipped focals: #1 (theta 135.0 deg)\n"
+        )
+        assert (out / "metrics.txt").read_text(encoding="utf-8") == (
+            "beam_00.peak_theta = 0.87266462599716477\n"
+            "beam_00.peak_phi = 0.69813170079773179\n"
+            "beam_00.pointing_err = 0.10837236452702337\n"
+            "beam_00.hpbw_theta = 0.74866400457674265\n"
+            "beam_00.hpbw_phi = 0.67864335080989258\n"
+            "beam_00.psl_db = -11.184347965054172\n"
+            "beam_00.peak_capture = 0.90963663257135763\n"
+            "beam_02.peak_theta = 1.0471975511965976\n"
+            "beam_02.peak_phi = 1.0471975511965976\n"
+            "beam_02.pointing_err = 0.040873329723460666\n"
+            "beam_02.hpbw_theta = 0.95137312844755229\n"
+            "beam_02.hpbw_phi = 0.51813069128601175\n"
+            "beam_02.psl_db = -10.316553421174406\n"
+            "beam_02.peak_capture = 0.97957490450126072\n"
+            "isotropy.hpbw_theta_ratio = 1.2707611460302692\n"
+            "isotropy.hpbw_phi_ratio = 1.3097918386681262\n"
+            "isotropy.sidelobe_spread_db = 0.86779454387976607\n"
+            "skipped = 1\n"
+        )
+
+    def test_upa_distance_reports_with_a_rear_focal_skipped(self, tmp_path):
+        text = UPA_REAR + "sweep = distance\nr_min = 5\nr_max = 40\nr_samples = 50\n"
+        out = tmp_path / "run"
+        assert run_scenario(parse_scenario(text), out) == 2
+        assert sorted(p.name for p in out.iterdir()) == [
+            "focus_00.csv", "focus_00.meta", "focus_02.csv", "focus_02.meta", "focus_metrics.csv",
+            "geometry.csv", "metrics.txt", "scenario.cfg", "summary.txt",
+        ]
+        assert (out / "summary.txt").read_text(encoding="utf-8") == (
+            "spherebeam run summary\n"
+            "======================\n"
+            "geometry: upa, 16 elements, spacing 0.025000000000000001 m\n"
+            "wavelength: 0.050000000000000003 m\n"
+            "sweep: distance, window [5, 40] m, 50 samples\n"
+            "patterns: 3 requested, 2 evaluated, 1 skipped\n"
+            "\n"
+            "focus 00: focal 10 m  peak 10.000 m  err 0.000 m  depth 35.000 m (one-sided)\n"
+            "focus 02: focal 10 m  peak 10.000 m  err 0.000 m  depth 35.000 m (one-sided)\n"
+            "\n"
+            "skipped focals: #1\n"
+        )
+        assert (out / "metrics.txt").read_text(encoding="utf-8") == (
+            "focus_00.peak_r_m = 10\n"
+            "focus_00.depth_of_focus_m = 35\n"
+            "focus_00.focal_error_m = 0\n"
+            "focus_00.one_sided = 1\n"
+            "focus_02.peak_r_m = 10\n"
+            "focus_02.depth_of_focus_m = 35\n"
+            "focus_02.focal_error_m = 0\n"
+            "focus_02.one_sided = 1\n"
+            "skipped = 1\n"
+        )
+
+    def test_degenerate_beams_give_nan_rows_and_no_isotropy(self, tmp_path):
+        # a 2 x 2 grid samples only the poles, which the one element, on
+        # the equator, cannot see: both beams are all zero
+        text = (
+            "kind = spiral_saa\nn = 1\nradius = 0.3\nwavelength = 0.02\n"
+            "focal = 10, pi/2, 0\nfocal = 10, pi/2, 0.1\n"
+            "sweep = angle\ntheta_samples = 2\nphi_samples = 2\neval_range = 10\nnormalization = focal\n"
+        )
+        out = tmp_path / "run"
+        assert run_scenario(parse_scenario(text), out) == 0
+        assert (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+            "1.5707963267948966,0,nan,nan,nan,nan,nan,nan",
+            "1.5707963267948966,0.10000000000000001,nan,nan,nan,nan,nan,nan",
+        ]
+        summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert "beam 00: focal theta 90.00 deg, degenerate pattern" in summary
+        assert "beam 01: focal theta 90.00 deg, degenerate pattern" in summary
+        assert not any(line.startswith("isotropy") for line in summary)
+        report = read_meta(out / "metrics.txt")
+        assert report["beam_00.hpbw_theta"] == "nan"
+        assert report["beam_01.peak_capture"] == "0"
+        assert not any(key.startswith("isotropy.") for key in report)
 
     def test_distance_run_writes_focus_files(self, tmp_path):
         s = parse_scenario(MINIMAL_DISTANCE)
