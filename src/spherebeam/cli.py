@@ -13,13 +13,14 @@ the exit code unchanged.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from pathlib import Path
 
 from . import fileio
 from .errors import MainLobeMissed, ParseError, SpherebeamError, ValidationError
-from .metrics import angular_metrics, focus_metrics
+from .metrics import measure
 from .scenario import (
     GEOMETRY_KEYS,
     SWEEP_KEYS,
@@ -163,9 +164,12 @@ def _meta_float(meta: dict, key: str, default):
     if key not in meta:
         return default
     try:
-        return float(meta[key])
+        value = float(meta[key])
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise ParseError(f"sidecar {key} is not a number: {meta[key]!r}") from None
+        pass
+    raise ParseError(f"sidecar {key} is not a finite number: {meta[key]!r}")
 
 
 def _cmd_metrics(args) -> int:
@@ -187,7 +191,7 @@ def _cmd_metrics(args) -> int:
             normalization=meta.get("normalization", "grid_max"),
             peak_capture=_meta_float(meta, "peak_capture", None),
         )
-        m = angular_metrics(grid)
+        m = measure(grid)
     elif header == fileio.DISTANCE_HEADER:
         r_axis, power = fileio.read_distance_csv(path)
         pattern = DistancePattern(
@@ -196,7 +200,7 @@ def _cmd_metrics(args) -> int:
             direction=(focal.theta, focal.phi),
             focal_range_m=focal.r,
         )
-        m = focus_metrics(pattern)
+        m = measure(pattern)
     else:
         raise ValidationError(f"unrecognized pattern CSV header {header!r}")
     for key, value in fileio.metric_entries(m):

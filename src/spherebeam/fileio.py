@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -156,13 +157,20 @@ def write_focus_csv(path, rows) -> None:
 
 
 def _split_csv_line(line: str, expected: int, lineno: int):
+    """Fields of one body line, with the last one, power in dB, made linear."""
     parts = line.split(",")
     if len(parts) != expected:
         raise ParseError(f"expected {expected} fields, got {len(parts)}", line=lineno)
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"not every field of {line!r} is a finite number")
+        values[-1] = _db_to_linear(values[-1])
     except ValueError as exc:
         raise ParseError(str(exc), line=lineno) from None
+    except OverflowError:
+        raise ParseError(f"power_db {parts[-1]!r} overflows linear power", line=lineno) from None
+    return values
 
 
 def _db_to_linear(db: float) -> float:
@@ -172,18 +180,22 @@ def _db_to_linear(db: float) -> float:
 
 
 def _parse_chunk(chunk, expected: int, lineno: int) -> np.ndarray:
-    """Non-blank lines of ``chunk`` as a ``(rows, expected)`` float array.
+    """Non-blank lines of ``chunk`` as a ``(rows, expected)`` float array
+    whose last column, power in dB in the file, is linear power.
 
     The first line of the chunk is line ``lineno`` of the file. When every
-    line has ``expected`` fields, the fields convert in one call; otherwise
-    the lines are split one by one, which raises the ``ParseError`` of the
-    first bad line.
+    line has ``expected`` fields, the fields convert in one call; if one of
+    them does not, is not finite, or overflows linear power, the lines are
+    split one by one, which raises the ``ParseError`` of the first bad line.
     """
     lines = [line for line in map(str.strip, chunk) if line]
     if lines and all(line.count(",") == expected - 1 for line in lines):
         try:
-            return np.array(",".join(lines).split(","), dtype=np.float64).reshape(-1, expected)
-        except ValueError:
+            rows = np.array(",".join(lines).split(","), dtype=np.float64).reshape(-1, expected)
+            if np.isfinite(rows).all():
+                rows[:, -1] = [_db_to_linear(db) for db in rows[:, -1].tolist()]
+                return rows
+        except (ValueError, OverflowError):
             pass
     rows = [
         _split_csv_line(line, expected, n)
@@ -194,8 +206,9 @@ def _parse_chunk(chunk, expected: int, lineno: int) -> np.ndarray:
 
 
 def _read_rows(path, header: str, expected: int) -> np.ndarray:
-    """Body of a pattern CSV as a ``(rows, expected)`` float array, read in
-    chunks of about ``READ_CHUNK_BYTES``; blank lines are skipped."""
+    """Body of a pattern CSV as a ``(rows, expected)`` float array with
+    linear power last, read in chunks of about ``READ_CHUNK_BYTES``; blank
+    lines are skipped."""
     parts = []
     with open_text(path) as fh:
         first = fh.readline().strip()
@@ -211,10 +224,6 @@ def _read_rows(path, header: str, expected: int) -> np.ndarray:
     return rows
 
 
-def _linear_column(db) -> np.ndarray:
-    return np.asarray([_db_to_linear(v) for v in db.tolist()], dtype=np.float64)
-
-
 def read_angular_csv(path):
     """Reconstruct (theta_axis, phi_axis, linear power) from a pattern CSV."""
     rows = _read_rows(path, ANGULAR_HEADER, 3)
@@ -223,13 +232,17 @@ def read_angular_csv(path):
     starts = np.flatnonzero(np.concatenate(([True], th[1:] != th[:-1])))
     t_n = starts.size
     p_n = int(starts[1]) if t_n > 1 else th.size
-    if t_n * p_n != th.size:
+    if t_n * p_n != th.size or np.any(starts != np.arange(t_n) * p_n):
         raise ParseError(f"grid is ragged: {t_n} thetas x {p_n} phis != {th.size} rows")
-    power = _linear_column(rows[:, 2]).reshape(t_n, p_n)
-    return th[starts], rows[:p_n, 1].copy(), power
+    phi = rows[:, 1].reshape(t_n, p_n)
+    if np.any(phi != phi[0]):
+        raise ParseError("a theta row does not repeat the first row's phi values")
+    if np.any(np.diff(th[starts]) <= 0.0):
+        raise ParseError("theta values are not strictly increasing")
+    return th[starts], phi[0].copy(), rows[:, 2].reshape(t_n, p_n).copy()
 
 
 def read_distance_csv(path):
     """Reconstruct (r_axis, linear power) from a distance CSV."""
     rows = _read_rows(path, DISTANCE_HEADER, 2)
-    return rows[:, 0].copy(), _linear_column(rows[:, 1])
+    return rows[:, 0].copy(), rows[:, 1].copy()

@@ -4,7 +4,9 @@ Half-power widths come from linear interpolation of the 0.5-of-peak
 crossings along the axis cuts through the peak cell. The main lobe on a
 cut is the contiguous region around the peak bounded by the first local
 minima; the sidelobe level is the maximum over everything outside the
-main lobe's bounding box.
+main lobe's bounding box. Every cut walks the same two searches: a phi
+row spanning a full turn, less its duplicate endpoint column, is unrolled
+into an open cut reaching half a period to each side of the peak.
 
 These figures describe the main lobe only if the grid sampled it. A beam
 whose grid maximum reaches less than half of its focal response has no
@@ -59,6 +61,7 @@ class FocusMetrics:
     depth_of_focus_m: float
     focal_error_m: float
     one_sided: bool = False
+    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -109,57 +112,12 @@ def _crossing_linear(values, coords, peak: int, step: int, level: float):
         i = j
 
 
-def _crossing_cyclic(values, coords, peak: int, step: int, level: float, period: float):
-    """Crossing search on a periodic cut, capped at half a period per side."""
-    m = len(values)
-    delta = period / m
-    for s in range(1, m // 2 + 1):
-        j = (peak + step * s) % m
-        if values[j] < level:
-            c_in = float(coords[peak]) + step * (s - 1) * delta
-            v_in = float(values[(peak + step * (s - 1)) % m])
-            c_out = float(coords[peak]) + step * s * delta
-            return _interp_crossing(c_in, v_in, c_out, float(values[j]), level), True
-    return float(coords[peak]) + step * (period / 2.0), False
-
-
 def _lobe_edge_linear(values, peak: int, step: int) -> int:
     """Index of the first local minimum walking from the peak."""
     i = peak
     while 0 <= i + step < len(values) and values[i + step] < values[i]:
         i += step
     return i
-
-
-def _lobe_steps_cyclic(values, peak: int, step: int) -> int:
-    """Steps to the first local minimum on a periodic cut, at most half a period."""
-    m = len(values)
-    taken = 0
-    for s in range(1, m // 2 + 1):
-        cur = (peak + step * s) % m
-        prev = (peak + step * (s - 1)) % m
-        if values[cur] < values[prev]:
-            taken = s
-        else:
-            break
-    return taken
-
-
-def _axis_cut_width(values, coords, peak: int, level: float, pole_low: bool, pole_high: bool) -> float:
-    """Half-power width along a non-periodic cut.
-
-    When the peak sits exactly on a pole sample the beam physically
-    continues through the pole, so the width found on the open side is
-    mirrored instead of clamping at the pole.
-    """
-    left, _ = _crossing_linear(values, coords, peak, -1, level)
-    right, _ = _crossing_linear(values, coords, peak, +1, level)
-    peak_c = float(coords[peak])
-    if peak == 0 and pole_low:
-        return 2.0 * (right - peak_c)
-    if peak == len(values) - 1 and pole_high:
-        return 2.0 * (peak_c - left)
-    return right - left
 
 
 def angular_metrics(grid: AngularPatternGrid, focal: SphericalPoint | None = None) -> BeamMetrics:
@@ -195,47 +153,53 @@ def angular_metrics(grid: AngularPatternGrid, focal: SphericalPoint | None = Non
     level = 0.5 * peak_val
 
     tcut = p[:, j_pk]
-    hpbw_theta = _axis_cut_width(
-        tcut, theta_axis, i_pk, level,
-        pole_low=float(theta_axis[0]) == 0.0,
-        pole_high=float(theta_axis[-1]) == math.pi,
-    )
+    left, _ = _crossing_linear(tcut, theta_axis, i_pk, -1, level)
+    right, _ = _crossing_linear(tcut, theta_axis, i_pk, +1, level)
+    # A peak exactly on a pole sample continues through the pole, so the
+    # half-width found on the open side is mirrored instead of clamping.
+    if i_pk == 0 and float(theta_axis[0]) == 0.0:
+        hpbw_theta = 2.0 * (right - peak_theta)
+    elif i_pk == len(tcut) - 1 and float(theta_axis[-1]) == math.pi:
+        hpbw_theta = 2.0 * (peak_theta - left)
+    else:
+        hpbw_theta = right - left
     i_lo = _lobe_edge_linear(tcut, i_pk, -1)
     i_hi = _lobe_edge_linear(tcut, i_pk, +1)
 
     span = float(phi_axis[-1]) - float(phi_axis[0])
     cyclic = abs(span - TWO_PI) < 1e-12
+    cols = np.arange(p.shape[1])
+    j_cut, phi_cut = j_pk, phi_axis
     if cyclic:
-        # Drop the duplicate endpoint column and walk modulo one period.
-        row = p[i_pk, :-1]
-        m = row.shape[0]
-        j_cyc = j_pk % m
-        left, _ = _crossing_cyclic(row, phi_axis, j_cyc, -1, level, TWO_PI)
-        right, _ = _crossing_cyclic(row, phi_axis, j_cyc, +1, level, TWO_PI)
-        hpbw_phi = right - left
-        if float(np.max(row)) == float(np.min(row)):
-            lobe_cols = set(range(p.shape[1]))
-        else:
-            back = _lobe_steps_cyclic(row, j_cyc, -1)
-            fwd = _lobe_steps_cyclic(row, j_cyc, +1)
-            lobe_cols = {(j_cyc + t) % m for t in range(-back, fwd + 1)}
-            if 0 in lobe_cols:
-                lobe_cols.add(p.shape[1] - 1)
-    else:
-        prow = p[i_pk, :]
-        hpbw_phi = _axis_cut_width(prow, phi_axis, j_pk, level, False, False)
-        j_lo = _lobe_edge_linear(prow, j_pk, -1)
-        j_hi = _lobe_edge_linear(prow, j_pk, +1)
-        lobe_cols = set(range(j_lo, j_hi + 1))
+        # Drop the duplicate endpoint column and unroll one period into an
+        # open cut running half a period to each side of the peak.
+        m = p.shape[1] - 1
+        steps = np.arange(-(m // 2), m // 2 + 1)
+        j_pk %= m
+        cols = (j_pk + steps) % m
+        j_cut, phi_cut = m // 2, float(phi_axis[j_pk]) + steps * (TWO_PI / m)
+    prow = p[i_pk, cols]
+    left, left_found = _crossing_linear(prow, phi_cut, j_cut, -1, level)
+    right, right_found = _crossing_linear(prow, phi_cut, j_cut, +1, level)
+    lo = _lobe_edge_linear(prow, j_cut, -1)
+    hi = _lobe_edge_linear(prow, j_cut, +1)
+    lobe_cols = set(cols[lo : hi + 1].tolist())
+    if cyclic:
+        # A side without a crossing ends pi from the peak (the cut ends
+        # m // 2 steps away, not pi for odd m); a flat row makes the whole
+        # turn the lobe; column 0 brings its duplicate endpoint column along.
+        left = left if left_found else float(phi_axis[j_pk]) - math.pi
+        right = right if right_found else float(phi_axis[j_pk]) + math.pi
+        if float(np.max(prow)) == float(np.min(prow)):
+            lobe_cols = set(range(m + 1))
+        elif 0 in lobe_cols:
+            lobe_cols.add(m)
+    hpbw_phi = right - left
 
     outside = np.ones(p.shape, dtype=bool)
     outside[i_lo : i_hi + 1, sorted(lobe_cols)] = False
-    rest = p[outside]
-    if rest.size == 0:
-        psl_db = DB_FLOOR
-    else:
-        psl = float(np.max(rest))
-        psl_db = DB_FLOOR if psl <= 0.0 else 10.0 * math.log10(psl / peak_val)
+    psl = float(np.max(p, where=outside, initial=0.0))
+    psl_db = DB_FLOOR if psl <= 0.0 else 10.0 * math.log10(psl / peak_val)
 
     return BeamMetrics(
         peak_theta=peak_theta,
@@ -265,6 +229,18 @@ def focus_metrics(pattern: DistancePattern) -> FocusMetrics:
         focal_error_m=abs(peak_r - pattern.focal_range_m),
         one_sided=not (left_found and right_found),
     )
+
+
+def measure(pattern, focal: SphericalPoint | None = None):
+    """Figures of an angular grid or distance pattern; a flat pattern gets the
+    NaN record marked ``degenerate``, which keeps a grid's ``peak_capture``."""
+    distance = isinstance(pattern, DistancePattern)
+    try:
+        return focus_metrics(pattern) if distance else angular_metrics(pattern, focal)
+    except DegeneratePattern:
+        if distance:
+            return FocusMetrics(math.nan, math.nan, math.nan, degenerate=True)
+        return BeamMetrics(*(math.nan,) * 6, degenerate=True, peak_capture=pattern.peak_capture)
 
 
 def isotropy_report(per_focal_metrics) -> IsotropyReport:

@@ -18,7 +18,6 @@ from pathlib import Path
 from . import fileio
 from .errors import (
     AllBeamsInfeasible,
-    DegeneratePattern,
     NoVisibleElements,
     ParseError,
     ValidationError,
@@ -38,17 +37,8 @@ from .geometry import (
     spiral_curve_saa,
     upa,
 )
-from .metrics import (
-    MIN_PEAK_CAPTURE,
-    BeamMetrics,
-    FocusMetrics,
-    angular_metrics,
-    focus_metrics,
-    isotropy_report,
-)
+from .metrics import MIN_PEAK_CAPTURE, isotropy_report, measure
 from .sweep import AngularSweepSpec, distance_sweep, multi_focal_overlay
-
-NAN = float("nan")
 
 _KINDS = tuple(k.value for k in ArrayKind)
 
@@ -406,14 +396,6 @@ def load_preset(name: str) -> Scenario:
     return parse_scenario(text)
 
 
-def _measured(metrics, *args):
-    """``metrics(*args)``, or None when the pattern is degenerate."""
-    try:
-        return metrics(*args)
-    except DegeneratePattern:
-        return None
-
-
 class _AngleRun:
     """The parts of an angular run: one shared sweep for every beam, a
     ``beam_NN`` file pair per beam, then the overlay and the isotropy figures.
@@ -437,9 +419,8 @@ class _AngleRun:
         fileio.write_angular_csv(out / f"{stem}.csv", beam)
         meta["peak_capture"] = fileio.fmt(beam.peak_capture)
         fileio.write_meta(out / f"{stem}.meta", meta)
-        m = _measured(angular_metrics, beam, focal)
-        if m is None:
-            m = BeamMetrics(NAN, NAN, NAN, NAN, NAN, NAN, degenerate=True, peak_capture=beam.peak_capture)
+        m = measure(beam, focal)
+        if m.degenerate:
             text = f"theta {math.degrees(focal.theta):.2f} deg, degenerate pattern"
         else:
             text = (
@@ -509,9 +490,8 @@ class _DistanceRun:
     def step(self, out: Path, stem: str, focal: SphericalPoint, pattern, meta: dict):
         fileio.write_distance_csv(out / f"{stem}.csv", pattern)
         fileio.write_meta(out / f"{stem}.meta", meta)
-        m = _measured(focus_metrics, pattern)
-        if m is None:
-            m = FocusMetrics(NAN, NAN, NAN, one_sided=False)
+        m = measure(pattern)
+        if m.degenerate:
             text = f"{fileio.fmt(focal.r)} m, degenerate pattern"
         else:
             text = (

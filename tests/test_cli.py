@@ -5,7 +5,7 @@ import math
 import pytest
 
 from spherebeam.cli import main
-from spherebeam.fileio import read_meta
+from spherebeam.fileio import ANGULAR_HEADER, DISTANCE_HEADER, read_meta
 
 
 def run_cli(*argv):
@@ -294,6 +294,47 @@ class TestMetricsCommand:
         sidecar.write_bytes(b"focal = 10, 1, 1\n\xff\xfe\x00\n")
         assert run_cli("metrics", str(angular_run / "beam_00.csv")) == 1
         assert capsys.readouterr().err == f"error: {sidecar} is not UTF-8 text: invalid start byte\n"
+
+    def test_flat_pattern_prints_the_run_figures(self, tmp_path, capsys):
+        # one element on the equator, a 2 x 2 grid that samples only the
+        # poles: the run records both beams as degenerate and exits 0
+        scenario = tmp_path / "flat.cfg"
+        scenario.write_text(
+            "kind = spiral_saa\nn = 1\nradius = 0.3\nwavelength = 0.02\n"
+            "focal = 10, pi/2, 0\nfocal = 10, pi/2, 0.1\n"
+            "sweep = angle\ntheta_samples = 2\nphi_samples = 2\neval_range = 10\nnormalization = focal\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "run"
+        assert run_cli("run", "--scenario", str(scenario), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("metrics", str(out / "beam_00.csv")) == 0
+        report = (out / "metrics.txt").read_text(encoding="utf-8").splitlines()
+        expected = [line[len("beam_00."):] for line in report if line.startswith("beam_00.")]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    @pytest.mark.parametrize(
+        "header, rows, message",
+        [
+            (ANGULAR_HEADER, ["0,0,-3", "0,1,4000"], "line 3: power_db '4000' overflows linear power"),
+            (ANGULAR_HEADER, ["0,0,-3", "0,1,inf"], "line 3: not every field of '0,1,inf' is a finite number"),
+            (DISTANCE_HEADER, ["1,-3", "2,4000"], "line 3: power_db '4000' overflows linear power"),
+            (DISTANCE_HEADER, ["1,-3", "nan,-1"], "line 3: not every field of 'nan,-1' is a finite number"),
+        ],
+        ids=["angular_overflow", "angular_inf", "distance_overflow", "distance_nan_range"],
+    )
+    def test_non_finite_or_overflowing_csv_field_exits_1(self, tmp_path, capsys, header, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        assert run_cli("metrics", str(path), "--focal", "10, 1, 1") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key, value", [("eval_range", "inf"), ("peak_capture", "nan")])
+    def test_non_finite_sidecar_number_exits_1(self, angular_run, capsys, key, value):
+        sidecar = angular_run / "beam_00.meta"
+        sidecar.write_text(sidecar.read_text(encoding="utf-8") + f"{key} = {value}\n", encoding="utf-8")
+        assert run_cli("metrics", str(angular_run / "beam_00.csv")) == 1
+        assert capsys.readouterr().err == f"error: sidecar {key} is not a finite number: '{value}'\n"
 
     def test_unrecognized_csv_exits_1(self, tmp_path, capsys):
         odd = tmp_path / "odd.csv"

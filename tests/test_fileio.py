@@ -203,6 +203,38 @@ class TestAngularCsv:
             read_angular_csv(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,1,nan", "finite number"),
+            ("1,1,inf", "finite number"),
+            ("1,1,-inf", "finite number"),
+            ("1,nan,-3", "finite number"),
+            ("1,1,4000", "power_db '4000' overflows linear power"),
+        ],
+    )
+    def test_reader_rejects_non_finite_and_overflowing_fields(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([ANGULAR_HEADER, "0,0,-3", "0,1,-3", "1,0,-3", row]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as err:
+            read_angular_csv(path)
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,0,-3", "0,1,-3", "1,5,-3", "1,6,-3"], "phi values"),
+            (["0,0,-3", "0,1,-3", "1,0,-3", "1,1,-3", "0,0,-3", "0,1,-3"], "strictly increasing"),
+            # theta runs of 2, 1 and 3 rows over a phi axis that repeats
+            (["0,0,-3", "0,1,-3", "1,0,-3", "2,1,-3", "2,0,-3", "2,1,-3"], "ragged"),
+        ],
+    )
+    def test_reader_rejects_malformed_grids(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([ANGULAR_HEADER, *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            read_angular_csv(path)
+
 
 class TestAngularCsvBulk:
     """Row-wise writing and chunked reading give the per-cell bytes and values."""
@@ -271,6 +303,8 @@ class TestAngularCsvBulk:
             (["0,1"], "expected 3 fields, got 2"),
             (["0,1,2,3", "0,1"], "expected 3 fields, got 4"),
             (["0,,-3"], "could not convert"),
+            (["0,0,nan"], "finite number"),
+            (["0,0,4000"], "overflows linear power"),
         ],
     )
     def test_bad_row_in_a_later_chunk_reports_its_line(self, large, bad, message):
@@ -304,6 +338,21 @@ class TestDistanceCsv:
         path.write_text(ANGULAR_HEADER + "\n", encoding="utf-8")
         with pytest.raises(ParseError):
             read_distance_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nan,-3", "finite number"),
+            ("2,inf", "finite number"),
+            ("2,4000", "power_db '4000' overflows linear power"),
+        ],
+    )
+    def test_reader_rejects_non_finite_and_overflowing_fields(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([DISTANCE_HEADER, "1,-3", row, "3,-3"]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as err:
+            read_distance_csv(path)
+        assert err.value.line == 3
 
     def test_writer_bytes_equal_per_value_formatting(self, tmp_path):
         swept = distance_sweep(golden_spiral_saa(30, 0.5), 0.01, SphericalPoint(30.0, 1.0, 1.0), samples=64)

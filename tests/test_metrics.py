@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from spherebeam import (
     golden_spiral_saa,
     great_circle_angle,
     isotropy_report,
+    measure,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -47,6 +49,50 @@ def cos_lobe(x, center, sharpness):
     arg = sharpness * (x - center)
     c = np.where(np.abs(arg) < math.pi / 2.0, np.cos(arg), 0.0)
     return c * c
+
+
+def pinned_case(name):
+    """Small grids on the cut rules: (power, theta_axis, phi_axis, focal theta, focal phi)."""
+    theta5 = np.linspace(0.0, math.pi, 5)
+    if name == "seam_lobe":
+        row = np.array([1.0, 0.7, 0.3, 0.1, 0.25, 0.1, 0.2, 0.6, 1.0])
+        return np.outer([0.1, 0.5, 1.0, 0.4, 0.45], row), theta5, np.linspace(0.0, TWO_PI, 9), 1.5, 0.1
+    if name in ("no_crossing_odd", "no_crossing_even", "no_crossing_100"):
+        m = {"no_crossing_odd": 7, "no_crossing_even": 8, "no_crossing_100": 100}[name]
+        phi = np.linspace(0.0, TWO_PI, m + 1)
+        row = 0.8 + 0.2 * np.cos(phi - phi[3])
+        return np.outer([0.2, 0.6, 1.0, 0.7, 0.1], row), theta5, phi, 1.6, 2.0
+    if name == "flat_row_at_pole":
+        power = np.outer([1.0, 0.6, 0.3, 0.1, 0.05], np.ones(7))
+        power[2, 3] = 0.35
+        return power, theta5, np.linspace(0.0, TWO_PI, 7), 0.0, 0.0
+    if name == "peak_at_theta_pi":
+        power = np.outer([0.05, 0.1, 0.2, 0.7, 1.0], [0.3, 0.9, 1.0, 0.4, 0.2, 0.3])
+        return power, theta5, np.linspace(0.0, TWO_PI, 6), math.pi, 2.5
+    if name == "peak_at_theta_0":
+        power = np.outer([1.0, 0.45, 0.2, 0.1, 0.3], [0.2, 0.5, 1.0, 0.3, 0.25, 0.2])
+        return power, theta5, np.linspace(0.0, TWO_PI, 6), 0.1, 2.5
+    if name == "two_phi_samples":
+        power = np.outer([0.1, 0.4, 1.0, 0.5, 0.2], [1.0, 1.0])
+        return power, theta5, np.linspace(0.0, TWO_PI, 2), 1.5, 0.0
+    if name == "open_phi_window":
+        power = np.outer([0.1, 0.5, 1.0, 0.45, 0.2], [0.2, 0.3, 0.6, 1.0, 0.8, 0.4, 0.35, 0.5])
+        return power, np.linspace(0.4, 2.0, 5), np.linspace(1.0, 3.0, 8), 1.2, 1.9
+    raise KeyError(name)
+
+
+# (peak_theta, peak_phi, pointing_error_rad, hpbw_theta, hpbw_phi, peak_sidelobe_db)
+PINNED_FIGURES = [
+    ("seam_lobe", (1.5707963267948966, 0.0, 0.12245569034627801, 1.439896632895322, 2.1598449493429825, -3.467874862246563)),
+    ("no_crossing_odd", (1.5707963267948966, 2.6927937030769655, 0.6933072484704409, 2.028945255443408, 6.283185307179586, -300.0)),
+    ("no_crossing_even", (1.5707963267948966, 2.356194490192345, 0.35733876092434075, 2.028945255443408, 6.283185307179586, -300.0)),
+    ("no_crossing_100", (1.5707963267948966, 0.1884955592153876, 1.8113997755961262, 2.028945255443408, 6.283185307179586, -300.0)),
+    ("flat_row_at_pole", (0.0, 0.0, 0.0, 2.0943951023931953, 6.283185307179586, -300.0)),
+    ("peak_at_theta_pi", (3.141592653589793, 2.5132741228718345, 0.0, 2.199114857512855, 3.141592653589793, -300.0)),
+    ("peak_at_theta_0", (0.0, 2.5132741228718345, 0.09999999999999945, 1.427996660722633, 2.1542349624615724, -5.228787452803376)),
+    ("two_phi_samples", (1.5707963267948966, 0.0, 0.0707963267948964, 1.439896632895322, 6.283185307179586, -300.0)),
+    ("open_phi_window", (1.2000000000000002, 1.8571428571428572, 0.03994413080188115, 0.7636363636363637, 0.8809523809523812, -3.010299956639812)),
+]
 
 
 class TestGreatCircleAngle:
@@ -115,6 +161,19 @@ class TestAngularMetrics:
         with pytest.raises(DegeneratePattern):
             angular_metrics(make_grid(np.zeros((9, 9)), focal=SphericalPoint(30.0, 1.0, 1.0)))
 
+    def test_measure_gives_a_flat_grid_the_nan_record(self):
+        grid = replace(make_grid(np.ones((9, 9)), focal=SphericalPoint(30.0, 1.0, 1.0)), peak_capture=0.25)
+        m = measure(grid)
+        assert m.degenerate is True
+        assert m.peak_capture == 0.25
+        figures = (m.peak_theta, m.peak_phi, m.pointing_error_rad, m.hpbw_theta, m.hpbw_phi, m.peak_sidelobe_db)
+        assert all(math.isnan(v) for v in figures)
+        power = np.zeros((9, 9))
+        power[4, 4] = 1.0
+        assert measure(make_grid(power, focal=SphericalPoint(30.0, 1.0, 1.0))) == angular_metrics(
+            make_grid(power, focal=SphericalPoint(30.0, 1.0, 1.0))
+        )
+
     def test_missing_focal_rejected(self):
         power = np.zeros((9, 9))
         power[4, 4] = 1.0
@@ -182,6 +241,16 @@ class TestAngularMetrics:
         expected = (t0 + full / 2.0) - 0.3
         assert_allclose(m.hpbw_theta, expected, rtol=1e-2)
 
+    @pytest.mark.parametrize("name, figures", PINNED_FIGURES, ids=[name for name, _ in PINNED_FIGURES])
+    def test_cut_rules_give_pinned_figures(self, name, figures):
+        # exact figures: a periodic phi row without a crossing reaches pi
+        # to each side (not m // 2 steps), a flat row at a pole and a
+        # 2-sample phi axis span the whole turn, a lobe wraps the seam
+        power, theta_axis, phi_axis, t0, p0 = pinned_case(name)
+        m = angular_metrics(make_grid(power, theta_axis, phi_axis, focal=SphericalPoint(30.0, t0, p0)))
+        got = (m.peak_theta, m.peak_phi, m.pointing_error_rad, m.hpbw_theta, m.hpbw_phi, m.peak_sidelobe_db)
+        assert [v.hex() for v in got] == [v.hex() for v in figures]
+
 
 class TestPeakCapture:
     """A 10 x 20 degree grid against a main lobe about 0.6 degrees wide."""
@@ -241,6 +310,12 @@ class TestFocusMetrics:
         r_axis = np.linspace(10.0, 50.0, 41)
         with pytest.raises(DegeneratePattern):
             focus_metrics(DistancePattern(r_axis=r_axis, power=np.ones(41), direction=(1.0, 1.0), focal_range_m=30.0))
+
+    def test_measure_gives_a_flat_profile_the_nan_record(self):
+        r_axis = np.linspace(10.0, 50.0, 41)
+        m = measure(DistancePattern(r_axis=r_axis, power=np.zeros(41), direction=(1.0, 1.0), focal_range_m=30.0))
+        assert m.degenerate is True and m.one_sided is False
+        assert all(math.isnan(v) for v in (m.peak_r_m, m.depth_of_focus_m, m.focal_error_m))
 
 
 def beam(ht, hp, sl, degenerate=False):
