@@ -118,6 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_geometry(args) -> int:
+    if not args.out:
+        raise ValidationError("an output directory is required", field="out")
     fields = {
         key: parse_field(key, getattr(args, key))
         for key in GEOMETRY_KEYS

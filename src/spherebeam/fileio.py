@@ -121,39 +121,38 @@ def metric_entries(m) -> list[tuple[str, str]]:
     return entries
 
 
+def key_values(lines):
+    """``(lineno, key, value)`` of each ``key = value`` line of a scenario
+    document or sidecar; blank lines and ``#`` comments are skipped."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ParseError(f"expected 'key = value', got {line!r}", line=lineno)
+        key = key.strip()
+        if not key:
+            raise ParseError("empty key", line=lineno)
+        yield lineno, key, value.strip()
+
+
 def read_meta(path) -> dict:
     """Parse a sidecar back into an ordered string-to-string mapping."""
-    entries: dict[str, str] = {}
     with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected 'key = value', got {line!r}", line=lineno)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if not key:
-                raise ParseError("empty key", line=lineno)
-            entries[key] = value.strip()
-    return entries
+        return {key: value for _, key, value in key_values(fh)}
 
 
 def write_metrics_csv(path, rows) -> None:
     """Angular metrics table, one row of eight floats per focal point."""
-    lines = [METRICS_HEADER]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    write_lines(path, lines)
+    lines = (",".join(map(fmt, row)) for row in rows)
+    write_lines(path, itertools.chain([METRICS_HEADER], lines))
 
 
 def write_focus_csv(path, rows) -> None:
     """Range metrics table; the last column is the one-sided flag (0/1)."""
-    lines = [FOCUS_HEADER]
-    for row in rows:
-        *floats, one_sided = row
-        lines.append(",".join([fmt(v) for v in floats] + [str(int(one_sided))]))
-    write_lines(path, lines)
+    lines = (",".join([*map(fmt, floats), str(int(one_sided))]) for *floats, one_sided in rows)
+    write_lines(path, itertools.chain([FOCUS_HEADER], lines))
 
 
 def _split_csv_line(line: str, expected: int, lineno: int):

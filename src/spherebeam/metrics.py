@@ -170,6 +170,7 @@ def angular_metrics(grid: AngularPatternGrid, focal: SphericalPoint | None = Non
     cyclic = abs(span - TWO_PI) < 1e-12
     cols = np.arange(p.shape[1])
     j_cut, phi_cut = j_pk, phi_axis
+    prow = p[i_pk]
     if cyclic:
         # Drop the duplicate endpoint column and unroll one period into an
         # open cut running half a period to each side of the peak.
@@ -178,7 +179,8 @@ def angular_metrics(grid: AngularPatternGrid, focal: SphericalPoint | None = Non
         j_pk %= m
         cols = (j_pk + steps) % m
         j_cut, phi_cut = m // 2, float(phi_axis[j_pk]) + steps * (TWO_PI / m)
-    prow = p[i_pk, cols]
+        # columns 0 and m sample one direction; the cut takes the larger value
+        prow = np.where(cols == 0, max(p[i_pk, 0], p[i_pk, m]), p[i_pk, cols])
     left, left_found = _crossing_linear(prow, phi_cut, j_cut, -1, level)
     right, right_found = _crossing_linear(prow, phi_cut, j_cut, +1, level)
     lo = _lobe_edge_linear(prow, j_cut, -1)
@@ -199,7 +201,9 @@ def angular_metrics(grid: AngularPatternGrid, focal: SphericalPoint | None = Non
     outside = np.ones(p.shape, dtype=bool)
     outside[i_lo : i_hi + 1, sorted(lobe_cols)] = False
     psl = float(np.max(p, where=outside, initial=0.0))
-    psl_db = DB_FLOOR if psl <= 0.0 else 10.0 * math.log10(psl / peak_val)
+    # a ratio that underflows to zero reads as the floor too
+    ratio = psl / peak_val
+    psl_db = DB_FLOOR if psl <= 0.0 or ratio == 0.0 else 10.0 * math.log10(ratio)
 
     return BeamMetrics(
         peak_theta=peak_theta,

@@ -60,10 +60,11 @@ _INT_KEYS = {
 _FLOAT_KEYS = frozenset({"radius", "spacing", "turns", "wavelength", "eval_range", "r_min", "r_max"})
 _STR_KEYS = frozenset({"kind", "sweep", "normalization", "out"})
 
-# the keys each sweep kind accepts, in the order a scenario lists them
+# the keys each sweep kind accepts with their defaults, in the order a
+# scenario lists them
 SWEEP_KEYS = {
-    "angle": ("theta_samples", "phi_samples", "eval_range"),
-    "distance": ("r_min", "r_max", "r_samples"),
+    "angle": {"theta_samples": 181, "phi_samples": 181, "eval_range": 30.0},
+    "distance": {"r_min": 5.0, "r_max": 100.0, "r_samples": 960},
 }
 
 _PI_RE = re.compile(r"^([0-9]*\.?[0-9]+)?\s*pi\s*(?:/\s*([0-9]*\.?[0-9]+))?$")
@@ -170,24 +171,14 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     fields: dict[str, object] = {}
     focals: list[SphericalPoint] = []
-    saw_content = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        saw_content = True
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}", line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in fileio.key_values(text.splitlines()):
         if key == "focal":
             focals.append(_parse_focal(value, lineno))
             continue
         if key in fields:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
         fields[key] = parse_field(key, value, lineno)
-    if not saw_content:
+    if not fields and not focals:
         raise ParseError("empty scenario document")
     return _build_scenario(fields, tuple(focals))
 
@@ -214,14 +205,13 @@ def _validate_geometry_fields(fields: dict) -> str:
 
 
 def _build_scenario(fields: dict, focals: tuple[SphericalPoint, ...]) -> Scenario:
-    """Cross-field checks; ``parse_field`` has checked each value alone."""
+    """Cross-field checks and defaults; ``parse_field`` has checked each value alone."""
     kind = _validate_geometry_fields(fields)
     if kind == ArrayKind.UPA.value:
         require_square(fields["n"], "n")
     radius = fields.get("radius")
 
-    wavelength = fields.get("wavelength")
-    if wavelength is None:
+    if fields.get("wavelength") is None:
         raise ValidationError("wavelength is required", field="wavelength")
 
     if not focals:
@@ -237,54 +227,33 @@ def _build_scenario(fields: dict, focals: tuple[SphericalPoint, ...]) -> Scenari
             f"sweep must be 'angle' or 'distance', got {sweep!r}", field="sweep"
         )
 
-    normalization = fields.get("normalization", "grid_max")
+    normalization = fields.setdefault("normalization", "grid_max")
     if normalization not in ("grid_max", "focal"):
         raise ValidationError(
             f"normalization must be 'grid_max' or 'focal', got {normalization!r}",
             field="normalization",
         )
+    if sweep == "distance" and normalization == "focal":
+        raise ValidationError(
+            "normalization 'focal' applies only to angular sweeps", field="normalization"
+        )
+    for other, keys in SWEEP_KEYS.items():
+        if other == sweep:
+            continue
+        for key in keys:
+            if key in fields:
+                noun = "angular" if other == "angle" else other
+                raise ValidationError(f"{key} applies only to {noun} sweeps", field=key)
 
+    fields = {**SWEEP_KEYS[sweep], **fields}
     if sweep == "angle":
-        for key in SWEEP_KEYS["distance"]:
-            if fields.get(key) is not None:
-                raise ValidationError(f"{key} applies only to distance sweeps", field=key)
-        eval_range = fields.get("eval_range", 30.0)
-        require_clearance(eval_range, radius, "eval_range")
-        sweep_values = (fields.get("theta_samples", 181), fields.get("phi_samples", 181), eval_range)
+        require_clearance(fields["eval_range"], radius, "eval_range")
     else:
-        if normalization == "focal":
-            raise ValidationError(
-                "normalization 'focal' applies only to angular sweeps", field="normalization"
-            )
-        for key in SWEEP_KEYS["angle"]:
-            if fields.get(key) is not None:
-                raise ValidationError(f"{key} applies only to angular sweeps", field=key)
-        r_min = fields.get("r_min", 5.0)
-        r_max = fields.get("r_max", 100.0)
-        require_window(r_min, r_max, *(point.r for point in focals))
-        require_clearance(r_min, radius, "r_min")
-        sweep_values = (r_min, r_max, fields.get("r_samples", 960))
-
-    ring_policy = fields.get("ring_policy")
-    if kind == ArrayKind.RING.value and ring_policy is None:
-        ring_policy = "proportional"
-
-    return Scenario(
-        kind=kind,
-        wavelength=wavelength,
-        focals=focals,
-        sweep=sweep,
-        n=fields.get("n"),
-        radius=radius,
-        spacing=fields.get("spacing"),
-        n_rings=fields.get("n_rings"),
-        ring_policy=ring_policy,
-        subdivision=fields.get("subdivision"),
-        turns=fields.get("turns"),
-        **dict(zip(SWEEP_KEYS[sweep], sweep_values)),
-        normalization=normalization,
-        out=fields.get("out"),
-    )
+        require_window(fields["r_min"], fields["r_max"], *(point.r for point in focals))
+        require_clearance(fields["r_min"], radius, "r_min")
+    if kind == ArrayKind.RING.value:
+        fields.setdefault("ring_policy", "proportional")
+    return Scenario(focals=focals, **fields)
 
 
 def geometry_from_fields(
@@ -328,35 +297,28 @@ def build_geometry(scenario: Scenario) -> ArrayGeometry:
     return geometry_from_fields(scenario.kind, **{key: getattr(scenario, key) for key in GEOMETRY_KEYS})
 
 
-def _format_value(key: str, value) -> str:
-    if key in _INT_KEYS or isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return fileio.fmt(value)
-    return str(value)
-
-
-def _scalar_entries(scenario: Scenario) -> list[tuple[str, str]]:
-    """Ordered scalar key/value text pairs, omitting unset fields."""
-    entries: list[tuple[str, str]] = [("kind", scenario.kind)]
-    for key in GEOMETRY_KEYS:
+def _entries(scenario: Scenario, keys) -> list[tuple[str, str]]:
+    """Text pairs of the set fields among ``keys``, in order: floats through
+    ``fileio.fmt``, a fixed ring count as ``fixed:<n>``, the rest through ``str``."""
+    entries = []
+    for key in keys:
         value = getattr(scenario, key)
         if value is None:
             continue
-        if key == "ring_policy":
-            entries.append((key, value if value == "proportional" else f"fixed:{value}"))
-        else:
-            entries.append((key, _format_value(key, value)))
-    entries.append(("wavelength", fileio.fmt(scenario.wavelength)))
+        if key == "ring_policy" and value != "proportional":
+            value = f"fixed:{value}"
+        elif isinstance(value, float):
+            value = fileio.fmt(value)
+        entries.append((key, str(value)))
     return entries
+
+
+def _scalar_entries(scenario: Scenario) -> list[tuple[str, str]]:
+    return _entries(scenario, ("kind", *GEOMETRY_KEYS, "wavelength"))
 
 
 def _sweep_entries(scenario: Scenario) -> list[tuple[str, str]]:
-    entries: list[tuple[str, str]] = [("sweep", scenario.sweep)]
-    for key in SWEEP_KEYS[scenario.sweep]:
-        entries.append((key, _format_value(key, getattr(scenario, key))))
-    entries.append(("normalization", scenario.normalization))
-    return entries
+    return _entries(scenario, ("sweep", *SWEEP_KEYS[scenario.sweep], "normalization"))
 
 
 def _focal_text(point: SphericalPoint) -> str:
@@ -365,13 +327,13 @@ def _focal_text(point: SphericalPoint) -> str:
 
 def emit_scenario(scenario: Scenario) -> str:
     """Canonical text form; parsing it back reproduces the scenario."""
-    lines = [f"{k} = {v}" for k, v in _scalar_entries(scenario)]
-    for point in scenario.focals:
-        lines.append(f"focal = {_focal_text(point)}")
-    lines.extend(f"{k} = {v}" for k, v in _sweep_entries(scenario))
-    if scenario.out is not None:
-        lines.append(f"out = {scenario.out}")
-    return "\n".join(lines) + "\n"
+    entries = [
+        *_scalar_entries(scenario),
+        *(("focal", _focal_text(point)) for point in scenario.focals),
+        *_sweep_entries(scenario),
+        *_entries(scenario, ("out",)),
+    ]
+    return "".join(f"{k} = {v}\n" for k, v in entries)
 
 
 def preset_names() -> tuple[str, ...]:
@@ -521,9 +483,9 @@ def _start_output(scenario: Scenario, geometry: ArrayGeometry, out: Path) -> Non
     """
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_geometry_csv(out / "geometry.csv", geometry)
-    effective = replace(scenario, out=str(out))
-    with open(out / "scenario.cfg", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(emit_scenario(effective))
+    # every line of the emitted text ends with LF, so the last piece is empty
+    lines = emit_scenario(replace(scenario, out=str(out))).split("\n")[:-1]
+    fileio.write_lines(out / "scenario.cfg", lines)
 
 
 def _geometry_blurb(scenario: Scenario, geometry: ArrayGeometry) -> str:
@@ -549,7 +511,7 @@ def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None
     the sweep leaves no output directory behind.
     """
     target = out_dir if out_dir is not None else scenario.out
-    if target is None:
+    if not target:
         raise ValidationError("an output directory is required", field="out")
     if threads is not None:
         require_count(threads, "threads")

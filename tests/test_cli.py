@@ -60,6 +60,13 @@ class TestGeometryCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_empty_out_exits_1_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("geometry", "--kind", "spiral_saa", "--n", "24", "--radius", "0.5", "--out", "")
+        assert code == 1
+        assert capsys.readouterr().err == "error: an output directory is required\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_ring_policy_reports_error(self, tmp_path, capsys):
         code = run_cli(
             "geometry", "--kind", "ring_saa", "--n-rings", "3", "--radius", "0.5",
@@ -79,6 +86,12 @@ class TestPatternCommands:
         b = (out2 / "beam_00.csv").read_bytes()
         assert a == b
         assert (out1 / "overlay.csv").read_bytes() == (out2 / "overlay.csv").read_bytes()
+
+    def test_empty_out_exits_1_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*ANGLE_ARGS, "--out", "") == 1
+        assert capsys.readouterr().err == "error: an output directory is required\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_distance_run(self, tmp_path):
         out = tmp_path / "d"
@@ -335,6 +348,32 @@ class TestMetricsCommand:
         sidecar.write_text(sidecar.read_text(encoding="utf-8") + f"{key} = {value}\n", encoding="utf-8")
         assert run_cli("metrics", str(angular_run / "beam_00.csv")) == 1
         assert capsys.readouterr().err == f"error: sidecar {key} is not a finite number: '{value}'\n"
+
+    @pytest.mark.parametrize(
+        "rows, focal, expected",
+        [
+            # the endpoint column phi = 2pi holds the peak, above column 0
+            (
+                ["0.5,0,-10", "0.5,3.1415926535897931,-10", "0.5,6.2831853071795862,0",
+                 "1,0,-20", "1,3.1415926535897931,-20", "1,6.2831853071795862,-20"],
+                "10, 0.5, 0",
+                {"peak_phi": "6.2831853071795862", "psl_db": "-300"},
+            ),
+            # the sidelobe to peak ratio underflows to zero
+            (
+                ["0.5,0,-250", "0.5,1,-299", "0.5,2,3000", "0.5,3,-299", "0.5,4,-250"],
+                "10, 0.5, 2",
+                {"peak_phi": "2", "psl_db": "-300"},
+            ),
+        ],
+        ids=["endpoint_column_peak", "sidelobe_ratio_underflow"],
+    )
+    def test_hand_made_grid_is_measured(self, tmp_path, capsys, rows, focal, expected):
+        path = tmp_path / "grid.csv"
+        path.write_text("\n".join([ANGULAR_HEADER, *rows]) + "\n", encoding="utf-8")
+        assert run_cli("metrics", str(path), "--focal", focal) == 0
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert {key: printed[key] for key in expected} == expected
 
     def test_unrecognized_csv_exits_1(self, tmp_path, capsys):
         odd = tmp_path / "odd.csv"

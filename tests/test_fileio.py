@@ -16,6 +16,7 @@ from spherebeam import (
     angular_sweep,
     distance_sweep,
     golden_spiral_saa,
+    parse_scenario,
     upa,
 )
 from spherebeam.beamforming import DB_FLOOR, to_db
@@ -406,6 +407,25 @@ class TestMeta:
         with pytest.raises(ParseError) as err:
             read_meta(path)
         assert err.value.line == 1
+
+
+def _read_text_meta(tmp_path, text):
+    path = tmp_path / "run.meta"
+    path.write_text(text, encoding="utf-8")
+    return read_meta(path)
+
+
+class TestKeyValueLines:
+    @pytest.mark.parametrize(
+        "reader",
+        [_read_text_meta, lambda tmp_path, text: parse_scenario(text)],
+        ids=["read_meta", "parse_scenario"],
+    )
+    @pytest.mark.parametrize("line", ["no separator here", "= 5"], ids=["no_equals", "empty_key"])
+    def test_malformed_line_is_a_parse_error_naming_its_line(self, tmp_path, reader, line):
+        with pytest.raises(ParseError) as err:
+            reader(tmp_path, f"# header comment\nkind = spiral_saa\n\n{line}\n")
+        assert err.value.line == 4
 
 
 class TestRowTables:

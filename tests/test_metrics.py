@@ -252,6 +252,25 @@ class TestAngularMetrics:
         assert [v.hex() for v in got] == [v.hex() for v in figures]
 
 
+    def test_endpoint_column_peak_is_the_phi_zero_sample(self):
+        # columns 0 and m are one direction; the cut through the peak takes
+        # the larger of the two, not column 0 alone
+        power = np.array([[0.1, 0.1, 1.0], [0.01, 0.01, 0.01]])
+        grid = make_grid(power, np.array([0.5, 1.0]), np.array([0.0, math.pi, TWO_PI]))
+        m = angular_metrics(grid, SphericalPoint(10.0, 0.5, 0.0))
+        assert (m.peak_theta, m.peak_phi) == (0.5, TWO_PI)
+        assert m.hpbw_phi == 2.0 * (0.5 / 0.9) * math.pi
+        assert m.hpbw_theta == (0.5 + (0.5 / 0.99) * 0.5) - 0.5
+        assert m.peak_sidelobe_db == -300.0
+
+    def test_underflowing_sidelobe_ratio_reads_the_floor(self):
+        power = np.array([[1e-25, 1e-30, 1e300, 1e-30, 1e-25]])
+        grid = make_grid(power, np.array([0.5]), np.arange(5.0))
+        m = angular_metrics(grid, SphericalPoint(10.0, 0.5, 2.0))
+        assert (m.peak_theta, m.peak_phi) == (0.5, 2.0)
+        assert m.peak_sidelobe_db == -300.0
+
+
 class TestPeakCapture:
     """A 10 x 20 degree grid against a main lobe about 0.6 degrees wide."""
 

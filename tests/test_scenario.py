@@ -137,6 +137,11 @@ class TestParseScenario:
         with pytest.raises(ParseError):
             parse_scenario("kind spiral_saa\n")
 
+    def test_empty_key_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(MINIMAL_ANGLE + "= 5\n")
+        assert str(err.value) == f"line {len(MINIMAL_ANGLE.splitlines()) + 1}: empty key"
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_scenario(MINIMAL_ANGLE + "n = 25\n")
@@ -188,9 +193,11 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError) as err:
             parse_scenario(MINIMAL_ANGLE + "r_min = 5\n")
         assert err.value.field == "r_min"
+        assert str(err.value) == "r_min applies only to distance sweeps"
         with pytest.raises(ValidationError) as err:
             parse_scenario(MINIMAL_DISTANCE + "theta_samples = 61\n")
         assert err.value.field == "theta_samples"
+        assert str(err.value) == "theta_samples applies only to angular sweeps"
 
     def test_focal_normalization_needs_angle_sweep(self):
         with pytest.raises(ValidationError) as err:
@@ -230,7 +237,47 @@ class TestScenarioValidation:
             parse_scenario(MINIMAL_DISTANCE.replace("r_samples = 50", "r_samples = 1"))
 
 
+RING_FIXED = (
+    "kind = ring_saa\nn_rings = 3\nring_policy = fixed:5\nradius = 0.5\nwavelength = 0.05\n"
+    "focal = 10, pi/4, pi/4\nsweep = angle\ntheta_samples = 13\nphi_samples = 17\n"
+    "eval_range = 10\nnormalization = focal\n"
+)
+
+
 class TestEmitRoundTrip:
+    def test_ring_scenario_text(self):
+        text = RING_FIXED + "focal = 10, pi/2, 1\nout = runs/ring\n"
+        assert emit_scenario(parse_scenario(text)) == (
+            "kind = ring_saa\n"
+            "radius = 0.5\n"
+            "n_rings = 3\n"
+            "ring_policy = fixed:5\n"
+            "wavelength = 0.050000000000000003\n"
+            "focal = 10, 0.78539816339744828, 0.78539816339744828\n"
+            "focal = 10, 1.5707963267948966, 1\n"
+            "sweep = angle\n"
+            "theta_samples = 13\n"
+            "phi_samples = 17\n"
+            "eval_range = 10\n"
+            "normalization = focal\n"
+            "out = runs/ring\n"
+        )
+
+    def test_defaults_only_distance_text(self):
+        text = "kind = spiral_saa\nn = 16\nradius = 0.3\nwavelength = 0.05\nfocal = 10, pi/4, pi/4\nsweep = distance\n"
+        assert emit_scenario(parse_scenario(text)) == (
+            "kind = spiral_saa\n"
+            "n = 16\n"
+            "radius = 0.29999999999999999\n"
+            "wavelength = 0.050000000000000003\n"
+            "focal = 10, 0.78539816339744828, 0.78539816339744828\n"
+            "sweep = distance\n"
+            "r_min = 5\n"
+            "r_max = 100\n"
+            "r_samples = 960\n"
+            "normalization = grid_max\n"
+        )
+
     @pytest.mark.parametrize("name", ["fig4_saa", "fig4_upa", "fig5_r05", "fig5_r1", "fig5_r2"])
     def test_presets_round_trip(self, name):
         first = load_preset(name)
@@ -430,6 +477,26 @@ class TestRunScenario:
         assert report["beam_01.peak_capture"] == "0"
         assert not any(key.startswith("isotropy.") for key in report)
 
+    def test_ring_run_sidecar_text(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_scenario(parse_scenario(RING_FIXED), out) == 0
+        assert (out / "beam_00.meta").read_text(encoding="utf-8") == (
+            "kind = ring_saa\n"
+            "radius = 0.5\n"
+            "n_rings = 3\n"
+            "ring_policy = fixed:5\n"
+            "wavelength = 0.050000000000000003\n"
+            "n_elements = 15\n"
+            "sweep = angle\n"
+            "theta_samples = 13\n"
+            "phi_samples = 17\n"
+            "eval_range = 10\n"
+            "normalization = focal\n"
+            "skipped = \n"
+            "focal = 10, 0.78539816339744828, 0.78539816339744828\n"
+            "peak_capture = 1\n"
+        )
+
     def test_distance_run_writes_focus_files(self, tmp_path):
         s = parse_scenario(MINIMAL_DISTANCE)
         out = tmp_path / "run"
@@ -441,6 +508,14 @@ class TestRunScenario:
         s = parse_scenario(MINIMAL_ANGLE)
         with pytest.raises(ValidationError):
             run_scenario(s)
+
+    def test_empty_out_key_is_rejected_before_writing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        s = parse_scenario(MINIMAL_ANGLE + "out = \n")
+        with pytest.raises(ValidationError) as err:
+            run_scenario(s)
+        assert err.value.field == "out"
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_key_in_document_is_honored(self, tmp_path):
         target = tmp_path / "from_doc"
