@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelVector, channel_energy, element_sum
+from .channel import ChannelVector, Scratch, channel_energy, element_sum
 from .errors import DegeneratePattern, DimensionMismatch, NoVisibleElements, ValidationError, require_positive
 from .geometry import SphericalPoint
 
@@ -58,10 +58,14 @@ def beam_response(w: BeamWeights, h_probe: ChannelVector) -> float:
     return float(coherent_power(w.weights, h_probe.gains))
 
 
-def coherent_power(weights: np.ndarray, gains: np.ndarray) -> np.ndarray:
+def coherent_power(weights: np.ndarray, gains: np.ndarray, scratch=None) -> np.ndarray:
     """|sum_k w_k g_k|^2 over the first (element) axis of element-major
-    ``gains``, summed in element order."""
-    s = element_sum(weights.reshape(weights.shape + (1,) * (gains.ndim - 1)) * gains)
+    ``gains``, summed in element order. The products go into ``scratch``
+    (a fresh ``Scratch`` when ``None``)."""
+    if scratch is None:
+        scratch = Scratch()
+    column = weights.reshape(weights.shape + (1,) * (gains.ndim - 1))
+    s = element_sum(np.multiply(column, gains, out=scratch.get("products", gains.shape, np.complex128)))
     return s.real * s.real + s.imag * s.imag
 
 

@@ -11,6 +11,7 @@ with no far-field approximation at any range.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,29 @@ class ChannelVector:
         return self.gains.shape[0]
 
 
-def los_gains(positions, normals, tx, ty, tz, wavelength):
+class Scratch(threading.local):
+    """Named arrays that each thread reuses from one gain block to the next.
+
+    A sweep passes one to every gain block it evaluates, so a block's
+    temporaries are written into the arrays of the block before instead of
+    being allocated and freed again; each thread sees its own arrays. An
+    array grows when a wider block asks for it, and a narrower block gets a
+    view of its start.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name, shape, dtype=np.float64) -> np.ndarray:
+        """This thread's array called ``name``, viewed as ``shape``."""
+        size = math.prod(shape)
+        a = self._arrays.get(name)
+        if a is None or a.size < size:
+            a = self._arrays[name] = np.empty(size, dtype)
+        return a[:size].reshape(shape)
+
+
+def los_gains(positions, normals, tx, ty, tz, wavelength, scratch=None):
     """Gain kernel shared by the scalar channel and the grid sweeps.
 
     Element columns broadcast against the target components, giving
@@ -56,6 +79,10 @@ def los_gains(positions, normals, tx, ty, tz, wavelength):
     evaluating every entry, so masking changes no bit. Every entry is still
     checked for coinciding with an element.
 
+    Every block-sized temporary comes from ``scratch`` (a fresh ``Scratch``
+    when ``None``). The returned gains and mask are its arrays, so the next
+    call with the same scratch overwrites them.
+
     Raises ``ValidationError`` before any arithmetic when a distance's
     square or phase could overflow float64. The bound, twice the sum of the
     largest element and target coordinates, exceeds every distance and
@@ -68,23 +95,39 @@ def los_gains(positions, normals, tx, ty, tz, wavelength):
         raise ValidationError(
             f"target distances up to {bound:.3g} m overflow float64 at wavelength {wavelength} m", "target"
         )
-    column = (positions.shape[0],) + (1,) * np.broadcast(tx, ty, tz).ndim
+    if scratch is None:
+        scratch = Scratch()
+    shape = (positions.shape[0],) + np.broadcast(tx, ty, tz).shape
+    column = (positions.shape[0],) + (1,) * (len(shape) - 1)
     px, py, pz = (positions[:, i].reshape(column) for i in range(3))
     nx, ny, nz = (normals[:, i].reshape(column) for i in range(3))
-    dx = tx - px
-    dy = ty - py
-    dz = tz - pz
-    d2 = dx * dx + dy * dy + dz * dz
-    if np.any(d2 == 0.0):
+    dx = np.subtract(tx, px, out=scratch.get("dx", shape))
+    dy = np.subtract(ty, py, out=scratch.get("dy", shape))
+    dz = np.subtract(tz, pz, out=scratch.get("dz", shape))
+    d2 = np.multiply(dx, dx, out=scratch.get("d2", shape))
+    term = np.multiply(dy, dy, out=scratch.get("term", shape))
+    d2 += term
+    d2 += np.multiply(dz, dz, out=term)
+    coincident = np.equal(d2, 0.0, out=scratch.get("mask", shape, np.bool_))
+    if coincident.any():
         raise DegenerateGeometry("target coincides with an element position")
-    facing = dx * nx + dy * ny + dz * nz
-    visible = facing > 0.0
-    dist = np.sqrt(d2[visible])
-    amp = wavelength / (FOUR_PI * dist)
-    phase = (TWO_PI / wavelength) * dist
-    gains = np.zeros(d2.shape, dtype=np.complex128)
-    gains[visible] = amp * np.exp(-1j * phase)
-    return gains, visible, dist
+    # arrays are reused once their values are spent: dx takes the facing
+    # projection, dy the amplitude, d2 the distance and term the phase, the
+    # last three written only where the element faces the target
+    facing = np.multiply(dx, nx, out=dx)
+    facing += np.multiply(dy, ny, out=dy)
+    facing += np.multiply(dz, nz, out=dz)
+    visible = np.greater(facing, 0.0, out=coincident)
+    dist = np.sqrt(d2, out=d2, where=visible)
+    amp = np.multiply(FOUR_PI, dist, out=dy, where=visible)
+    np.divide(wavelength, amp, out=amp, where=visible)
+    phase = np.multiply(TWO_PI / wavelength, dist, out=term, where=visible)
+    gains = scratch.get("gains", shape, np.complex128)
+    gains.fill(0.0)
+    np.multiply(-1j, phase, out=gains, where=visible)
+    np.exp(gains, out=gains, where=visible)
+    np.multiply(amp, gains, out=gains, where=visible)
+    return gains, visible, dist[visible]
 
 
 def los_channel(geometry: ArrayGeometry, target: SphericalPoint, wavelength: float) -> ChannelVector:
@@ -110,10 +153,14 @@ def element_sum(terms) -> np.ndarray:
     return s
 
 
-def gain_energy(gains) -> np.ndarray:
+def gain_energy(gains, scratch=None) -> np.ndarray:
     """Sum of squared gain magnitudes over the first (element) axis,
     accumulated in element order."""
-    return element_sum(gains.real * gains.real + gains.imag * gains.imag)
+    if scratch is None:
+        scratch = Scratch()
+    energy = np.multiply(gains.real, gains.real, out=scratch.get("energy", gains.shape))
+    energy += np.multiply(gains.imag, gains.imag, out=scratch.get("energy_term", gains.shape))
+    return element_sum(energy)
 
 
 def channel_energy(h: ChannelVector) -> float:

@@ -134,20 +134,27 @@ def _cmd_geometry(args) -> int:
     return 0
 
 
-def _flag_lines(args, keys) -> list[str]:
-    return [f"{key} = {getattr(args, key)}" for key in keys if getattr(args, key) is not None]
+def _flag_entries(args, keys) -> list[tuple[str, str]]:
+    return [(key, getattr(args, key)) for key in keys if getattr(args, key) is not None]
 
 
 def _cmd_pattern(args) -> int:
-    """Rebuild a scenario document from flags so validation has one path."""
+    """Rebuild a scenario document from flags so validation has one path.
+
+    A flag value holding a line break would add lines to that document, so
+    any value that ``str.splitlines`` would split is rejected first.
+    """
     sweep = args.pattern_kind
-    lines = [
-        *_flag_lines(args, ("kind", *GEOMETRY_KEYS, "wavelength")),
-        *(f"focal = {focal}" for focal in args.focal),
-        f"sweep = {sweep}",
-        *_flag_lines(args, (*SWEEP_KEYS[sweep], "normalization")),
+    entries = [
+        *_flag_entries(args, ("kind", *GEOMETRY_KEYS, "wavelength")),
+        *(("focal", focal) for focal in args.focal),
+        ("sweep", sweep),
+        *_flag_entries(args, (*SWEEP_KEYS[sweep], "normalization")),
     ]
-    scenario = parse_scenario("\n".join(lines) + "\n")
+    for key, value in entries:
+        if "".join(value.splitlines()) != value:
+            raise ValidationError(f"{key} must be a single line, got {value!r}", field=key)
+    scenario = parse_scenario("".join(f"{key} = {value}\n" for key, value in entries))
     return run_scenario(scenario, out_dir=args.out, threads=args.threads)
 
 

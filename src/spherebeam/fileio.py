@@ -73,12 +73,16 @@ def write_geometry_csv(path, geometry: ArrayGeometry) -> None:
 
 
 def write_angular_csv(path, grid: AngularPatternGrid) -> None:
-    """Full grid in dB, theta outer loop, phi inner loop."""
+    """Full grid in dB, theta outer loop, phi inner loop.
+
+    Each theta row is converted to dB on its own, so no dB copy of the
+    whole grid is held.
+    """
     # one "%" template per grid; NUL stands for the theta text of a row
     template = "\n".join(f"\0,{fmt(ph)},%.17g" for ph in grid.phi_axis.tolist())
     rows = (
-        template.replace("\0", fmt(th)) % tuple(row)
-        for th, row in zip(grid.theta_axis.tolist(), to_db(grid.power).tolist())
+        template.replace("\0", fmt(th)) % tuple(to_db(row).tolist())
+        for th, row in zip(grid.theta_axis.tolist(), grid.power)
     )
     write_lines(path, itertools.chain([ANGULAR_HEADER], rows))
 

@@ -3,9 +3,12 @@
 Grids are evaluated through the same gain kernel and the same element-order
 sums as single-target channels, so a sweep cell is bitwise identical to
 evaluating that probe on its own. One private kernel walks the probes in
-fixed blocks, computes each block's gains once for every beam, and spreads
-the blocks over threads; blocking never changes any value, only who
-computes it and how much memory it takes. A block's gains are
+blocks of at most ``BLOCK_PROBES`` probes and ``BLOCK_ENTRIES`` element x
+probe entries, computes each block's gains once for every beam, and
+spreads the blocks over threads; blocking never changes any value, only
+who computes it and how much memory it takes. Each thread writes every
+block's temporaries into the same cache-sized arrays (a
+``channel.Scratch``) instead of allocating them anew. A block's gains are
 element-major, ``(elements, probes)``, and each sum adds one element row
 after another, so a block of any width, one probe included, sums in
 element order.
@@ -21,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beamforming import beam_response, coherent_power, conjugate_weights, normalize_pattern
-from .channel import gain_energy, los_channel, los_gains
+from .channel import Scratch, gain_energy, los_channel, los_gains
 from .errors import (
     AllBeamsInfeasible,
     NoVisibleElements,
@@ -33,7 +36,17 @@ from .errors import (
 from .geometry import TWO_PI, ArrayGeometry, SphericalPoint, sph_to_cart
 
 BLOCK_PROBES = 1024
-"""Most probes per gain evaluation in a sweep, which bounds its working set."""
+"""Most probes per gain evaluation in a sweep."""
+
+BLOCK_ENTRIES = 102_400
+"""Most element x probe entries per gain evaluation in a sweep.
+
+A block of an ``n``-element array holds
+``min(BLOCK_PROBES, max(1, BLOCK_ENTRIES // n))`` probes: 1024 up to 100
+elements, fewer above. Each float64 array of a block then stays at or
+below 800 KiB whatever the element count, and the arrays a thread reuses
+from block to block stay in cache.
+"""
 
 
 @dataclass(frozen=True)
@@ -113,31 +126,34 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_set
     """Raw coherent power of every weight vector, and channel energy, per probe.
 
     ``probes`` holds the x, y, z arrays of the probe points, which are
-    flattened. Each block of at most ``BLOCK_PROBES`` probes makes one
-    ``los_gains`` call shared by all weight vectors, and blocks run on at
-    most ``min(threads, blocks, os.cpu_count())`` threads. Returns
-    ``(powers, energy)`` of shapes ``(len(weight_sets), probes)`` and
-    ``(probes,)``; the channel energy is computed only when ``energy`` is
-    true and is ``None`` otherwise.
+    flattened. Each block of ``min(BLOCK_PROBES, max(1, BLOCK_ENTRIES //
+    geometry.n))`` probes, and at most an even share of the probes per
+    worker, makes one ``los_gains`` call shared by all weight vectors, and
+    blocks run on at most ``min(threads, blocks, os.cpu_count())`` threads.
+    Each thread reuses one set of block-sized arrays for all of its blocks.
+    Returns ``(powers, energy)`` of shapes ``(len(weight_sets), probes)``
+    and ``(probes,)``; the channel energy is computed only when ``energy``
+    is true and is ``None`` otherwise.
     """
     px, py, pz = (np.ravel(a) for a in probes)
     total = px.shape[0]
     workers = min(_resolve_threads(threads), total, os.cpu_count() or 1)
-    block = min(BLOCK_PROBES, -(-total // workers))
+    block = min(BLOCK_PROBES, max(1, BLOCK_ENTRIES // geometry.n), -(-total // workers))
     starts = range(0, total, block)
     workers = min(workers, len(starts))
     powers = np.empty((len(weight_sets), total))
     energies = np.empty(total) if energy else None
+    scratch = Scratch()
 
     def fill(i0: int) -> None:
         i1 = i0 + block
         gains, _, _ = los_gains(
-            geometry.positions, geometry.normals, px[i0:i1], py[i0:i1], pz[i0:i1], wavelength
+            geometry.positions, geometry.normals, px[i0:i1], py[i0:i1], pz[i0:i1], wavelength, scratch
         )
         for row, weights in zip(powers, weight_sets):
-            row[i0:i1] = coherent_power(weights, gains)
+            row[i0:i1] = coherent_power(weights, gains, scratch)
         if energies is not None:
-            energies[i0:i1] = gain_energy(gains)
+            energies[i0:i1] = gain_energy(gains, scratch)
 
     if workers < 2:
         for i0 in starts:

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from spherebeam.cli import main
+from spherebeam.cli import _build_parser, main
+from spherebeam.errors import ValidationError
 from spherebeam.fileio import ANGULAR_HEADER, DISTANCE_HEADER, read_meta
 
 
@@ -152,6 +153,44 @@ class TestPatternCommands:
         assert run_cli(*argv, "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "nested").exists()
+
+    # every separator str.splitlines() splits on
+    LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
+    def test_line_break_in_a_flag_value_cannot_add_scenario_lines(self, tmp_path, capsys, brk):
+        injected = f"0.05{brk}focal = 10, pi/2, 1"
+        out = tmp_path / "injected"
+        assert run_cli(*ANGLE_ARGS, "--wavelength", injected, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: wavelength must be a single line, got {injected!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            ((*ANGLE_ARGS, "--wavelength", "0.05\u2028sweep = distance"), "wavelength"),
+            ((*ANGLE_ARGS, "--focal", "10, pi/2, 1\nfocal = 10, 1, 1"), "focal"),
+            ((*ANGLE_ARGS, "--kind", "upa\rspacing = 0.05"), "kind"),
+            ((*ANGLE_ARGS, "--n", "16\x85"), "n"),
+            ((*ANGLE_ARGS, "--theta-samples", "19\n"), "theta_samples"),
+            ((*ANGLE_ARGS, "--normalization", "focal\f"), "normalization"),
+            (
+                (
+                    "pattern", "distance",
+                    "--kind", "spiral_saa", "--n", "16", "--radius", "0.3",
+                    "--wavelength", "0.05", "--focal", "10, pi/4, pi/4", "--r-samples", "50\n",
+                ),
+                "r_samples",
+            ),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_line_break_error_names_the_flag(self, tmp_path, argv, key):
+        args = _build_parser().parse_args([*argv, "--out", str(tmp_path / "out")])
+        with pytest.raises(ValidationError) as err:
+            args.func(args)
+        assert err.value.field == key
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunCommand:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -33,13 +34,13 @@ SMALL_SPEC = AngularSweepSpec(theta_samples=19, phi_samples=19, eval_range_m=30.
 
 @pytest.fixture
 def gain_calls(monkeypatch):
-    """Probe counts of the gain evaluations the sweeps make, in call order."""
+    """Element x probe entries of the gain evaluations the sweeps make, in call order."""
     calls = []
     real = sweep.los_gains
 
-    def recording(positions, normals, tx, ty, tz, wavelength):
-        calls.append(np.size(tx))
-        return real(positions, normals, tx, ty, tz, wavelength)
+    def recording(positions, normals, tx, ty, tz, *rest):
+        calls.append(len(positions) * np.size(tx))
+        return real(positions, normals, tx, ty, tz, *rest)
 
     monkeypatch.setattr(sweep, "los_gains", recording)
     return calls
@@ -166,21 +167,33 @@ class TestMultiFocalOverlay:
 
 
 class TestSweepKernel:
-    def test_no_gain_call_exceeds_block_probes(self, gain_calls):
-        g = golden_spiral_saa(16, 0.5)
-        spec = AngularSweepSpec(theta_samples=2, phi_samples=sweep.BLOCK_PROBES + 1)
+    # up to 100 elements the probe cap binds, above it the entry budget
+    @pytest.mark.parametrize("n, width", [(16, 1024), (100, 1024), (360, 284), (1000, 102)])
+    def test_block_width_follows_the_element_count(self, gain_calls, n, width):
+        g = golden_spiral_saa(n, 0.5)
+        spec = AngularSweepSpec(theta_samples=2, phi_samples=width + 1)
         angular_sweep(g, 0.01, FOCAL, spec, threads=1)
-        assert sum(gain_calls) == 2 * (sweep.BLOCK_PROBES + 1)
-        assert max(gain_calls) <= sweep.BLOCK_PROBES
+        assert sum(gain_calls) == n * 2 * (width + 1)
+        assert len(gain_calls) == 3
+        assert max(gain_calls) <= sweep.BLOCK_ENTRIES
         gain_calls.clear()
         focal = SphericalPoint(30.0, math.pi / 4, math.pi / 4)
-        distance_sweep(g, 0.01, focal, samples=2 * sweep.BLOCK_PROBES + 1, threads=1)
-        assert sum(gain_calls) == 2 * sweep.BLOCK_PROBES + 1
-        assert max(gain_calls) <= sweep.BLOCK_PROBES
+        distance_sweep(g, 0.01, focal, samples=2 * width + 1, threads=1)
+        assert gain_calls == [n * width, n * width, n]
+
+    def test_budget_below_the_element_count_gives_one_probe_blocks(self, gain_calls, monkeypatch):
+        g = golden_spiral_saa(16, 0.5)
+        spec = AngularSweepSpec(theta_samples=3, phi_samples=5)
+        base = angular_sweep(g, 0.01, FOCAL, spec, threads=1)
+        gain_calls.clear()
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", g.n - 1)
+        grid = angular_sweep(g, 0.01, FOCAL, spec, threads=2)
+        assert gain_calls == [g.n] * 15
+        assert_array_equal(grid.power, base.power)
 
     def test_overlay_makes_one_gain_pass_for_all_beams(self, gain_calls, monkeypatch):
-        monkeypatch.setattr(sweep, "BLOCK_PROBES", 100)
         g = golden_spiral_saa(36, 0.5)
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 100 * g.n)
         angular_sweep(g, 0.01, FOCAL, SMALL_SPEC, threads=1)
         single = len(gain_calls)
         assert single == 4
@@ -195,13 +208,37 @@ class TestSweepKernel:
         assert len(gain_calls) == single
 
 
+    def test_threads_keep_their_own_scratch_arrays(self, monkeypatch):
+        # more workers than cores, 8-probe blocks and a short switch interval
+        # interleave the threads' blocks; arrays shared between threads
+        # would mix their values
+        g = golden_spiral_saa(64, 0.5)
+        spec = AngularSweepSpec(theta_samples=31, phi_samples=31)
+        focals = [FOCAL, SphericalPoint(30.0, 1.0, 4.0)]
+        focal = SphericalPoint(30.0, math.pi / 4, math.pi / 4)
+        base = multi_focal_overlay(g, 0.01, focals, spec, threads=1)
+        base_range = distance_sweep(g, 0.01, focal, samples=500, threads=1)
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 8 * g.n)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                overlay = multi_focal_overlay(g, 0.01, focals, spec, threads=8)
+                for beam, expected in zip(overlay.beams, base.beams):
+                    assert_array_equal(beam.power, expected.power)
+                ranged = distance_sweep(g, 0.01, focal, samples=500, threads=8)
+                assert_array_equal(ranged.power, base_range.power)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_only_distance_sweeps_compute_channel_energy(self, monkeypatch):
         calls = []
         real = sweep.gain_energy
 
-        def recording(gains):
+        def recording(gains, *rest):
             calls.append(gains.shape)
-            return real(gains)
+            return real(gains, *rest)
 
         monkeypatch.setattr(sweep, "gain_energy", recording)
         g = golden_spiral_saa(16, 0.5)
@@ -264,7 +301,7 @@ class TestDistanceSweep:
 
         # never more workers than blocks: 361 probes make 8 blocks of 50, and
         # 4 probes split over 3 workers make 2 blocks of 2
-        monkeypatch.setattr(sweep, "BLOCK_PROBES", 50)
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 50 * g.n)
         tiny = AngularSweepSpec(theta_samples=2, phi_samples=2)
         for spec, blocks in ((SMALL_SPEC, 8), (tiny, 2)):
             started.clear()

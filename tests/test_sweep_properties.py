@@ -1,9 +1,9 @@
 """Generated-input properties of the blocked, threaded sweeps.
 
-The block size is patched down to a few probes so that tiny grids cross
-block edges and split over threads. Settings are fixed (derandomized,
-bounded example counts, no deadline, no database) so the suite stays
-deterministic and fast.
+The block budget is patched down to a few probes' worth of entries so
+that tiny grids cross block edges and split over threads. Settings are
+fixed (derandomized, bounded example counts, no deadline, no database) so
+the suite stays deterministic and fast.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def test_overlay_beams_equal_per_cell_direct_summation(
 ):
     spec = AngularSweepSpec(theta_samples=theta_samples, phi_samples=phi_samples, eval_range_m=30.0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "BLOCK_PROBES", block)
+        mp.setattr(sweep, "BLOCK_ENTRIES", block * geometry.n)
         try:
             overlay = multi_focal_overlay(
                 geometry, 0.01, focal_list, spec, normalization=normalization, threads=workers
@@ -91,7 +91,7 @@ def test_distance_sweep_bits_do_not_depend_on_threads(n, focal, samples, block):
     # eight or more spiral elements leave no direction unseen
     geometry = golden_spiral_saa(n, 0.5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "BLOCK_PROBES", block)
+        mp.setattr(sweep, "BLOCK_ENTRIES", block * geometry.n)
         runs = [distance_sweep(geometry, 0.01, focal, 10.0, 80.0, samples, threads=t) for t in (1, 2, 3)]
     for other in runs[1:]:
         assert_array_equal(other.power, runs[0].power)
