@@ -4,10 +4,10 @@ Subcommands: ``geometry`` emits a layout CSV, ``pattern angle`` and
 ``pattern distance`` run sweeps, ``metrics`` recomputes figures from an
 emitted pattern CSV, ``run`` executes a preset or scenario file, and
 ``preset list`` names the shipped configurations. Emitting commands all
-require ``--out``. Numeric flags are passed through the scenario parser,
-so angle-valued flags accept pi fractions like ``2pi/3``. Warnings raised
-while a command runs are printed to stderr as ``warning:`` lines and leave
-the exit code unchanged.
+require ``--out``. Flags go to the scenario parser as key-value pairs,
+not as text, so angle-valued flags accept pi fractions like ``2pi/3``.
+Warnings raised while a command runs are printed to stderr as
+``warning:`` lines and leave the exit code unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import warnings
 from pathlib import Path
 
 from . import fileio
-from .errors import MainLobeMissed, ParseError, SpherebeamError, ValidationError
+from .errors import MainLobeMissed, ParseError, SpherebeamError, ValidationError, require_single_line
 from .metrics import measure
 from .scenario import (
     GEOMETRY_KEYS,
@@ -31,6 +31,7 @@ from .scenario import (
     parse_scenario,
     preset_names,
     run_scenario,
+    scenario_from_pairs,
 )
 from .sweep import AngularPatternGrid, DistancePattern
 
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--theta-samples", dest="theta_samples", help="theta sample count")
     pa.add_argument("--phi-samples", dest="phi_samples", help="phi sample count")
     pa.add_argument("--eval-range", dest="eval_range", help="probe range in meters")
-    pa.set_defaults(func=_cmd_pattern)
+    pa.set_defaults(func=_cmd_pattern, sweep="angle")
 
     pd = pat_sub.add_parser("distance", help="range sweep along the focal direction")
     _add_geometry_flags(pd)
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--r-min", dest="r_min", help="sweep window start in meters")
     pd.add_argument("--r-max", dest="r_max", help="sweep window end in meters")
     pd.add_argument("--r-samples", dest="r_samples", help="range sample count")
-    pd.set_defaults(func=_cmd_pattern)
+    pd.set_defaults(func=_cmd_pattern, sweep="distance")
 
     m = sub.add_parser("metrics", help="recompute metrics from an emitted pattern CSV")
     m.add_argument("pattern", help="path to a pattern CSV")
@@ -117,15 +118,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_pairs(args, keys) -> list[tuple[None, str, str]]:
+    """``(None, key, value)`` per value given to ``keys``, one line each and stripped as in a scenario."""
+    pairs = []
+    for key in keys:
+        value = getattr(args, key)
+        for item in value if isinstance(value, list) else [value]:
+            if item is not None:
+                pairs.append((None, key, require_single_line(item, key).strip()))
+    return pairs
+
+
 def _cmd_geometry(args) -> int:
     if not args.out:
         raise ValidationError("an output directory is required", field="out")
-    fields = {
-        key: parse_field(key, getattr(args, key))
-        for key in GEOMETRY_KEYS
-        if getattr(args, key) is not None
-    }
-    geometry = geometry_from_fields(args.kind, **fields)
+    pairs = _flag_pairs(args, ("kind", *GEOMETRY_KEYS))
+    geometry = geometry_from_fields(**{key: parse_field(key, value) for _, key, value in pairs})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "geometry.csv"
@@ -134,27 +142,9 @@ def _cmd_geometry(args) -> int:
     return 0
 
 
-def _flag_entries(args, keys) -> list[tuple[str, str]]:
-    return [(key, getattr(args, key)) for key in keys if getattr(args, key) is not None]
-
-
 def _cmd_pattern(args) -> int:
-    """Rebuild a scenario document from flags so validation has one path.
-
-    A flag value holding a line break would add lines to that document, so
-    any value that ``str.splitlines`` would split is rejected first.
-    """
-    sweep = args.pattern_kind
-    entries = [
-        *_flag_entries(args, ("kind", *GEOMETRY_KEYS, "wavelength")),
-        *(("focal", focal) for focal in args.focal),
-        ("sweep", sweep),
-        *_flag_entries(args, (*SWEEP_KEYS[sweep], "normalization")),
-    ]
-    for key, value in entries:
-        if "".join(value.splitlines()) != value:
-            raise ValidationError(f"{key} must be a single line, got {value!r}", field=key)
-    scenario = parse_scenario("".join(f"{key} = {value}\n" for key, value in entries))
+    keys = ("kind", *GEOMETRY_KEYS, "wavelength", "focal", "sweep", *SWEEP_KEYS[args.sweep], "normalization")
+    scenario = scenario_from_pairs(_flag_pairs(args, keys))
     return run_scenario(scenario, out_dir=args.out, threads=args.threads)
 
 

@@ -44,9 +44,9 @@ class AllBeamsInfeasible(SpherebeamError):
 
 
 class ParseError(SpherebeamError):
-    """Scenario text could not be parsed.
+    """Scenario text or a flag value could not be parsed.
 
-    Carries the 1-based line number where parsing failed.
+    Carries the 1-based line number where parsing failed, or None for flags.
     """
 
     def __init__(self, message: str, line: int | None = None):
@@ -101,6 +101,13 @@ def require_positive(value, field: str, error: type[ValidationError] = Validatio
     if not (math.isfinite(x) and x > 0.0):
         raise error(f"{field} must be positive and finite, got {value!r}", field)
     return x
+
+
+def require_single_line(value: str, field: str) -> str:
+    """``value`` when ``str.splitlines`` would not split it into lines."""
+    if "".join(value.splitlines()) != value:
+        raise ValidationError(f"{field} must be a single line, got {value!r}", field)
+    return value
 
 
 def require_count(value, field: str, minimum: int = 1) -> int:

@@ -24,6 +24,7 @@ from .errors import (
     require_clearance,
     require_count,
     require_positive,
+    require_single_line,
     require_square,
     require_window,
 )
@@ -124,7 +125,8 @@ def _parse_angle(token: str, lineno: int | None) -> float:
         raise ParseError(f"focal expects a number or pi fraction, got {token!r}", line=lineno) from None
 
 
-def _parse_focal(value: str, lineno: int | None) -> SphericalPoint:
+def parse_focal_text(value: str, lineno: int | None = None) -> SphericalPoint:
+    """Parse an ``r, theta, phi`` triple; angles accept pi fractions."""
     parts = value.split(",")
     if len(parts) != 3:
         raise ParseError(f"focal needs 'r, theta, phi', got {value!r}", line=lineno)
@@ -162,18 +164,13 @@ def parse_field(key: str, token: str, lineno: int | None = None):
     raise ParseError(f"unknown key {key!r}", line=lineno)
 
 
-def parse_focal_text(text: str) -> SphericalPoint:
-    """Parse an ``r, theta, phi`` triple; angles accept pi fractions."""
-    return _parse_focal(text, None)
-
-
-def parse_scenario(text: str) -> Scenario:
-    """Parse and fully validate a scenario document."""
+def scenario_from_pairs(pairs) -> Scenario:
+    """Parse and fully validate ``(lineno, key, value)`` triples; ``lineno`` is None for flags."""
     fields: dict[str, object] = {}
     focals: list[SphericalPoint] = []
-    for lineno, key, value in fileio.key_values(text.splitlines()):
+    for lineno, key, value in pairs:
         if key == "focal":
-            focals.append(_parse_focal(value, lineno))
+            focals.append(parse_focal_text(value, lineno))
             continue
         if key in fields:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
@@ -181,6 +178,11 @@ def parse_scenario(text: str) -> Scenario:
     if not fields and not focals:
         raise ParseError("empty scenario document")
     return _build_scenario(fields, tuple(focals))
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse and fully validate a scenario document."""
+    return scenario_from_pairs(fileio.key_values(text.splitlines()))
 
 
 def _validate_geometry_fields(fields: dict) -> str:
@@ -513,6 +515,7 @@ def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None
     target = out_dir if out_dir is not None else scenario.out
     if not target:
         raise ValidationError("an output directory is required", field="out")
+    require_single_line(str(target), "out")
     if threads is not None:
         require_count(threads, "threads")
     out = Path(target)

@@ -193,6 +193,55 @@ class TestPatternCommands:
         assert not (tmp_path / "out").exists()
 
 
+    def test_flag_error_cites_no_line_number(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*ANGLE_ARGS, "--n", "abc", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: n expects an integer, got 'abc'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*ANGLE_ARGS, "--threads", "1"),
+            ("run", "--preset", "fig5_r2", "--threads", "1"),
+        ],
+        ids=["pattern", "run"],
+    )
+    def test_line_break_in_the_output_directory_is_rejected(self, tmp_path, argv):
+        args = _build_parser().parse_args([*argv, "--out", str(tmp_path / "o\nfocal = 10, 1.5, 1")])
+        with pytest.raises(ValidationError) as err:
+            args.func(args)
+        assert err.value.field == "out"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestFlagValues:
+    # each command's words before the geometry flags; pattern adds a small angular run
+    COMMANDS = {
+        "geometry": ("geometry",),
+        "pattern": (
+            "pattern", "angle", "--wavelength", "0.05", "--focal", "10, pi/4, pi/4",
+            "--theta-samples", "5", "--phi-samples", "5", "--eval-range", "10",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_geometry_and_pattern_take_the_same_values(self, tmp_path, capsys, command):
+        def run(out, kind, n_rings, ring_policy):
+            flags = ("--kind", kind, "--n-rings", n_rings, "--ring-policy", ring_policy, "--radius", "0.3")
+            return run_cli(*self.COMMANDS[command], *flags, "--out", str(tmp_path / out))
+
+        assert run("plain", "ring_saa", "3", "fixed:5") == 0
+        assert run("padded", " ring_saa", "3", " fixed:5 ") == 0
+        plain = (tmp_path / "plain" / "geometry.csv").read_bytes()
+        assert (tmp_path / "padded" / "geometry.csv").read_bytes() == plain
+        capsys.readouterr()
+
+        assert run("broken", "ring_saa", "3\n", "fixed:5") == 1
+        assert capsys.readouterr().err == "error: n_rings must be a single line, got '3\\n'\n"
+        assert not (tmp_path / "broken").exists()
+
+
 class TestRunCommand:
     def test_scenario_file(self, tmp_path):
         doc = (

@@ -6,10 +6,13 @@ the suite stays deterministic and fast.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherebeam import ParseError, Scenario, ValidationError, emit_scenario, parse_scenario
+from spherebeam import ParseError, Scenario, ValidationError, cli, emit_scenario, parse_scenario
 
 FIXED = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -125,3 +128,18 @@ class TestParserProperties:
         except (ParseError, ValidationError):
             return
         assert isinstance(result, Scenario)
+
+    @FIXED
+    @given(valid_documents())
+    def test_flags_give_the_same_scenario_as_text(self, text):
+        pairs = [line.split(" = ", 1) for line in text.splitlines()]
+        fields = dict(pair for pair in pairs if pair[0] != "focal")
+        out = fields.pop("out", "runs/flags")
+        argv = ["pattern", fields.pop("sweep"), "--out", out]
+        for key, value in [*fields.items(), *(pair for pair in pairs if pair[0] == "focal")]:
+            argv += ["--" + key.replace("_", "-"), value]
+        captured = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "run_scenario", lambda scenario, out_dir, threads: captured.append((scenario, out_dir)))
+            cli.main(argv)
+        assert captured == [(replace(parse_scenario(text), out=None), out)]
