@@ -2,9 +2,9 @@
 
 Weights are the normalized conjugate of the desired channel, so the
 response at the design target meets the Cauchy-Schwarz bound exactly.
-Reductions add one element row after another in element index order
-(never pairwise sums) to keep sweep results reproducible against direct
-summation.
+Each sum adds a target's visible terms in element index order (never
+pairwise sums), so sweep results reproduce direct summation over every
+element bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelVector, Scratch, channel_energy, element_sum
+from .channel import ChannelVector, Entries, Scratch, channel_energy, column_sums, visible_gains
 from .errors import DegeneratePattern, DimensionMismatch, NoVisibleElements, ValidationError, require_positive
 from .geometry import SphericalPoint
 
@@ -55,17 +55,22 @@ def beam_response(w: BeamWeights, h_probe: ChannelVector) -> float:
         raise DimensionMismatch(
             f"weight length {len(w)} does not match channel length {len(h_probe)}"
         )
-    return float(coherent_power(w.weights, h_probe.gains))
+    return float(coherent_power(w.weights, *visible_gains(h_probe)))
 
 
-def coherent_power(weights: np.ndarray, gains: np.ndarray, scratch=None) -> np.ndarray:
-    """|sum_k w_k g_k|^2 over the first (element) axis of element-major
-    ``gains``, summed in element order. The products go into ``scratch``
-    (a fresh ``Scratch`` when ``None``)."""
+def coherent_power(weights: np.ndarray, gains: np.ndarray, entries: Entries, scratch=None) -> np.ndarray:
+    """|sum_k w_k g_k|^2 of each target, summed over its visible entries in
+    element order. ``gains`` and ``entries`` are as ``los_gains`` returns
+    them; the products go into ``scratch`` (a fresh ``Scratch`` when
+    ``None``)."""
     if scratch is None:
         scratch = Scratch()
-    column = weights.reshape(weights.shape + (1,) * (gains.ndim - 1))
-    s = element_sum(np.multiply(column, gains, out=scratch.get("products", gains.shape, np.complex128)))
+    products = np.multiply(
+        np.repeat(weights, entries.counts), gains,
+        out=scratch.get("products", (entries.block,), np.complex128)[: gains.size],
+    )
+    s = column_sums(products.view(np.float64), entries.bins, 2 * entries.width)
+    s = s.view(np.complex128).reshape(entries.targets)
     return s.real * s.real + s.imag * s.imag
 
 

@@ -6,6 +6,10 @@ planar array with +z normals this reduces to requiring the target to sit
 in the forward hemisphere. Visible elements carry the spherical-wave
 coefficient (wl / (4*pi*d)) * exp(-i*2*pi*d/wl) at propagation distance d,
 with no far-field approximation at any range.
+
+A block of gains keeps its facing entries only, element by element, and
+every sum over elements is one ``np.bincount`` of those entries by target
+(``column_sums``), which adds each target's terms in element order.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +50,10 @@ class Scratch(threading.local):
     A sweep passes one to every gain block it evaluates, so a block's
     temporaries are written into the arrays of the block before instead of
     being allocated and freed again; each thread sees its own arrays. An
-    array grows when a wider block asks for it, and a narrower block gets a
-    view of its start.
+    array grows when a larger request asks for it, and a smaller request
+    gets a view of its start. Arrays that hold a block's facing entries only
+    are asked for at the size of the whole block and then cut to the facing
+    count, so they grow with the block, not with each block's count.
     """
 
     def __init__(self):
@@ -61,23 +68,79 @@ class Scratch(threading.local):
         return a[:size].reshape(shape)
 
 
+class Entries(NamedTuple):
+    """Where the facing entries of an element-major block lie.
+
+    The entries run in row-major order of the block's ``(n,) + targets``
+    mask: element by element, targets within each. ``counts`` holds each
+    element's number of entries. ``bins`` holds ``2 * c`` and ``2 * c + 1``
+    for each entry's flat target index ``c``, interleaved: the bins of the
+    real and imaginary part of a complex entry read as two float64 values.
+    """
+
+    counts: np.ndarray
+    bins: np.ndarray
+    targets: tuple
+
+    @property
+    def columns(self) -> np.ndarray:
+        """Each entry's flat target index."""
+        return self.bins[0::2] >> 1
+
+    @property
+    def width(self) -> int:
+        """Targets per element, which is the number of sums."""
+        return math.prod(self.targets)
+
+    @property
+    def block(self) -> int:
+        """Entries in the whole block, facing or not."""
+        return self.counts.size * self.width
+
+
+def visible_entries(visible) -> Entries:
+    """The ``Entries`` of the true entries of an element-major mask."""
+    rows = visible.reshape(visible.shape[0], -1)
+    # each target's two bins, viewed as one raw item so that one boolean
+    # gather copies both
+    pair = np.dtype((np.void, 2 * np.dtype(np.intp).itemsize))
+    pairs = np.arange(2 * rows.shape[1], dtype=np.intp).view(pair)
+    bins = np.broadcast_to(pairs, rows.shape)[rows].view(np.intp)
+    return Entries(np.count_nonzero(rows, axis=1), bins, visible.shape[1:])
+
+
+def column_sums(terms, bins, width) -> np.ndarray:
+    """Sum of the float64 ``terms`` that fall in each of ``width`` bins.
+
+    ``np.bincount`` adds ``terms[i]`` into bin ``bins[i]`` in input order,
+    starting from ``+0.0``, so over ``Entries`` each target adds its facing
+    terms in element order. Direct summation over every element adds the
+    hidden terms too, and those are zeros: a zero added to a nonzero sum
+    leaves it as it is, and a sum of zeros stays zero. The two totals can
+    therefore differ only in the sign of an exact zero, which a squared
+    magnitude or a sum of squares cannot show. Axis-0 ``np.add.reduce``
+    would sum an ``(n, 1)`` block pairwise and change bits.
+    """
+    return np.bincount(bins, weights=terms, minlength=width)
+
+
 def los_gains(positions, normals, tx, ty, tz, wavelength, scratch=None):
     """Gain kernel shared by the scalar channel and the grid sweeps.
 
-    Element columns broadcast against the target components, giving
-    element-major arrays of shape ``(n,) + targets``, so a sum over elements
-    runs over the first axis. Returns ``(gains, visible, dist)``: the
-    complex gains, the facing mask, and the distances of the visible
-    entries only, flattened in row-major order of ``visible`` (element by
-    element, targets within each). Because both the single-target path and
-    the vectorized sweeps run through this one function (and accumulate in
-    element index order), their per-element values agree bit for bit.
+    Element columns broadcast against the target components, giving an
+    element-major block of shape ``(n,) + targets``. Returns ``(gains,
+    visible, entries)``: the complex gains of the entries where the element
+    faces the target, in row-major order of the ``visible`` mask (element by
+    element, targets within each), the mask itself, and their ``Entries``.
+    Because both the single-target path and the vectorized sweeps run
+    through this one function (and sum in element index order), their
+    per-element values agree bit for bit.
 
-    The square root, amplitude and complex exponential are evaluated only
-    where the element faces the target; hidden entries are exactly
-    ``+0+0j``. Each visible value is the same elementwise arithmetic as
-    evaluating every entry, so masking changes no bit. Every entry is still
-    checked for coinciding with an element.
+    Every entry is checked for coinciding with an element and tested for
+    facing. The square root, amplitude and complex exponential then run
+    over the facing entries only, as contiguous arrays; each value is the
+    same elementwise arithmetic as evaluating every entry, so no bit
+    differs. A hidden entry's gain is exactly ``+0+0j`` and is not stored.
 
     Every block-sized temporary comes from ``scratch`` (a fresh ``Scratch``
     when ``None``). The returned gains and mask are its arrays, so the next
@@ -101,33 +164,36 @@ def los_gains(positions, normals, tx, ty, tz, wavelength, scratch=None):
     column = (positions.shape[0],) + (1,) * (len(shape) - 1)
     px, py, pz = (positions[:, i].reshape(column) for i in range(3))
     nx, ny, nz = (normals[:, i].reshape(column) for i in range(3))
-    dx = np.subtract(tx, px, out=scratch.get("dx", shape))
-    dy = np.subtract(ty, py, out=scratch.get("dy", shape))
-    dz = np.subtract(tz, pz, out=scratch.get("dz", shape))
-    d2 = np.multiply(dx, dx, out=scratch.get("d2", shape))
-    term = np.multiply(dy, dy, out=scratch.get("term", shape))
-    d2 += term
-    d2 += np.multiply(dz, dz, out=term)
+    # d2 = (dx*dx + dy*dy) + dz*dz and facing = (dx*nx + dy*ny) + dz*nz, in
+    # that order, from one coordinate difference at a time
+    diff = np.subtract(tx, px, out=scratch.get("diff", shape))
+    d2 = np.multiply(diff, diff, out=scratch.get("d2", shape))
+    facing = np.multiply(diff, nx, out=scratch.get("facing", shape))
+    term = scratch.get("term", shape)
+    for t, p, normal in ((ty, py, ny), (tz, pz, nz)):
+        np.subtract(t, p, out=diff)
+        d2 += np.multiply(diff, diff, out=term)
+        facing += np.multiply(diff, normal, out=term)
     coincident = np.equal(d2, 0.0, out=scratch.get("mask", shape, np.bool_))
     if coincident.any():
         raise DegenerateGeometry("target coincides with an element position")
-    # arrays are reused once their values are spent: dx takes the facing
-    # projection, dy the amplitude, d2 the distance and term the phase, the
-    # last three written only where the element faces the target
-    facing = np.multiply(dx, nx, out=dx)
-    facing += np.multiply(dy, ny, out=dy)
-    facing += np.multiply(dz, nz, out=dz)
     visible = np.greater(facing, 0.0, out=coincident)
-    dist = np.sqrt(d2, out=d2, where=visible)
-    amp = np.multiply(FOUR_PI, dist, out=dy, where=visible)
-    np.divide(wavelength, amp, out=amp, where=visible)
-    phase = np.multiply(TWO_PI / wavelength, dist, out=term, where=visible)
-    gains = scratch.get("gains", shape, np.complex128)
-    gains.fill(0.0)
-    np.multiply(-1j, phase, out=gains, where=visible)
-    np.exp(gains, out=gains, where=visible)
-    np.multiply(amp, gains, out=gains, where=visible)
-    return gains, visible, dist[visible]
+    dist = d2[visible]
+    np.sqrt(dist, out=dist)
+    count = dist.size
+    # the amplitude and phase go into arrays the facing test left spent
+    amp = np.multiply(FOUR_PI, dist, out=term.reshape(-1)[:count])
+    np.divide(wavelength, amp, out=amp)
+    phase = np.multiply(TWO_PI / wavelength, dist, out=facing.reshape(-1)[:count])
+    # the rotation is spent once the gains are formed, so it takes the array
+    # that coherent_power fills with its products afterwards
+    block = d2.size
+    rotation = np.multiply(-1j, phase, out=scratch.get("products", (block,), np.complex128)[:count])
+    np.exp(rotation, out=rotation)
+    # a complex product written over one of its operands can differ from
+    # the fresh product in the last bit, so it gets its own array
+    gains = np.multiply(amp, rotation, out=scratch.get("gains", (block,), np.complex128)[:count])
+    return gains, visible, visible_entries(visible)
 
 
 def los_channel(geometry: ArrayGeometry, target: SphericalPoint, wavelength: float) -> ChannelVector:
@@ -135,34 +201,29 @@ def los_channel(geometry: ArrayGeometry, target: SphericalPoint, wavelength: flo
     wl = require_positive(wavelength, "wavelength", InvalidWavelength)
     require_clearance(target.r, geometry.radius_m, "target")
     t = target.to_cartesian()
-    gains, visible, _ = los_gains(geometry.positions, geometry.normals, t[0], t[1], t[2], wl)
+    values, visible, _ = los_gains(geometry.positions, geometry.normals, t[0], t[1], t[2], wl)
+    gains = np.zeros(geometry.n, np.complex128)
+    gains[visible] = values
     return ChannelVector(gains=gains, visible=visible, wavelength_m=wl, target=target)
 
 
-def element_sum(terms) -> np.ndarray:
-    """Sum over the first (element) axis, added one element row after
-    another into a running total.
-
-    Axis-0 ``np.add.reduce`` or ``np.sum`` would sum pairwise on an
-    ``(n, 1)`` block and change bits; this loop keeps every value equal to
-    direct summation in element order.
-    """
-    s = terms[0].copy()
-    for t in terms[1:]:
-        s += t
-    return s
+def visible_gains(h: ChannelVector):
+    """The facing gains of one channel and their ``Entries``, as
+    ``los_gains`` gives them for a single target."""
+    return h.gains[h.visible], visible_entries(h.visible)
 
 
-def gain_energy(gains, scratch=None) -> np.ndarray:
-    """Sum of squared gain magnitudes over the first (element) axis,
-    accumulated in element order."""
+def gain_energy(gains, entries: Entries, scratch=None) -> np.ndarray:
+    """Sum of squared gain magnitudes of each target, over its visible
+    entries in element order."""
     if scratch is None:
         scratch = Scratch()
-    energy = np.multiply(gains.real, gains.real, out=scratch.get("energy", gains.shape))
-    energy += np.multiply(gains.imag, gains.imag, out=scratch.get("energy_term", gains.shape))
-    return element_sum(energy)
+    count = gains.size
+    energy = np.multiply(gains.real, gains.real, out=scratch.get("energy", (entries.block,))[:count])
+    energy += np.multiply(gains.imag, gains.imag, out=scratch.get("energy_term", (entries.block,))[:count])
+    return column_sums(energy, entries.columns, entries.width).reshape(entries.targets)
 
 
 def channel_energy(h: ChannelVector) -> float:
     """Sum of squared gain magnitudes of one channel, in element order."""
-    return float(gain_energy(h.gains))
+    return float(gain_energy(*visible_gains(h)))

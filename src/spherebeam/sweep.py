@@ -8,10 +8,11 @@ probe entries, computes each block's gains once for every beam, and
 spreads the blocks over threads; blocking never changes any value, only
 who computes it and how much memory it takes. Each thread writes every
 block's temporaries into the same cache-sized arrays (a
-``channel.Scratch``) instead of allocating them anew. A block's gains are
-element-major, ``(elements, probes)``, and each sum adds one element row
-after another, so a block of any width, one probe included, sums in
-element order.
+``channel.Scratch``) instead of allocating them anew. A block keeps the
+gains of its facing element x probe entries only, in element-major order,
+and each sum is one ``np.bincount`` over them by probe column, which adds
+every probe's terms in element order; so a block of any width, one probe
+included, sums in element order.
 """
 
 from __future__ import annotations
@@ -147,13 +148,13 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_set
 
     def fill(i0: int) -> None:
         i1 = i0 + block
-        gains, _, _ = los_gains(
+        gains, _, entries = los_gains(
             geometry.positions, geometry.normals, px[i0:i1], py[i0:i1], pz[i0:i1], wavelength, scratch
         )
         for row, weights in zip(powers, weight_sets):
-            row[i0:i1] = coherent_power(weights, gains, scratch)
+            row[i0:i1] = coherent_power(weights, gains, entries, scratch)
         if energies is not None:
-            energies[i0:i1] = gain_energy(gains, scratch)
+            energies[i0:i1] = gain_energy(gains, entries, scratch)
 
     if workers < 2:
         for i0 in starts:

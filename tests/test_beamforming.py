@@ -24,7 +24,7 @@ from spherebeam import (
     upa,
 )
 from spherebeam.beamforming import coherent_power
-from spherebeam.channel import gain_energy
+from spherebeam.channel import gain_energy, visible_entries
 
 FOCAL = SphericalPoint(30.0, math.pi / 6, math.pi / 6)
 
@@ -141,10 +141,31 @@ def element_loop(columns):
     return [functools.reduce(operator.add, col) for col in columns]
 
 
+def assert_sums_match_a_python_loop(weights, gains, visible):
+    """The program's sums over the visible entries of element-major
+    ``gains`` must equal, bit for bit, direct summation over every entry in
+    element order, hidden zeros included."""
+    gains = np.where(visible, gains, 0j)
+    n = gains.shape[0]
+    columns = gains.reshape(n, -1)
+    sums = element_loop((weights[:, None] * columns).T.tolist())
+    power = [s.real * s.real + s.imag * s.imag for s in sums]
+    energy = element_loop([[g.real * g.real + g.imag * g.imag for g in col] for col in columns.T.tolist()])
+
+    entries = visible_entries(visible)
+    got_power = np.asarray(coherent_power(weights, gains[visible], entries))
+    got_energy = np.asarray(gain_energy(gains[visible], entries))
+    assert got_power.shape == got_energy.shape == gains.shape[1:]
+    np.testing.assert_array_equal(got_power.reshape(-1).view(np.uint64), np.array(power).view(np.uint64))
+    np.testing.assert_array_equal(got_energy.reshape(-1).view(np.uint64), np.array(energy).view(np.uint64))
+
+
 class TestElementOrderReduction:
     """Sums over elements must be direct summation in element order. The
     sweep-versus-``beam_response`` properties cannot see a reduction that
-    is pairwise everywhere, so this compares with a Python loop."""
+    is pairwise everywhere, so this compares with a Python loop. The
+    program sums the visible entries only; the loop adds every entry,
+    hidden zeros included."""
 
     @pytest.mark.parametrize("n", [1, 9, 100, 1000])
     @pytest.mark.parametrize("probes", [(), (1,), (2,), (1024,)], ids=["flat", "1probe", "2probes", "1024probes"])
@@ -153,22 +174,36 @@ class TestElementOrderReduction:
         shape = (n,) + probes
         gains = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        # exact +0+0j element rows (hidden elements) and probe columns
-        gains[rng.random(n) < 0.3] = 0j
-        weights[rng.random(n) < 0.2] = 0j
+        # hidden elements, hidden entries and probe columns no element faces
+        visible = rng.random(shape) < 0.7
+        visible[rng.random(n) < 0.3] = False
         if probes and probes[0] > 1:
-            gains[:, rng.integers(0, probes[0], max(1, probes[0] // 8))] = 0j
-        columns = gains.reshape(n, -1)
+            visible[:, rng.integers(0, probes[0], max(1, probes[0] // 8))] = False
+        # signed zeros in weights (a hidden weight is 0-0j) and in gains
+        weights[rng.random(n) < 0.2] = complex(0.0, -0.0)
+        weights.real[rng.random(n) < 0.1] = -0.0
+        gains.real[rng.random(shape) < 0.05] = -0.0
+        gains.imag[rng.random(shape) < 0.05] = -0.0
+        assert_sums_match_a_python_loop(weights, gains, visible)
 
-        sums = element_loop((weights[:, None] * columns).T.tolist())
-        power = [s.real * s.real + s.imag * s.imag for s in sums]
-        energy = element_loop([[g.real * g.real + g.imag * g.imag for g in col] for col in columns.T.tolist()])
-
-        got_power = np.asarray(coherent_power(weights, gains))
-        got_energy = np.asarray(gain_energy(gains))
-        assert got_power.shape == got_energy.shape == probes
-        np.testing.assert_array_equal(got_power.reshape(-1).view(np.uint64), np.array(power).view(np.uint64))
-        np.testing.assert_array_equal(got_energy.reshape(-1).view(np.uint64), np.array(energy).view(np.uint64))
+    @pytest.mark.parametrize("probes", [(), (1,), (3,)], ids=["flat", "1probe", "3probes"])
+    def test_sums_that_cancel_partway_then_continue(self, probes):
+        # exact +-1 and +-1j weights: the running sum is exactly zero after
+        # the second element, hidden zeros follow, and then it continues
+        weights = np.array([1.0, -1.0 + 0j, 1j, complex(0.0, -0.0), -1j, 1.0, -1.0, 1.0])
+        visible = np.array([True, True, False, False, True, True, True, False])
+        gains = np.array([2.5 - 1.25j, 2.5 - 1.25j, 7.0, 9.0, 0.5 + 3.0j, -0.0 + 4.0j, 3.0 - 0.0j, 5.0])
+        gains = gains.reshape((8,) + (1,) * len(probes)) * np.ones(probes)
+        visible = np.broadcast_to(visible.reshape((8,) + (1,) * len(probes)), gains.shape).copy()
+        products = weights[:, None] * gains.reshape(8, -1)
+        assert np.all(products[0] + products[1] == 0)
+        if probes and probes[0] > 1:
+            # a column whose only visible terms cancel to exactly zero at the end
+            visible[:, 1] = [False, False, False, False, True, True, True, False]
+            gains[6, 1] = -1j * (0.5 + 3.0j) + (-0.0 + 4.0j)
+            products = weights[:, None] * gains.reshape(8, -1)
+            assert products[4, 1] + products[5, 1] + products[6, 1] == 0
+        assert_sums_match_a_python_loop(weights, gains, visible)
 
 
 class TestDbAndNormalization:

@@ -39,7 +39,7 @@ def unmasked_gains(positions, normals, tx, ty, tz, wavelength):
     visible = dx * normals[:, 0] + dy * normals[:, 1] + dz * normals[:, 2] > 0.0
     amp = wavelength / (FOUR_PI * dist)
     phase = (TWO_PI / wavelength) * dist
-    return np.where(visible, amp * np.exp(-1j * phase), 0j), visible, dist
+    return np.where(visible, amp * np.exp(-1j * phase), 0j), visible
 
 
 def random_array(rng):
@@ -161,8 +161,8 @@ class TestLosChannel:
 
 
 class TestVisibleOnlyEvaluation:
-    """``los_gains`` evaluates only facing entries; no bit may differ from
-    evaluating every entry."""
+    """``los_gains`` evaluates and keeps only facing entries; no bit may
+    differ from evaluating every entry."""
 
     def test_gains_match_the_unmasked_kernel_bit_for_bit(self):
         rng = np.random.default_rng(606)
@@ -171,16 +171,21 @@ class TestVisibleOnlyEvaluation:
             g = random_array(rng)
             wl = float(rng.uniform(0.001, 0.1))
             tx, ty, tz = (c.reshape(2, -1) for c in probes_with_tangents(rng, g, 40))
-            gains, visible, dist = los_gains(g.positions, g.normals, tx, ty, tz, wl)
+            gains, visible, entries = los_gains(g.positions, g.normals, tx, ty, tz, wl)
             # the reference is target-major; los_gains is element-major
-            ref, ref_visible, ref_dist = (
+            ref, ref_visible = (
                 np.ascontiguousarray(np.moveaxis(a, -1, 0))
                 for a in unmasked_gains(g.positions, g.normals, tx, ty, tz, wl)
             )
-            assert gains.shape == ref.shape == (g.n, 2, 40)
+            assert visible.shape == ref.shape == (g.n, 2, 40)
             assert_array_equal(visible, ref_visible)
-            assert_array_equal(gains.view(np.uint64), ref.view(np.uint64))
-            assert_array_equal(dist.view(np.uint64), ref_dist[ref_visible].view(np.uint64))
+            assert_array_equal(gains.view(np.uint64), ref[ref_visible].view(np.uint64))
+            rows, columns = np.nonzero(ref_visible.reshape(g.n, -1))
+            assert_array_equal(entries.counts, np.bincount(rows, minlength=g.n))
+            assert_array_equal(entries.columns, columns)
+            assert_array_equal(entries.bins[0::2], 2 * columns)
+            assert_array_equal(entries.bins[1::2], 2 * columns + 1)
+            assert entries.targets == (2, 40)
             facing = (
                 (tx[..., None] - g.positions[:, 0]) * g.normals[:, 0]
                 + (ty[..., None] - g.positions[:, 1]) * g.normals[:, 1]
@@ -192,13 +197,17 @@ class TestVisibleOnlyEvaluation:
 
     def test_hidden_entries_are_positive_zero(self):
         rng = np.random.default_rng(607)
+        hidden = 0
         for _ in range(12):
             g = random_array(rng)
-            tx, ty, tz = probes_with_tangents(rng, g, 30)
-            gains, visible, _ = los_gains(g.positions, g.normals, tx, ty, tz, 0.01)
-            assert np.any(~visible)
-            assert not np.any(gains[~visible].view(np.uint64))
-            assert np.all(np.abs(gains[visible]) > 0.0)
+            x, y, z = probes_with_tangents(rng, g, 30)
+            r = np.sqrt(x * x + y * y + z * z)
+            for target in zip(r, np.arccos(z / r), np.arctan2(y, x) % TWO_PI):
+                h = los_channel(g, SphericalPoint(*map(float, target)), 0.01)
+                assert not np.any(h.gains[~h.visible].view(np.uint64))
+                assert np.all(np.abs(h.gains[h.visible]) > 0.0)
+                hidden += int(np.count_nonzero(~h.visible))
+        assert hidden > 0
 
 
 class TestPlatformDeterminism:
@@ -209,6 +218,40 @@ class TestPlatformDeterminism:
         for _ in range(10):
             x = rng.standard_normal(257) + 1j * rng.standard_normal(257)
             assert np.cumsum(x)[-1] == functools.reduce(operator.add, x)
+
+    def test_bincount_adds_each_bin_in_input_order(self):
+        # the element sums rest on this: bin b receives w[i] for every i
+        # with bins[i] == b, added in input order from +0.0
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            bins = rng.integers(0, 7, int(rng.integers(1, 400)))
+            w = rng.standard_normal(bins.size) * 10.0 ** rng.integers(-20, 20, bins.size)
+            w[rng.random(bins.size) < 0.2] = 0.0
+            w[rng.random(bins.size) < 0.2] = -0.0
+            expected = [0.0] * 9
+            for b, x in zip(bins.tolist(), w.tolist()):
+                expected[b] = expected[b] + x
+            got = np.bincount(bins, weights=w, minlength=9)
+            assert_array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
+        # a bin of signed zeros starts from +0.0
+        got = np.bincount(np.array([1, 1]), weights=np.array([-0.0, -0.0]), minlength=2)
+        assert_array_equal(got.view(np.uint64), np.zeros(2).view(np.uint64))
+
+    def test_complex_product_into_a_separate_array_equals_the_fresh_product(self):
+        # los_gains and coherent_power write every complex product into an
+        # array that is neither operand: a product written over an operand
+        # differs from the fresh product in the last bit on some inputs
+        rng = np.random.default_rng(6)
+        for _ in range(2000):
+            n = int(rng.integers(1, 300))
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            out = np.empty(n, np.complex128)
+            np.multiply(a, b, out=out)
+            assert_array_equal(out.view(np.uint64), (a * b).view(np.uint64))
+            # a real factor, as the amplitude is
+            np.multiply(a.real, b, out=out)
+            assert_array_equal(out.view(np.uint64), (a.real * b).view(np.uint64))
 
     def test_array_trig_matches_scalar_trig(self):
         rng = np.random.default_rng(4)

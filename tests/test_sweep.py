@@ -18,6 +18,7 @@ from spherebeam import (
     TargetInsideArray,
     angular_sweep,
     beam_response,
+    channel_energy,
     conjugate_weights,
     distance_sweep,
     golden_spiral_saa,
@@ -191,6 +192,28 @@ class TestSweepKernel:
         assert gain_calls == [g.n] * 15
         assert_array_equal(grid.power, base.power)
 
+    def test_one_probe_blocks_equal_per_probe_beam_response(self, gain_calls, monkeypatch):
+        g = golden_spiral_saa(24, 0.5)
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", g.n - 1)
+        spec = AngularSweepSpec(theta_samples=5, phi_samples=7)
+        grid = angular_sweep(g, 0.01, FOCAL, spec, normalization="focal", threads=1)
+        h = los_channel(g, FOCAL, 0.01)
+        w = conjugate_weights(h)
+        raw = np.array([
+            [beam_response(w, los_channel(g, SphericalPoint(30.0, float(th), float(ph)), 0.01)) for ph in grid.phi_axis]
+            for th in grid.theta_axis
+        ])
+        assert_array_equal(grid.power, raw / beam_response(w, h))
+        focal = SphericalPoint(20.0, 2.0, 1.0)
+        pattern = distance_sweep(g, 0.01, focal, 10.0, 40.0, 9, threads=1)
+        w = conjugate_weights(los_channel(g, focal, 0.01))
+        fraction = []
+        for r in pattern.r_axis:
+            h_probe = los_channel(g, SphericalPoint(float(r), focal.theta, focal.phi), 0.01)
+            fraction.append(beam_response(w, h_probe) / channel_energy(h_probe))
+        assert_array_equal(pattern.power, np.array(fraction) / max(fraction))
+        assert gain_calls == [g.n] * (35 + 9)
+
     def test_overlay_makes_one_gain_pass_for_all_beams(self, gain_calls, monkeypatch):
         g = golden_spiral_saa(36, 0.5)
         monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 100 * g.n)
@@ -236,9 +259,9 @@ class TestSweepKernel:
         calls = []
         real = sweep.gain_energy
 
-        def recording(gains, *rest):
-            calls.append(gains.shape)
-            return real(gains, *rest)
+        def recording(gains, entries, *rest):
+            calls.append((entries.counts.size,) + entries.targets)
+            return real(gains, entries, *rest)
 
         monkeypatch.setattr(sweep, "gain_energy", recording)
         g = golden_spiral_saa(16, 0.5)
