@@ -5,13 +5,16 @@ decimals, enough to reconstruct every double exactly. Pattern CSVs carry
 power in dB with exact zeros pinned at the floor value; readers map
 anything at or below the floor back to linear 0.
 
-Writers format plain Python floats from ``.tolist()``. The angular writer
-fills one ``%`` row template per grid and writes one string per theta row,
-so no more than a row of text is held at a time. The pattern readers parse
-the body in chunks of about ``READ_CHUNK_BYTES`` of whole lines through one
-``numpy`` conversion per chunk, which calls the same parser as ``float``.
-A chunk that does not convert is parsed again line by line, so a
-``ParseError`` names the first bad line exactly.
+Sidecars and tables format plain Python floats with ``fmt``. The pattern
+writers format their values in numpy instead, a block of at most
+``WRITE_BLOCK_CELLS`` values at a time, through ``_number_words``, which
+gives the bytes of ``"%.17g" % v`` for every double; each block of lines
+is written as one ``bytes`` object, so no more than a block of text is
+held at a time. The pattern readers parse the body in chunks of about
+``READ_CHUNK_BYTES`` of whole lines through one ``numpy`` conversion per
+chunk, which calls the same parser as ``float``; each distinct axis text
+of a chunk is converted once. A chunk that does not convert is parsed
+again line by line, so a ``ParseError`` names the first bad line exactly.
 """
 
 from __future__ import annotations
@@ -39,9 +42,146 @@ READ_CHUNK_BYTES = 1 << 16
 """Text the pattern readers parse at once, which bounds their working set."""
 
 
+WRITE_BLOCK_CELLS = 1024
+"""Values the pattern writers format at once; every block array stays
+below glibc's 128 KiB mmap threshold."""
+
+
 def fmt(x: float) -> str:
     """Decimal text with 17 significant digits."""
     return format(float(x), ".17g")
+
+
+# A formatted number is five NUL-padded 8-byte words: a head and four
+# groups of four digits. Every digit is followed by a "." candidate, so
+# the text of "%.17g" is the head and digit bytes that a per-(exponent,
+# digit count, sign) byte mask keeps, with NULs deleted; the separator
+# takes the place of the point after the last digit, which is never kept.
+#   head  "-0.000d." : sign, "0." and up to three zeros of 0.000ddd, the
+#                      leading digit d and its point
+#   group "d.d.d.d." : digits 1-4, 5-8, 9-12 and 13-16 of the 17
+_HEAD = 10_000
+"""Index of the head word of leading digit 0 in ``_GROUP_WORDS``."""
+
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The head and group words, and the trailing zeros of each group."""
+    group = np.arange(_HEAD)
+    words = np.full((_HEAD + 10, 8), ord("."), np.uint8)
+    words[_HEAD:, :6] = np.frombuffer(b"-0.000", np.uint8)
+    words[_HEAD:, 6] = np.arange(10) + ord("0")
+    zeros = np.zeros(_HEAD, np.intp)
+    trailing = np.ones(_HEAD, bool)
+    for k, place in enumerate((1, 10, 100, 1000)):
+        digit = group // place % 10
+        words[:_HEAD, 6 - 2 * k] = digit + ord("0")
+        trailing &= digit == 0
+        zeros += trailing
+    return words.view(np.uint64).ravel(), zeros
+
+
+_GROUP_WORDS, _TRAILING_ZEROS = _group_tables()
+
+
+def _keep_masks() -> np.ndarray:
+    """Byte masks (0xFF kept, 0 dropped) of the five head and digit words,
+    one row per ``(s * 17 + zeros) * 2 + sign`` for the decimal exponent
+    ``x = 16 - s`` in [-4, 16] and the trailing zeros of the 17 digits."""
+    s, zeros, sign, byte = np.ix_(range(21), range(17), range(2), range(40))
+    x, digits = 16 - s, 17 - zeros
+    shown = np.where(x < 0, digits, np.maximum(digits, x + 1))
+    keep = (
+        ((byte == 0) & (sign == 1))  # -
+        | ((x < 0) & (byte >= 1) & (byte < 2 - x))  # 0.[0..0] before the digits
+        | ((byte >= 6) & (byte % 2 == 0) & (byte < 6 + 2 * shown))  # digits
+        | ((x >= 0) & (digits > x + 1) & (byte == 7 + 2 * x))  # point of ddd.ddd
+    )
+    return (keep * np.uint8(0xFF)).reshape(-1, 40).view(np.uint64)
+
+
+_KEEP_WORDS = _keep_masks()
+_SPLITTER = 134217729.0
+"""2**27 + 1, which splits a double into two 26-bit halves (Veltkamp)."""
+
+
+def _split(v):
+    c = _SPLITTER * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(23)])
+"""Exact doubles 1e0 .. 1e22."""
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _round_scaled(a, s):
+    """``a * 10**s``, which must lie below ``2**62``, rounded to an
+    integer, half to even, where it is at least ``2**53``; below, the
+    result is within 1 of it.
+
+    Dekker's product gives the exact value as ``p + err``. A double ``p``
+    of at least ``2**53`` is an even integer, so rounding ``err`` half to
+    even rounds the sum half to even.
+    """
+    p = a * _POW10[s]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[s], _POW10_LO[s]
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _number_words(x, sep: bytes) -> np.ndarray:
+    """``(len(x), 5)`` words whose bytes, NULs deleted, are ``"%.17g" % v``
+    and ``sep`` for every value ``v`` of ``x``.
+
+    Values with ``1e-4 <= |v| < 1e16``, whose text is in fixed notation,
+    are formatted here in numpy; the others (zeros, tiny, huge and
+    non-finite values) go one at a time through ``fmt``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    a = np.abs(x)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))
+    a[slow] = 1.0
+    # the 17 significant digits are a * 10**s rounded, for s = 16 - X and
+    # the decimal exponent X; log10 can miss X by one near a power of ten
+    # (log10 of the double below 1000 is 3.0), which leaves d outside
+    # [1e16, 1e17). Those values are rounded again from a at the next
+    # scale, never by rescaling d, which would round twice.
+    s = (16 - np.floor(np.log10(a))).astype(np.intp)
+    d = _round_scaled(a, s)
+    shift = (d < 10**16).astype(np.intp) - (d >= 10**17)
+    redo = np.flatnonzero(shift)
+    if redo.size:
+        s[redo] += shift[redo]
+        d[redo] = _round_scaled(a[redo], s[redo])
+    groups = np.empty((5, x.size), np.intp)
+    for k, place in enumerate((10**16, 10**12, 10**8, 10**4)):
+        np.floor_divide(d, place, out=groups[k])
+        d -= groups[k] * place
+    groups[4] = d
+    g1, g2, g3, g4 = _TRAILING_ZEROS[groups[1:]]
+    zeros = g4 + (groups[4] == 0) * (g3 + (groups[3] == 0) * (g2 + (groups[2] == 0) * g1))
+    groups[0] += _HEAD
+    code = (s * 17 + zeros) * 2 + np.signbit(x)
+    words = _GROUP_WORDS[groups.T]
+    words &= _KEEP_WORDS[code]
+    words[:, 4] |= np.frombuffer(b"\0" * 7 + sep, np.uint64)
+    if slow.size:
+        words[slow] = _text_words([fmt(v) + sep.decode() for v in x[slow].tolist()], 5)
+    return words
+
+
+def _text_words(texts, width: int = 0) -> np.ndarray:
+    """ASCII ``texts`` as rows of at least ``width`` NUL-padded 8-byte words."""
+    data = np.array([t.encode() for t in texts], dtype=bytes)
+    size = max(data.dtype.itemsize, 8 * width)
+    return data.astype(f"S{-(-size // 8) * 8}").view(np.uint64).reshape(len(texts), -1)
+
+
+def _pack(words: np.ndarray) -> bytes:
+    """Bytes of ``words`` with the NUL padding deleted."""
+    return words.tobytes().translate(None, b"\0")
 
 
 @contextlib.contextmanager
@@ -75,22 +215,30 @@ def write_geometry_csv(path, geometry: ArrayGeometry) -> None:
 def write_angular_csv(path, grid: AngularPatternGrid) -> None:
     """Full grid in dB, theta outer loop, phi inner loop.
 
-    Each theta row is converted to dB on its own, so no dB copy of the
-    whole grid is held.
+    Each block of cells is converted to dB and formatted on its own, so no
+    dB or text copy of the whole grid is held.
     """
-    # one "%" template per grid; NUL stands for the theta text of a row
-    template = "\n".join(f"\0,{fmt(ph)},%.17g" for ph in grid.phi_axis.tolist())
-    rows = (
-        template.replace("\0", fmt(th)) % tuple(to_db(row).tolist())
-        for th, row in zip(grid.theta_axis.tolist(), grid.power)
-    )
-    write_lines(path, itertools.chain([ANGULAR_HEADER], rows))
+    theta = _text_words([fmt(th) + "," for th in grid.theta_axis.tolist()])
+    phi = _text_words([fmt(ph) + "," for ph in grid.phi_axis.tolist()])
+    cells = grid.power.size
+    with open(Path(path), "wb") as fh:
+        fh.write(f"{ANGULAR_HEADER}\n".encode())
+        for start in range(0, cells, WRITE_BLOCK_CELLS):
+            cell = np.arange(start, min(start + WRITE_BLOCK_CELLS, cells))
+            axes = [theta.take(cell // phi.shape[0], axis=0), phi.take(cell, axis=0, mode="wrap")]
+            db = to_db(grid.power.flat[start : start + WRITE_BLOCK_CELLS])
+            fh.write(_pack(np.concatenate([*axes, _number_words(db, b"\n")], axis=1)))
 
 
 def write_distance_csv(path, pattern: DistancePattern) -> None:
     """One row per range sample: range, power in dB."""
-    rows = (f"{fmt(r)},{fmt(db)}" for r, db in zip(pattern.r_axis.tolist(), to_db(pattern.power).tolist()))
-    write_lines(path, itertools.chain([DISTANCE_HEADER], rows))
+    samples = pattern.r_axis.size
+    with open(Path(path), "wb") as fh:
+        fh.write(f"{DISTANCE_HEADER}\n".encode())
+        for start in range(0, samples, WRITE_BLOCK_CELLS):
+            r = pattern.r_axis[start : start + WRITE_BLOCK_CELLS]
+            db = to_db(pattern.power[start : start + WRITE_BLOCK_CELLS])
+            fh.write(_pack(np.concatenate([_number_words(r, b","), _number_words(db, b"\n")], axis=1)))
 
 
 def write_meta(path, entries: dict) -> None:
@@ -187,16 +335,31 @@ def _parse_chunk(chunk, expected: int, lineno: int) -> np.ndarray:
     whose last column, power in dB in the file, is linear power.
 
     The first line of the chunk is line ``lineno`` of the file. When every
-    line has ``expected`` fields, the fields convert in one call; if one of
-    them does not, is not finite, or overflows linear power, the lines are
-    split one by one, which raises the ``ParseError`` of the first bad line.
+    line has ``expected`` fields, the fields convert in bulk: each distinct
+    text of a leading (axis) column once, the power column in one call. If
+    a field does not convert, is not finite, or overflows linear power, the
+    lines are split one by one, which raises the ``ParseError`` of the
+    first bad line.
     """
     lines = [line for line in map(str.strip, chunk) if line]
-    if lines and all(line.count(",") == expected - 1 for line in lines):
+    if {*map(str.count, lines, itertools.repeat(","))} == {expected - 1}:
+        fields = ",".join(lines).split(",")
+        n = len(lines)
+        rows = np.empty((n, expected))
         try:
-            rows = np.array(",".join(lines).split(","), dtype=np.float64).reshape(-1, expected)
+            for k in range(expected - 1):
+                column = fields[k::expected]
+                # texts map to indices: a dict of float objects per chunk
+                # raised the peak RSS of repeated reads by about 0.7 MB
+                index = dict(zip(dict.fromkeys(column), itertools.count()))
+                values = np.array(list(index), dtype=np.float64)
+                rows[:, k] = values[np.fromiter(map(index.__getitem__, column), np.intp, n)]
+            db = np.array(fields[expected - 1 :: expected], dtype=np.float64)
+            rows[:, -1] = db
             if np.isfinite(rows).all():
-                rows[:, -1] = [_db_to_linear(db) for db in rows[:, -1].tolist()]
+                # math.pow calls the same libm pow as the scalar 10.0 ** q
+                rows[:, -1] = np.fromiter(map(math.pow, itertools.repeat(10.0), (db / 10.0).tolist()), np.float64, n)
+                rows[db <= DB_FLOOR, -1] = 0.0
                 return rows
         except (ValueError, OverflowError):
             pass

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spherebeam import (
@@ -16,7 +19,9 @@ from spherebeam import (
     angular_sweep,
     distance_sweep,
     golden_spiral_saa,
+    load_preset,
     parse_scenario,
+    run_scenario,
     upa,
 )
 from spherebeam.beamforming import DB_FLOOR, to_db
@@ -27,6 +32,9 @@ from spherebeam.fileio import (
     GEOMETRY_HEADER,
     METRICS_HEADER,
     READ_CHUNK_BYTES,
+    _number_words,
+    _pack,
+    _split_csv_line,
     fmt,
     read_angular_csv,
     read_distance_csv,
@@ -102,6 +110,13 @@ def swept_2x2_grid() -> AngularPatternGrid:
     return angular_sweep(upa(16, 0.005), 0.01, FOCAL, spec)
 
 
+def focal_normalized_grid() -> AngularPatternGrid:
+    """Grid normalized to a focal response below its maximum, so some
+    cells are above 0 dB, with floor cells."""
+    grid = random_grid(np.random.default_rng(6), 11, 14)
+    return replace(grid, power=grid.power * 37.5, normalization="focal")
+
+
 def expected_linear(grid) -> np.ndarray:
     """What reading the written dB text back must give, computed per cell."""
     out = []
@@ -124,6 +139,93 @@ class TestFmt:
             assert float(fmt(x)) == x
         assert fmt(0.0) == "0"
         assert float(fmt(math.pi)) == math.pi
+
+
+def percent_text(values, sep="\n") -> bytes:
+    """Reference: ``"%.17g" % v`` of each value, one Python call per value."""
+    return "".join("%.17g%s" % (v, sep) for v in values).encode()
+
+
+def numpy_text(values, sep=b"\n") -> bytes:
+    return _pack(_number_words(np.array(values, dtype=np.float64), sep))
+
+
+def powers_of_ten_and_neighbours() -> list[float]:
+    """Every power of ten from 1e-5 to 1e17 with two doubles on each side,
+    and their negatives; log10 rounds some of the lower ones up to the
+    exponent, so the first digit estimate falls a decade short."""
+    values = []
+    for e in range(-5, 18):
+        p = float(f"1e{e}")
+        below = [np.nextafter(p, 0.0), np.nextafter(np.nextafter(p, 0.0), 0.0)]
+        above = [np.nextafter(p, np.inf), np.nextafter(np.nextafter(p, np.inf), np.inf)]
+        values += [p, *map(float, below + above)]
+    assert np.log10(np.nextafter(1000.0, 0.0)) == 3.0
+    return values + [-v for v in values]
+
+
+def ties() -> list[float]:
+    """Doubles whose exact decimal expansion has 18 significant digits, the
+    last a 5, in every decade [10**X, 10**(X+1)) of X = -4 .. 15: "%.17g"
+    rounds each half to even. k * 2**-j with odd k has j decimals ending in
+    5, so j = 17 - X gives X + 1 + j = 18 significant digits."""
+    values = []
+    for x in range(-4, 16):
+        j = 17 - x
+        k0 = int(10.0**x * 2.0**j) | 1
+        for k in range(k0, k0 + 400, 2):
+            v = k * 2.0**-j
+            if 10.0**x <= v < 10.0 ** (x + 1):
+                assert len(Decimal(v).as_tuple().digits) == 18 and Decimal(v).as_tuple().digits[-1] == 5
+                values.append(v)
+    return values
+
+
+class TestNumberWords:
+    """The numpy formatter of the pattern writers gives the bytes of "%.17g"."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(min_value=-1e17, max_value=1e17),
+                st.floats(min_value=-300.0, max_value=40.0),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_every_finite_double_gives_the_percent_bytes(self, values):
+        assert numpy_text(values) == percent_text(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            powers_of_ten_and_neighbours(),
+            ties(),
+            [100.000030517578125, 0.000100000000000000005, 1.0000000000000001e16],
+            [1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0), -1e-4, -np.nextafter(1e16, 0.0)],
+            [0.0, -0.0, -300.0, 300.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308],
+            [1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 0.5, 9.5, 99.5, 15.741],
+        ],
+        ids=["powers_of_ten", "ties", "edge_texts", "fast_domain_edges", "zeros_floor_subnormals", "extremes"],
+    )
+    def test_fixed_cases(self, values):
+        assert numpy_text(values) == percent_text(values)
+        assert numpy_text(values, b",") == percent_text(values, ",")
+
+    def test_tie_rounds_half_to_even(self):
+        assert numpy_text([100.000030517578125]) == b"100.00003051757812\n"
+        assert len(ties()) > 2000
+
+    def test_uniform_db_values(self):
+        db = -300.0 * np.random.default_rng(12).random(50_000)
+        assert numpy_text(db) == percent_text(db.tolist())
+
+    def test_non_finite_values_take_the_fallback(self):
+        values = [math.nan, math.inf, -math.inf, -3.0]
+        assert numpy_text(values) == b"nan\ninf\n-inf\n-3\n"
 
 
 class TestGeometryCsv:
@@ -240,7 +342,8 @@ class TestAngularCsv:
 class TestAngularCsvBulk:
     """Row-wise writing and chunked reading give the per-cell bytes and values."""
 
-    @pytest.mark.parametrize("shape", [(2, 2), (7, 13), (31, 9)])
+    # the last two span several write blocks, one with rows longer than a block
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 13), (31, 9), (45, 50), (3, 2500)])
     def test_writer_bytes_equal_per_cell_formatting(self, tmp_path, shape):
         grid = random_grid(np.random.default_rng(sum(shape)), *shape)
         assert np.any(grid.power == 0.0)
@@ -250,7 +353,9 @@ class TestAngularCsvBulk:
         assert b",-300\n" in path.read_bytes()
 
     @pytest.mark.parametrize(
-        "make", [exponent_axes_grid, pole_rows_grid, swept_2x2_grid], ids=["exponent_axes", "pole_rows", "swept_2x2"]
+        "make",
+        [exponent_axes_grid, pole_rows_grid, swept_2x2_grid, focal_normalized_grid],
+        ids=["exponent_axes", "pole_rows", "swept_2x2", "focal_normalized"],
     )
     def test_writer_bytes_on_edge_grids(self, tmp_path, make):
         grid = make()
@@ -259,6 +364,14 @@ class TestAngularCsvBulk:
         write_angular_csv(path, grid)
         assert path.read_bytes() == per_cell_angular_text(grid).encode("utf-8")
         assert b",-300\n" in path.read_bytes()
+
+    def test_writer_bytes_on_a_non_contiguous_power_array(self, tmp_path):
+        grid = random_grid(np.random.default_rng(13), 40, 30)
+        grid = replace(grid, power=np.asfortranarray(grid.power))
+        assert not grid.power.flags.c_contiguous
+        path = tmp_path / "beam.csv"
+        write_angular_csv(path, grid)
+        assert path.read_bytes() == per_cell_angular_text(grid).encode("utf-8")
 
     def test_writer_bytes_on_a_swept_grid_with_a_dark_rear(self, tmp_path):
         spec = AngularSweepSpec(theta_samples=19, phi_samples=23)
@@ -323,6 +436,30 @@ class TestAngularCsvBulk:
         assert err.value.line == target + 1
 
 
+    def test_reader_matches_the_line_by_line_parse(self, large):
+        grid, path = large
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # some axis values written a second way, as 0.50 next to 0.5
+        rewritten = 0
+        for k in range(1, len(lines), 3):
+            th, ph, db = lines[k].split(",")
+            if "." in th and "e" not in th:
+                th += "0"
+            if "." in ph and "e" not in ph and k % 2:
+                ph += "00"
+            rewritten += f"{th},{ph},{db}" != lines[k]
+            lines[k] = f"{th},{ph},{db}"
+        assert rewritten > 1000
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        parsed = np.array([_split_csv_line(line, 3, n) for n, line in enumerate(lines[1:], start=2)])
+        theta_axis, phi_axis, power = read_angular_csv(path)
+        t_n, p_n = grid.power.shape
+        assert_bits_equal(np.repeat(theta_axis, p_n), parsed[:, 0])
+        assert_bits_equal(np.tile(phi_axis, t_n), parsed[:, 1])
+        assert_bits_equal(power.ravel(), parsed[:, 2])
+        assert_bits_equal(power, expected_linear(grid))
+
+
 class TestDistanceCsv:
     def test_round_trip(self, tmp_path):
         g = golden_spiral_saa(30, 0.5)
@@ -369,6 +506,53 @@ class TestDistanceCsv:
             rows = zip(pattern.r_axis, to_db(pattern.power))
             assert path.read_bytes() == per_value_text(DISTANCE_HEADER, rows).encode("utf-8")
         assert b",-300\n" in path.read_bytes()
+
+
+    def test_multi_chunk_reader_matches_the_line_by_line_parse(self, tmp_path):
+        power = np.random.default_rng(9).random(6000) ** 8
+        power[::13] = 0.0
+        pattern = DistancePattern(
+            r_axis=np.linspace(5.0, 100.0, 6000), power=power, direction=(1.0, 1.0), focal_range_m=30.0
+        )
+        path = tmp_path / "focus.csv"
+        write_distance_csv(path, pattern)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(path.read_bytes()) > 3 * READ_CHUNK_BYTES
+        parsed = np.array([_split_csv_line(line, 2, n) for n, line in enumerate(lines[1:], start=2)])
+        r_axis, linear = read_distance_csv(path)
+        assert_bits_equal(r_axis, parsed[:, 0])
+        assert_bits_equal(linear, parsed[:, 1])
+
+        # an overflowing dB value in a later chunk names its own line
+        target = len(lines) - 7
+        lines[target] = lines[target].split(",")[0] + ",4000"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="overflows linear power") as err:
+            read_distance_csv(path)
+        assert err.value.line == target + 1
+
+
+class TestPlatformDeterminism:
+    """The pattern readers convert dB to linear power with ``math.pow(10.0,
+    q)``; the line-by-line parse uses the scalar ``10.0 ** q``. Both call
+    libm ``pow``, so they must agree on every value the presets write."""
+
+    def test_math_pow_equals_scalar_power_on_every_preset(self, tmp_path):
+        checked = 0
+        for name in ("fig4_saa", "fig4_upa", "fig5_r05", "fig5_r1", "fig5_r2"):
+            out = tmp_path / name
+            run_scenario(load_preset(name), out, threads=1)
+            for path in sorted(out.glob("*.csv")):
+                lines = path.read_text(encoding="utf-8").splitlines()
+                if lines[0] not in (ANGULAR_HEADER, DISTANCE_HEADER):
+                    continue
+                for line in lines[1:]:
+                    db = float(line.rpartition(",")[2])
+                    if db > DB_FLOOR:
+                        q = db / 10.0
+                        assert math.pow(10.0, q) == 10.0**q, (path.name, line)
+                        checked += 1
+        assert checked > 350_000
 
 
 class TestMeta:
