@@ -91,9 +91,9 @@ def normalize_pattern(raw, mode: str = "grid_max", *, reference: float | None = 
     """
     arr = np.asarray(raw, dtype=np.float64)
     if arr.size == 0:
-        raise ValueError("pattern is empty")
+        raise ValidationError("pattern is empty", "raw")
     if np.any(arr < 0.0):
-        raise ValueError("pattern values must be non-negative")
+        raise ValidationError("pattern values must be non-negative", "raw")
     if mode == "grid_max":
         ref = float(np.max(arr))
         if ref == 0.0:
@@ -101,5 +101,5 @@ def normalize_pattern(raw, mode: str = "grid_max", *, reference: float | None = 
     elif mode == "focal_response":
         ref = require_positive(reference, "reference")
     else:
-        raise ValueError(f"unknown normalization mode {mode!r}")
+        raise ValidationError(f"unknown normalization mode {mode!r}", "mode")
     return arr / ref

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvalidWavelength, ValidationError, require_clearance, require_positive
+from .errors import DegenerateGeometry, ValidationError, require_clearance, require_positive
 from .geometry import TWO_PI, ArrayGeometry, SphericalPoint
 
 FOUR_PI = 4.0 * math.pi
@@ -198,7 +198,7 @@ def los_gains(positions, normals, tx, ty, tz, wavelength, scratch=None):
 
 def los_channel(geometry: ArrayGeometry, target: SphericalPoint, wavelength: float) -> ChannelVector:
     """Channel coefficients from every element toward one target point."""
-    wl = require_positive(wavelength, "wavelength", InvalidWavelength)
+    wl = require_positive(wavelength, "wavelength")
     require_clearance(target.r, geometry.radius_m, "target")
     t = target.to_cartesian()
     values, visible, _ = los_gains(geometry.positions, geometry.normals, t[0], t[1], t[2], wl)

@@ -19,11 +19,12 @@ import warnings
 from pathlib import Path
 
 from . import fileio
-from .errors import MainLobeMissed, ParseError, SpherebeamError, ValidationError, require_single_line
+from .errors import MainLobeMissed, ParseError, SpherebeamError, ValidationError, require_count, require_single_line
 from .metrics import measure
 from .scenario import (
     GEOMETRY_KEYS,
     SWEEP_KEYS,
+    _parse_int,
     geometry_from_fields,
     load_preset,
     parse_field,
@@ -58,7 +59,7 @@ def _add_beam_flags(parser: argparse.ArgumentParser) -> None:
         help="focal point triple, repeatable; angles accept pi fractions",
     )
     parser.add_argument("--normalization", help="grid_max (default) or focal")
-    parser.add_argument("--threads", type=int, help="sweep worker threads (default: all cores)")
+    parser.add_argument("--threads", help="sweep worker threads (default: all cores)")
     parser.add_argument("--out", required=True, help="output directory")
 
 
@@ -107,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", help="name of a shipped preset")
     src.add_argument("--scenario", help="path to a scenario file")
     r.add_argument("--out", required=True, help="output directory")
-    r.add_argument("--threads", type=int, help="sweep worker threads (default: all cores)")
+    r.add_argument("--threads", help="sweep worker threads (default: all cores)")
     r.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("preset", help="inspect shipped presets")
@@ -129,6 +130,13 @@ def _flag_pairs(args, keys) -> list[tuple[None, str, str]]:
     return pairs
 
 
+def _threads(args) -> int | None:
+    """``--threads`` under the integer rule of every count flag; None when not given."""
+    if args.threads is None:
+        return None
+    return require_count(_parse_int("threads", args.threads, None), "threads")
+
+
 def _cmd_geometry(args) -> int:
     if not args.out:
         raise ValidationError("an output directory is required", field="out")
@@ -143,9 +151,10 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
+    threads = _threads(args)
     keys = ("kind", *GEOMETRY_KEYS, "wavelength", "focal", "sweep", *SWEEP_KEYS[args.sweep], "normalization")
     scenario = scenario_from_pairs(_flag_pairs(args, keys))
-    return run_scenario(scenario, out_dir=args.out, threads=args.threads)
+    return run_scenario(scenario, out_dir=args.out, threads=threads)
 
 
 def _resolve_focal(args, meta: dict) -> "SphericalPoint":
@@ -208,12 +217,13 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    threads = _threads(args)
     if args.preset is not None:
         scenario = load_preset(args.preset)
     else:
         with fileio.open_text(args.scenario) as fh:
             scenario = parse_scenario(fh.read())
-    return run_scenario(scenario, out_dir=args.out, threads=args.threads)
+    return run_scenario(scenario, out_dir=args.out, threads=threads)
 
 
 def _cmd_preset_list(args) -> int:

@@ -6,7 +6,9 @@ that were computed but may not mean what their names say.
 
 Each input rule has one checker here (the ``require_*`` functions), and the
 geometry constructors, the sweeps, the channel and the scenario parser all
-call it, so they accept and reject the same values.
+call it, so they accept and reject the same values. ``_FIELD_ERRORS`` and
+``_COUNT_MINIMA`` hold each field's rule that differs from the default, so a
+scenario key, its flag and the library argument of one name raise one error.
 """
 
 from __future__ import annotations
@@ -92,13 +94,21 @@ class TargetInsideArray(ValidationError):
     """Focal or sweep point lies inside or on the array sphere."""
 
 
-def require_positive(value, field: str, error: type[ValidationError] = ValidationError) -> float:
+# the per-field rules that differ from the default: the error a value
+# that is not positive and finite raises (``ValidationError`` otherwise),
+# and the smallest count accepted (1 otherwise)
+_FIELD_ERRORS = {"radius": InvalidRadius, "spacing": InvalidSpacing, "wavelength": InvalidWavelength}
+_COUNT_MINIMA = {"subdivision": 0, "theta_samples": 2, "phi_samples": 2, "r_samples": 2, "samples": 2}
+
+
+def require_positive(value, field: str) -> float:
     """``value`` as a float that is positive and finite."""
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not (math.isfinite(x) and x > 0.0):
+        error = _FIELD_ERRORS.get(field, ValidationError)
         raise error(f"{field} must be positive and finite, got {value!r}", field)
     return x
 
@@ -110,12 +120,9 @@ def require_single_line(value: str, field: str) -> str:
     return value
 
 
-def require_count(value, field: str, minimum: int = 1) -> int:
-    """``value`` as an int of at least ``minimum``; fractions are rejected.
-
-    Element counts take the default minimum of 1, subdivision levels 0,
-    sample counts 2, and worker thread counts 1.
-    """
+def require_count(value, field: str) -> int:
+    """``value`` as an int of at least the field's minimum; fractions are rejected."""
+    minimum = _COUNT_MINIMA.get(field, 1)
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -123,6 +130,14 @@ def require_count(value, field: str, minimum: int = 1) -> int:
     if n is None or n != value or n < minimum:
         raise InvalidCount(f"{field} must be an integer >= {minimum}, got {value!r}", field)
     return n
+
+
+def require_choice(value, choices, field: str):
+    """``value`` when it is one of ``choices``."""
+    if value not in tuple(choices):
+        names = " or ".join(repr(choice) for choice in choices)
+        raise ValidationError(f"{field} must be {names}, got {value!r}", field)
+    return value
 
 
 def require_square(n: int, field: str) -> int:

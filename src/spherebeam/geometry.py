@@ -13,14 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    InvalidRadius,
-    InvalidRotation,
-    InvalidSpacing,
-    require_count,
-    require_positive,
-    require_square,
-)
+from .errors import InvalidRotation, ValidationError, require_count, require_positive, require_square
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,9 +55,9 @@ class SphericalPoint:
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "phi", float(self.phi))
         if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
+            raise ValidationError(f"theta must lie in [0, pi], got {self.theta!r}", "theta")
         if not 0.0 <= self.phi <= TWO_PI:
-            raise ValueError(f"phi must lie in [0, 2*pi], got {self.phi!r}")
+            raise ValidationError(f"phi must lie in [0, 2*pi], got {self.phi!r}", "phi")
 
     def to_cartesian(self) -> np.ndarray:
         x, y, z = sph_to_cart(self.r, self.theta, self.phi)
@@ -75,7 +68,7 @@ class SphericalPoint:
         x, y, z = (float(v) for v in xyz)
         r = math.sqrt(x * x + y * y + z * z)
         if r == 0.0:
-            raise ValueError("the origin has no spherical representation")
+            raise ValidationError("the origin has no spherical representation", "xyz")
         theta = math.acos(min(1.0, max(-1.0, z / r)))
         phi = math.atan2(y, x)
         if phi < 0.0:
@@ -114,7 +107,7 @@ def golden_spiral_saa(n: int, radius: float) -> ArrayGeometry:
     height formula is written so that z_k == -z_{n-1-k} exactly.
     """
     n = require_count(n, "n")
-    radius = require_positive(radius, "radius", InvalidRadius)
+    radius = require_positive(radius, "radius")
     k = np.arange(n, dtype=np.float64)
     nf = float(n)
     z = (nf - 2.0 * k - 1.0) / nf
@@ -133,7 +126,7 @@ def upa(n: int, spacing: float) -> ArrayGeometry:
     """
     n = require_count(n, "n")
     m = require_square(n, "n")
-    s = require_positive(spacing, "spacing", InvalidSpacing)
+    s = require_positive(spacing, "spacing")
     coords = (np.arange(m, dtype=np.float64) - (m - 1) / 2.0) * s
     gx, gy = np.meshgrid(coords, coords, indexing="ij")
     positions = np.stack([gx.ravel(), gy.ravel(), np.zeros(n)], axis=1)
@@ -151,7 +144,7 @@ def ring_saa(n_rings: int, per_ring_policy, radius: float) -> ArrayGeometry:
     circumference, at least one element) or an integer fixed count.
     """
     n_rings = require_count(n_rings, "n_rings")
-    radius = require_positive(radius, "radius", InvalidRadius)
+    radius = require_positive(radius, "radius")
     rings = []
     for i in range(n_rings):
         theta = ((i + 0.5) * math.pi) / n_rings
@@ -181,8 +174,8 @@ def polyhedral_saa(subdivision: int, radius: float) -> ArrayGeometry:
     count is exactly 10*4**subdivision + 2. Ordering is construction
     order: the 12 base vertices first, then midpoints as created.
     """
-    s = require_count(subdivision, "subdivision", 0)
-    radius = require_positive(radius, "radius", InvalidRadius)
+    s = require_count(subdivision, "subdivision")
+    radius = require_positive(radius, "radius")
     t = (1.0 + math.sqrt(5.0)) / 2.0
     base = [
         (-1.0, t, 0.0), (1.0, t, 0.0), (-1.0, -t, 0.0), (1.0, -t, 0.0),
@@ -229,7 +222,7 @@ def spiral_curve_saa(n: int, turns: float, radius: float) -> ArrayGeometry:
     """
     n = require_count(n, "n")
     tr = require_positive(turns, "turns")
-    radius = require_positive(radius, "radius", InvalidRadius)
+    radius = require_positive(radius, "radius")
     t = (np.arange(n, dtype=np.float64) + 0.5) / float(n)
     theta = math.pi * t
     phi = np.mod((TWO_PI * tr) * t, TWO_PI)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import DB_FLOOR
-from .errors import DegeneratePattern, MainLobeMissed
+from .errors import DegeneratePattern, MainLobeMissed, ValidationError
 from .geometry import TWO_PI, SphericalPoint, sph_to_cart
 from .sweep import AngularPatternGrid, DistancePattern
 
@@ -129,7 +129,7 @@ def angular_metrics(grid: AngularPatternGrid, focal: SphericalPoint | None = Non
     if focal is None:
         focal = grid.focal
     if focal is None:
-        raise ValueError("a focal point is required to compute the pointing error")
+        raise ValidationError("a focal point is required to compute the pointing error", "focal")
     p = grid.power
     peak_val = float(np.max(p))
     if peak_val <= 0.0 or peak_val == float(np.min(p)):
@@ -251,7 +251,7 @@ def isotropy_report(per_focal_metrics) -> IsotropyReport:
     """Min/max/ratio summary of beam metrics across focal points."""
     entries = list(per_focal_metrics)
     if len(entries) < 2:
-        raise ValueError("need at least two beams to summarize isotropy")
+        raise ValidationError("need at least two beams to summarize isotropy", "per_focal_metrics")
     usable = [m for m in entries if not m.degenerate]
     if not usable:
         raise DegeneratePattern("every beam was degenerate")

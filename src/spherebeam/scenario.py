@@ -21,6 +21,7 @@ from .errors import (
     NoVisibleElements,
     ParseError,
     ValidationError,
+    require_choice,
     require_clearance,
     require_count,
     require_positive,
@@ -39,25 +40,25 @@ from .geometry import (
     upa,
 )
 from .metrics import MIN_PEAK_CAPTURE, isotropy_report, measure
-from .sweep import AngularSweepSpec, distance_sweep, multi_focal_overlay
+from .sweep import _NORMALIZATIONS, AngularSweepSpec, distance_sweep, multi_focal_overlay
 
-_KINDS = tuple(k.value for k in ArrayKind)
-
+# each kind's constructor arguments, in order
 _KIND_PARAMS = {
     ArrayKind.UPA.value: ("n", "spacing"),
     ArrayKind.SPIRAL.value: ("n", "radius"),
-    ArrayKind.RING.value: ("n_rings", "radius"),
+    ArrayKind.RING.value: ("n_rings", "ring_policy", "radius"),
     ArrayKind.POLYHEDRAL.value: ("subdivision", "radius"),
     ArrayKind.SPIRAL_CURVE.value: ("n", "turns", "radius"),
 }
 
+# the geometry fields a kind may leave out, with the value they then take
+_GEOMETRY_DEFAULTS = {"ring_policy": "proportional"}
+
 GEOMETRY_KEYS = ("n", "radius", "spacing", "n_rings", "ring_policy", "subdivision", "turns")
 
-# integer keys with their smallest allowed value; every float key must be
-# positive and finite
-_INT_KEYS = {
-    "n": 1, "n_rings": 1, "subdivision": 0, "theta_samples": 2, "phi_samples": 2, "r_samples": 2,
-}
+# every count key must be an integer of at least its minimum, and every
+# float key positive and finite (see ``errors``)
+_INT_KEYS = frozenset({"n", "n_rings", "subdivision", "theta_samples", "phi_samples", "r_samples"})
 _FLOAT_KEYS = frozenset({"radius", "spacing", "turns", "wavelength", "eval_range", "r_min", "r_max"})
 _STR_KEYS = frozenset({"kind", "sweep", "normalization", "out"})
 
@@ -154,7 +155,7 @@ def _parse_ring_policy(value: str, lineno: int | None):
 def parse_field(key: str, token: str, lineno: int | None = None):
     """Parse and check the value of one scalar scenario key."""
     if key in _INT_KEYS:
-        return require_count(_parse_int(key, token, lineno), key, _INT_KEYS[key])
+        return require_count(_parse_int(key, token, lineno), key)
     if key in _FLOAT_KEYS:
         return require_positive(_parse_float(key, token, lineno), key)
     if key in _STR_KEYS:
@@ -186,22 +187,22 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _validate_geometry_fields(fields: dict) -> str:
+    """Check the kind and that exactly its fields are set, filling in defaults."""
     kind = fields.get("kind")
     if kind is None:
         raise ValidationError("kind is required", field="kind")
-    if kind not in _KINDS:
+    if kind not in _KIND_PARAMS:
         raise ValidationError(
-            f"unknown kind {kind!r}, expected one of {', '.join(_KINDS)}", field="kind"
+            f"unknown kind {kind!r}, expected one of {', '.join(_KIND_PARAMS)}", field="kind"
         )
-    required = _KIND_PARAMS[kind]
-    allowed = set(required)
-    if kind == ArrayKind.RING.value:
-        allowed.add("ring_policy")
-    for name in required:
+    params = _KIND_PARAMS[kind]
+    for name in params:
         if fields.get(name) is None:
+            fields[name] = _GEOMETRY_DEFAULTS.get(name)
+        if fields[name] is None:
             raise ValidationError(f"kind {kind!r} requires {name}", field=name)
     for name in GEOMETRY_KEYS:
-        if name not in allowed and fields.get(name) is not None:
+        if name not in params and fields.get(name) is not None:
             raise ValidationError(f"{name} is not used by kind {kind!r}", field=name)
     return kind
 
@@ -224,17 +225,10 @@ def _build_scenario(fields: dict, focals: tuple[SphericalPoint, ...]) -> Scenari
     sweep = fields.get("sweep")
     if sweep is None:
         raise ValidationError("sweep is required", field="sweep")
-    if sweep not in SWEEP_KEYS:
-        raise ValidationError(
-            f"sweep must be 'angle' or 'distance', got {sweep!r}", field="sweep"
-        )
+    require_choice(sweep, SWEEP_KEYS, "sweep")
 
     normalization = fields.setdefault("normalization", "grid_max")
-    if normalization not in ("grid_max", "focal"):
-        raise ValidationError(
-            f"normalization must be 'grid_max' or 'focal', got {normalization!r}",
-            field="normalization",
-        )
+    require_choice(normalization, _NORMALIZATIONS, "normalization")
     if sweep == "distance" and normalization == "focal":
         raise ValidationError(
             "normalization 'focal' applies only to angular sweeps", field="normalization"
@@ -253,46 +247,28 @@ def _build_scenario(fields: dict, focals: tuple[SphericalPoint, ...]) -> Scenari
     else:
         require_window(fields["r_min"], fields["r_max"], *(point.r for point in focals))
         require_clearance(fields["r_min"], radius, "r_min")
-    if kind == ArrayKind.RING.value:
-        fields.setdefault("ring_policy", "proportional")
     return Scenario(focals=focals, **fields)
 
 
-def geometry_from_fields(
-    kind: str,
-    *,
-    n: int | None = None,
-    radius: float | None = None,
-    spacing: float | None = None,
-    n_rings: int | None = None,
-    ring_policy: str | int | None = None,
-    subdivision: int | None = None,
-    turns: float | None = None,
-) -> ArrayGeometry:
-    """Build a geometry from loose fields with scenario-level validation.
+def geometry_from_fields(kind: str, **fields) -> ArrayGeometry:
+    """Build a geometry from loose ``GEOMETRY_KEYS`` fields with scenario-level validation.
 
     The constructors check each value; every error is a ``ValidationError``.
     """
-    fields = {
-        "kind": kind,
-        "n": n,
-        "radius": radius,
-        "spacing": spacing,
-        "n_rings": n_rings,
-        "ring_policy": ring_policy,
-        "subdivision": subdivision,
-        "turns": turns,
-    }
+    unknown = set(fields) - set(GEOMETRY_KEYS)
+    if unknown:
+        raise TypeError(f"unknown geometry fields: {', '.join(sorted(unknown))}")
+    fields["kind"] = kind
     _validate_geometry_fields(fields)
-    if kind == ArrayKind.UPA.value:
-        return upa(n, spacing)
-    if kind == ArrayKind.SPIRAL.value:
-        return golden_spiral_saa(n, radius)
-    if kind == ArrayKind.RING.value:
-        return ring_saa(n_rings, ring_policy if ring_policy is not None else "proportional", radius)
-    if kind == ArrayKind.POLYHEDRAL.value:
-        return polyhedral_saa(subdivision, radius)
-    return spiral_curve_saa(n, turns, radius)
+    # built per call, so that a rebinding of a constructor's name here applies
+    constructors = {
+        ArrayKind.UPA.value: upa,
+        ArrayKind.SPIRAL.value: golden_spiral_saa,
+        ArrayKind.RING.value: ring_saa,
+        ArrayKind.POLYHEDRAL.value: polyhedral_saa,
+        ArrayKind.SPIRAL_CURVE.value: spiral_curve_saa,
+    }
+    return constructors[kind](*(fields[name] for name in _KIND_PARAMS[kind]))
 
 
 def build_geometry(scenario: Scenario) -> ArrayGeometry:

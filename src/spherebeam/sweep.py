@@ -29,12 +29,17 @@ from .channel import Scratch, gain_energy, los_channel, los_gains
 from .errors import (
     AllBeamsInfeasible,
     NoVisibleElements,
+    ValidationError,
+    require_choice,
     require_clearance,
     require_count,
     require_positive,
     require_window,
 )
 from .geometry import TWO_PI, ArrayGeometry, SphericalPoint, sph_to_cart
+
+# each normalization name an angular sweep accepts, with its ``normalize_pattern`` mode
+_NORMALIZATIONS = {"grid_max": "grid_max", "focal": "focal_response"}
 
 BLOCK_PROBES = 1024
 """Most probes per gain evaluation in a sweep."""
@@ -61,15 +66,19 @@ class AngularSweepSpec:
     eval_range_m: float = 30.0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_samples", require_count(self.theta_samples, "theta_samples", 2))
-        object.__setattr__(self, "phi_samples", require_count(self.phi_samples, "phi_samples", 2))
+        object.__setattr__(self, "theta_samples", require_count(self.theta_samples, "theta_samples"))
+        object.__setattr__(self, "phi_samples", require_count(self.phi_samples, "phi_samples"))
         object.__setattr__(self, "eval_range_m", require_positive(self.eval_range_m, "eval_range_m"))
         t0, t1 = self.theta_range
         p0, p1 = self.phi_range
         if not 0.0 <= t0 < t1 <= math.pi:
-            raise ValueError(f"theta_range must be an interval within [0, pi], got {self.theta_range!r}")
+            raise ValidationError(
+                f"theta_range must be an interval within [0, pi], got {self.theta_range!r}", "theta_range"
+            )
         if not 0.0 <= p0 < p1 <= TWO_PI:
-            raise ValueError(f"phi_range must be an interval within [0, 2*pi], got {self.phi_range!r}")
+            raise ValidationError(
+                f"phi_range must be an interval within [0, 2*pi], got {self.phi_range!r}", "phi_range"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,12 +126,6 @@ class DistancePattern:
         self.power.setflags(write=False)
 
 
-def _resolve_threads(threads) -> int:
-    if threads is None:
-        return os.cpu_count() or 1
-    return require_count(threads, "threads")
-
-
 def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_sets, threads, *, energy=False):
     """Raw coherent power of every weight vector, and channel energy, per probe.
 
@@ -138,7 +141,8 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_set
     """
     px, py, pz = (np.ravel(a) for a in probes)
     total = px.shape[0]
-    workers = min(_resolve_threads(threads), total, os.cpu_count() or 1)
+    asked = total if threads is None else require_count(threads, "threads")
+    workers = min(asked, total, os.cpu_count() or 1)
     block = min(BLOCK_PROBES, max(1, BLOCK_ENTRIES // geometry.n), -(-total // workers))
     starts = range(0, total, block)
     workers = min(workers, len(starts))
@@ -169,8 +173,10 @@ def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, s
     """Normalized grids of the focal points in order, from one kernel pass.
 
     A focal point with no visible element raises ``NoVisibleElements``, or
-    is appended to ``skipped`` when a list is given.
+    is appended to ``skipped`` when a list is given. The normalization name
+    is checked before any gain is computed.
     """
+    mode = _NORMALIZATIONS[require_choice(normalization, _NORMALIZATIONS, "normalization")]
     spec = spec if spec is not None else AngularSweepSpec()
     require_clearance(spec.eval_range_m, geometry.radius_m, "eval_range_m")
     matched = []
@@ -189,7 +195,6 @@ def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, s
     th, ph = np.meshgrid(theta_axis, phi_axis, indexing="ij")
     probes = sph_to_cart(spec.eval_range_m, th, ph)
     powers, _ = _sweep_kernel(geometry, wavelength, probes, [w.weights for _, w in matched], threads)
-    mode = "focal_response" if normalization == "focal" else normalization
     beams = []
     for (h_focal, w), raw in zip(matched, powers):
         raw = raw.reshape(th.shape)
@@ -233,7 +238,7 @@ def multi_focal_overlay(
     """
     focals = list(focals)
     if not focals:
-        raise ValueError("focal list is empty")
+        raise ValidationError("focal list is empty", "focals")
     skipped: list[SphericalPoint] = []
     beams = _angular_beams(geometry, wavelength, focals, spec, normalization, threads, skipped)
     if not beams:
@@ -263,7 +268,7 @@ def distance_sweep(
     matches at each range instead of the 1/d amplitude growth; the result
     peaks at the design range and equals 1 there up to the grid maximum.
     """
-    samples = require_count(samples, "samples", 2)
+    samples = require_count(samples, "samples")
     r_min, r_max = require_window(r_min, r_max, focal.r)
     require_clearance(r_min, geometry.radius_m, "r_min")
     h_focal = los_channel(geometry, focal, wavelength)

@@ -118,6 +118,19 @@ class TestPatternCommands:
         )
         assert code == 2
 
+    def test_distance_run_with_only_rear_focals_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "rear"
+        code = run_cli(
+            "pattern", "distance",
+            "--kind", "upa", "--n", "16", "--spacing", "0.025",
+            "--wavelength", "0.05", "--focal", "10, 3pi/4, 0.5",
+            "--r-min", "5", "--r-max", "20", "--r-samples", "16",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: every focal point was skipped, no distance pattern to emit\n"
+        assert not out.exists()
+
     def test_validation_failure_yields_exit_1(self, tmp_path, capsys):
         code = run_cli(
             "pattern", "angle",
@@ -254,6 +267,14 @@ class TestRunCommand:
         out = tmp_path / "run"
         assert run_cli("run", "--scenario", str(cfg), "--out", str(out)) == 0
         assert (out / "summary.txt").is_file()
+
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    @pytest.mark.parametrize("argv", [ANGLE_ARGS, ("run", "--preset", "fig5_r2")], ids=["pattern", "run"])
+    def test_non_integer_threads_exits_1_before_writing(self, tmp_path, capsys, argv, value):
+        out = tmp_path / "threads"
+        assert run_cli(*argv, "--threads", value, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: threads expects an integer, got '{value}'\n"
+        assert not out.exists()
 
     def test_zero_threads_exits_1_before_writing(self, tmp_path, capsys):
         out = tmp_path / "zero"
@@ -430,7 +451,7 @@ class TestMetricsCommand:
         assert run_cli("metrics", str(path), "--focal", "10, 1, 1") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("key, value", [("eval_range", "inf"), ("peak_capture", "nan")])
+    @pytest.mark.parametrize("key, value", [("eval_range", "inf"), ("eval_range", "abc"), ("peak_capture", "nan")])
     def test_non_finite_sidecar_number_exits_1(self, angular_run, capsys, key, value):
         sidecar = angular_run / "beam_00.meta"
         sidecar.write_text(sidecar.read_text(encoding="utf-8") + f"{key} = {value}\n", encoding="utf-8")

@@ -1,0 +1,136 @@
+"""Input rules: one checker per rule, so every entry point raises the same error.
+
+A bad value reaches the package three ways: as scenario text, as
+``pattern`` flag pairs (``scenario_from_pairs`` with no line numbers), and
+as an argument to a library function. Each way must raise the same
+``ValidationError`` subclass naming the same input.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from spherebeam import (
+    AngularPatternGrid,
+    AngularSweepSpec,
+    InvalidCount,
+    InvalidRadius,
+    InvalidSpacing,
+    InvalidWavelength,
+    SpherebeamError,
+    SphericalPoint,
+    ValidationError,
+    angular_metrics,
+    angular_sweep,
+    distance_sweep,
+    golden_spiral_saa,
+    isotropy_report,
+    los_channel,
+    multi_focal_overlay,
+    normalize_pattern,
+    parse_scenario,
+    polyhedral_saa,
+    upa,
+)
+from spherebeam.scenario import scenario_from_pairs
+
+FOCAL = SphericalPoint(10.0, math.pi / 4, math.pi / 4)
+SPIRAL = {"kind": "spiral_saa", "n": "16", "radius": "0.3"}
+ANGLE = {"sweep": "angle", "theta_samples": "7", "phi_samples": "9", "eval_range": "10"}
+DISTANCE = {"sweep": "distance", "r_min": "5", "r_max": "20", "r_samples": "16"}
+SPEC = AngularSweepSpec(theta_samples=7, phi_samples=9, eval_range_m=10.0)
+
+
+def _fields(geometry=SPIRAL, sweep=ANGLE, **bad):
+    return {**geometry, "wavelength": "0.05", "focal": "10, pi/4, pi/4", **sweep, **bad}
+
+
+# (scenario fields, library call, error class, field name in the library)
+CASES = {
+    "radius": (_fields(radius="-1"), lambda: golden_spiral_saa(16, -1.0), InvalidRadius, "radius"),
+    "spacing": (
+        _fields({"kind": "upa", "n": "16", "spacing": "0"}),
+        lambda: upa(16, 0.0),
+        InvalidSpacing,
+        "spacing",
+    ),
+    "wavelength": (
+        _fields(wavelength="-0.05"),
+        lambda: los_channel(golden_spiral_saa(16, 0.3), FOCAL, -0.05),
+        InvalidWavelength,
+        "wavelength",
+    ),
+    "n": (_fields(n="0"), lambda: golden_spiral_saa(0, 0.3), InvalidCount, "n"),
+    "subdivision": (
+        _fields({"kind": "polyhedral_saa", "subdivision": "-1", "radius": "0.3"}),
+        lambda: polyhedral_saa(-1, 0.3),
+        InvalidCount,
+        "subdivision",
+    ),
+    "theta_samples": (
+        _fields(theta_samples="1"), lambda: AngularSweepSpec(theta_samples=1), InvalidCount, "theta_samples"
+    ),
+    "r_samples": (
+        _fields(sweep=DISTANCE, r_samples="1"),
+        lambda: distance_sweep(golden_spiral_saa(16, 0.3), 0.05, FOCAL, 5.0, 20.0, 1),
+        InvalidCount,
+        "samples",
+    ),
+    "normalization": (
+        _fields(normalization="loudest"),
+        lambda: angular_sweep(golden_spiral_saa(16, 0.3), 0.05, FOCAL, SPEC, normalization="loudest"),
+        ValidationError,
+        "normalization",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_same_rule_same_error_on_every_path(key):
+    fields, library, error, library_field = CASES[key]
+    text = "".join(f"{k} = {v}\n" for k, v in fields.items())
+    raised = []
+    for attempt in (
+        lambda: parse_scenario(text),
+        lambda: scenario_from_pairs([(None, k, v) for k, v in fields.items()]),
+        library,
+    ):
+        with pytest.raises(ValidationError) as err:
+            attempt()
+        raised.append((type(err.value), err.value.field))
+    assert raised == [(error, key), (error, key), (error, library_field)]
+
+
+GRID_WITHOUT_FOCAL = AngularPatternGrid(
+    theta_axis=np.linspace(0.0, math.pi, 3),
+    phi_axis=np.linspace(0.0, 2.0 * math.pi, 3),
+    power=np.eye(3),
+    focal=None,
+    eval_range_m=10.0,
+)
+
+LIBRARY_INPUT_ERRORS = {
+    "theta_out_of_range": lambda: SphericalPoint(10.0, 4.0, 0.0),
+    "phi_out_of_range": lambda: SphericalPoint(10.0, 1.0, 7.0),
+    "origin_to_spherical": lambda: SphericalPoint.from_cartesian((0.0, 0.0, 0.0)),
+    "theta_range": lambda: AngularSweepSpec(theta_range=(1.0, 0.5)),
+    "phi_range": lambda: AngularSweepSpec(phi_range=(-0.1, 1.0)),
+    "no_focal_points": lambda: multi_focal_overlay(golden_spiral_saa(16, 0.3), 0.05, [], SPEC),
+    "empty_pattern": lambda: normalize_pattern(np.array([])),
+    "negative_pattern": lambda: normalize_pattern(np.array([-1.0, 1.0])),
+    "unknown_mode": lambda: normalize_pattern(np.ones(2), "loudest"),
+    "metrics_without_focal": lambda: angular_metrics(GRID_WITHOUT_FOCAL),
+    "isotropy_of_no_beams": lambda: isotropy_report([]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_INPUT_ERRORS))
+def test_library_input_errors_are_typed(case):
+    with pytest.raises(SpherebeamError) as err:
+        LIBRARY_INPUT_ERRORS[case]()
+    assert isinstance(err.value, ValidationError)
+    assert isinstance(err.value, ValueError)
+    assert err.value.field

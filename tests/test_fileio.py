@@ -293,10 +293,11 @@ class TestAngularCsv:
         with pytest.raises(ParseError):
             read_angular_csv(path)
 
-    def test_reader_rejects_empty_table(self, tmp_path):
+    @pytest.mark.parametrize("body", ["", "\n \n\n"], ids=["header_only", "blank_lines"])
+    def test_reader_rejects_empty_table(self, tmp_path, body):
         path = tmp_path / "bad.csv"
-        path.write_text(ANGULAR_HEADER + "\n", encoding="utf-8")
-        with pytest.raises(ParseError):
+        path.write_text(ANGULAR_HEADER + "\n" + body, encoding="utf-8")
+        with pytest.raises(ParseError, match="^no data rows$"):
             read_angular_csv(path)
 
     def test_reader_rejects_non_numeric_field(self, tmp_path):

@@ -14,8 +14,10 @@ from spherebeam import sweep
 from spherebeam import (
     AllBeamsInfeasible,
     AngularSweepSpec,
+    NoVisibleElements,
     SphericalPoint,
     TargetInsideArray,
+    ValidationError,
     angular_sweep,
     beam_response,
     channel_energy,
@@ -24,6 +26,7 @@ from spherebeam import (
     golden_spiral_saa,
     los_channel,
     multi_focal_overlay,
+    parse_scenario,
     rotate,
     rotate_point,
     upa,
@@ -98,6 +101,35 @@ class TestAngularSweep:
         base = angular_sweep(g, 0.01, FOCAL, SMALL_SPEC, threads=1)
         other = angular_sweep(g, 0.01, FOCAL, SMALL_SPEC, threads=threads)
         assert_array_equal(base.power, other.power)
+
+    def test_focal_behind_a_planar_array_has_no_beam(self):
+        with pytest.raises(NoVisibleElements):
+            angular_sweep(upa(16, 0.025), 0.05, SphericalPoint(10.0, 3 * math.pi / 4, 0.5), SMALL_SPEC)
+
+    @pytest.mark.parametrize("name", ["loudest", "focal_response"])
+    @pytest.mark.parametrize("sweep_fn", [angular_sweep, multi_focal_overlay], ids=["single", "overlay"])
+    def test_normalization_is_checked_before_any_gain(self, monkeypatch, sweep_fn, name):
+        calls = []
+        for attr in ("los_channel", "los_gains"):
+            real = getattr(sweep, attr)
+
+            def counting(*args, real=real, attr=attr, **kwargs):
+                calls.append(attr)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(sweep, attr, counting)
+        focal = FOCAL if sweep_fn is angular_sweep else [FOCAL]
+        with pytest.raises(ValidationError) as err:
+            sweep_fn(golden_spiral_saa(16, 0.3), 0.01, focal, SMALL_SPEC, normalization=name)
+        assert err.value.field == "normalization"
+        assert calls == []
+        doc = (
+            "kind = spiral_saa\nn = 16\nradius = 0.3\nwavelength = 0.01\n"
+            f"focal = 30, pi/6, pi/6\nsweep = angle\nnormalization = {name}\n"
+        )
+        with pytest.raises(ValidationError) as parsed:
+            parse_scenario(doc)
+        assert str(err.value) == str(parsed.value)
 
     def test_probe_range_must_clear_array(self):
         g = golden_spiral_saa(30, 0.5)

@@ -1,0 +1,113 @@
+"""Digest every output of a fixed set of ``spherebeam`` runs.
+
+Runs ``python -m spherebeam.cli`` from the ``src/`` of one checkout in a
+fresh temporary working directory, with relative ``--out`` names, so no
+path differs between two runs. Prints, sorted, ``sha256  path`` for every
+file the runs leave, then ``exit  sha256(stdout)  sha256(stderr)  name``
+for every command. Two checkouts print the same lines when every file,
+message and exit code agrees byte for byte:
+
+    git worktree add ../parent HEAD~1
+    python tools/output_digests.py --src ../parent > parent.txt
+    python tools/output_digests.py > change.txt
+    diff parent.txt change.txt
+
+The runs: every preset at 1 and 2 threads, edge runs (a planar array with
+a rear focal point, fixed rings with focal normalization, one element, a
+distance sweep with and without a visible focal point), ``metrics`` on
+emitted CSVs, and runs that fail on a bad value.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PRESETS = ("fig4_saa", "fig4_upa", "fig5_r05", "fig5_r1", "fig5_r2")
+
+UPA = ("--kind", "upa", "--n", "16", "--spacing", "0.025", "--wavelength", "0.05")
+SMALL_GRID = ("--theta-samples", "19", "--phi-samples", "19", "--eval-range", "10")
+WINDOW = ("--r-min", "5", "--r-max", "20")
+FRONT, REAR = "10, pi/4, 0.5", "10, 3pi/4, 0.5"
+
+# (name, arguments); a run that writes files names its --out after itself,
+# and runs may read what earlier runs wrote
+RUNS = [
+    *(
+        (f"{preset}_t{threads}", ("run", "--preset", preset, "--threads", str(threads)))
+        for preset in PRESETS
+        for threads in (1, 2)
+    ),
+    ("upa_front_rear", ("pattern", "angle", *UPA, "--focal", FRONT, "--focal", REAR, *SMALL_GRID)),
+    (
+        "ring_fixed_focal",
+        (
+            "pattern", "angle", "--kind", "ring_saa", "--n-rings", "4", "--ring-policy", "fixed:5",
+            "--radius", "0.3", "--wavelength", "0.05", "--focal", "10, pi/3, pi/4",
+            "--normalization", "focal", "--theta-samples", "19", "--phi-samples", "37", "--eval-range", "10",
+        ),
+    ),
+    (
+        "spiral_one_element",
+        (
+            "pattern", "angle", "--kind", "spiral_saa", "--n", "1", "--radius", "0.3", "--wavelength", "0.02",
+            "--focal", "10, pi/4, pi/4", "--theta-samples", "2", "--phi-samples", "2", "--normalization", "focal",
+        ),
+    ),
+    ("upa_distance", ("pattern", "distance", *UPA, "--focal", FRONT, *WINDOW, "--r-samples", "64")),
+    ("upa_distance_rear", ("pattern", "distance", *UPA, "--focal", REAR, *WINDOW, "--r-samples", "16")),
+    ("metrics_fig4_saa_beam_00", ("metrics", "fig4_saa_t1/beam_00.csv")),
+    ("metrics_fig4_saa_beam_03", ("metrics", "fig4_saa_t1/beam_03.csv")),
+    ("metrics_fig5_r1_focus_00", ("metrics", "fig5_r1_t1/focus_00.csv")),
+    ("error_radius", ("geometry", "--kind", "spiral_saa", "--n", "16", "--radius", "-1")),
+    ("error_normalization", ("pattern", "angle", *UPA, "--focal", FRONT, "--normalization", "loud")),
+    ("error_subdivision", ("geometry", "--kind", "polyhedral_saa", "--subdivision", "-1", "--radius", "0.3")),
+    ("error_r_samples", ("pattern", "distance", *UPA, "--focal", FRONT, *WINDOW, "--r-samples", "1")),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_lines(src: Path) -> list[str]:
+    """The sorted file lines, then the sorted command lines, of every run."""
+    env = dict(os.environ, PYTHONPATH=str(src / "src"), PYTHONDONTWRITEBYTECODE="1")
+    files, commands = [], []
+    with tempfile.TemporaryDirectory(prefix="spherebeam-digests-") as work:
+        for name, args in RUNS:
+            out = () if args[0] == "metrics" else ("--out", name)
+            done = subprocess.run(
+                [sys.executable, "-m", "spherebeam.cli", *args, *out],
+                cwd=work, env=env, capture_output=True, check=False,
+            )
+            commands.append(f"{done.returncode}  {_sha(done.stdout)}  {_sha(done.stderr)}  {name}")
+        for path in Path(work).rglob("*"):
+            if path.is_file():
+                files.append(f"{_sha(path.read_bytes())}  {path.relative_to(work).as_posix()}")
+    return sorted(files) + sorted(commands)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--src",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent,
+        help="checkout whose src/ to run (default: the one holding this script)",
+    )
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "src" / "spherebeam" / "cli.py").is_file():
+        parser.error(f"{src} has no src/spherebeam/cli.py")
+    print("\n".join(digest_lines(src)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
