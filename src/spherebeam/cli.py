@@ -4,8 +4,9 @@ Subcommands: ``geometry`` emits a layout CSV, ``pattern angle`` and
 ``pattern distance`` run sweeps, ``metrics`` recomputes figures from an
 emitted pattern CSV, ``run`` executes a preset or scenario file, and
 ``preset list`` names the shipped configurations. Emitting commands all
-require ``--out``. Flags go to the scenario parser as key-value pairs,
-not as text, so angle-valued flags accept pi fractions like ``2pi/3``.
+require ``--out``. Flags and the scenario keys of a ``.meta`` sidecar go
+to the scenario's value parser as key-value pairs, not as text, so
+angle-valued flags accept pi fractions like ``2pi/3``.
 Warnings raised while a command runs are printed to stderr as
 ``warning:`` lines and leave the exit code unchanged.
 """
@@ -23,7 +24,7 @@ from .errors import MainLobeMissed, ParseError, SpherebeamError, ValidationError
 from .metrics import measure
 from .scenario import (
     GEOMETRY_KEYS,
-    SWEEP_KEYS,
+    SWEEPS,
     _parse_int,
     geometry_from_fields,
     load_preset,
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_geometry)
 
     pat = sub.add_parser("pattern", help="run a beam pattern sweep")
-    pat_sub = pat.add_subparsers(dest="pattern_kind", required=True)
+    pat_sub = pat.add_subparsers(dest="sweep", required=True)
 
     pa = pat_sub.add_parser("angle", help="theta x phi sweep at a fixed probe range")
     _add_geometry_flags(pa)
@@ -84,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--theta-samples", dest="theta_samples", help="theta sample count")
     pa.add_argument("--phi-samples", dest="phi_samples", help="phi sample count")
     pa.add_argument("--eval-range", dest="eval_range", help="probe range in meters")
-    pa.set_defaults(func=_cmd_pattern, sweep="angle")
+    pa.set_defaults(func=_cmd_pattern)
 
     pd = pat_sub.add_parser("distance", help="range sweep along the focal direction")
     _add_geometry_flags(pd)
@@ -92,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--r-min", dest="r_min", help="sweep window start in meters")
     pd.add_argument("--r-max", dest="r_max", help="sweep window end in meters")
     pd.add_argument("--r-samples", dest="r_samples", help="range sample count")
-    pd.set_defaults(func=_cmd_pattern, sweep="distance")
+    pd.set_defaults(func=_cmd_pattern)
 
     m = sub.add_parser("metrics", help="recompute metrics from an emitted pattern CSV")
     m.add_argument("pattern", help="path to a pattern CSV")
@@ -152,7 +153,7 @@ def _cmd_geometry(args) -> int:
 
 def _cmd_pattern(args) -> int:
     threads = _threads(args)
-    keys = ("kind", *GEOMETRY_KEYS, "wavelength", "focal", "sweep", *SWEEP_KEYS[args.sweep], "normalization")
+    keys = ("kind", *GEOMETRY_KEYS, "wavelength", "focal", "sweep", *SWEEPS[args.sweep].keys, "normalization")
     scenario = scenario_from_pairs(_flag_pairs(args, keys))
     return run_scenario(scenario, out_dir=args.out, threads=threads)
 
@@ -168,9 +169,9 @@ def _resolve_focal(args, meta: dict) -> "SphericalPoint":
     )
 
 
-def _meta_float(meta: dict, key: str, default):
+def _meta_float(meta: dict, key: str):
     if key not in meta:
-        return default
+        return None
     try:
         value = float(meta[key])
         if math.isfinite(value):
@@ -189,26 +190,15 @@ def _cmd_metrics(args) -> int:
     focal = _resolve_focal(args, meta)
 
     if header == fileio.ANGULAR_HEADER:
-        theta_axis, phi_axis, power = fileio.read_angular_csv(path)
-        grid = AngularPatternGrid(
-            theta_axis=theta_axis,
-            phi_axis=phi_axis,
-            power=power,
+        m = measure(AngularPatternGrid(
+            *fileio.read_angular_csv(path),
             focal=focal,
-            eval_range_m=_meta_float(meta, "eval_range", focal.r),
-            normalization=meta.get("normalization", "grid_max"),
-            peak_capture=_meta_float(meta, "peak_capture", None),
-        )
-        m = measure(grid)
+            eval_range_m=parse_field("eval_range", meta["eval_range"]) if "eval_range" in meta else focal.r,
+            normalization=parse_field("normalization", meta.get("normalization", "grid_max")),
+            peak_capture=_meta_float(meta, "peak_capture"),
+        ))
     elif header == fileio.DISTANCE_HEADER:
-        r_axis, power = fileio.read_distance_csv(path)
-        pattern = DistancePattern(
-            r_axis=r_axis,
-            power=power,
-            direction=(focal.theta, focal.phi),
-            focal_range_m=focal.r,
-        )
-        m = measure(pattern)
+        m = measure(DistancePattern(*fileio.read_distance_csv(path), (focal.theta, focal.phi), focal.r))
     else:
         raise ValidationError(f"unrecognized pattern CSV header {header!r}")
     for key, value in fileio.metric_entries(m):

@@ -120,6 +120,17 @@ def _lobe_edge_linear(values, peak: int, step: int) -> int:
     return i
 
 
+def _peak(p, name: str) -> float:
+    """The maximum of ``p``, which must be positive and stand out of rounding."""
+    # a spread of a few ulps of the maximum is rounding: with one facing
+    # element the normalized power is 1 at every probe, up to the rounding
+    # of the sums and divisions that formed it
+    peak = float(np.max(p))
+    if peak <= 0.0 or peak - float(np.min(p)) <= 8 * np.finfo(float).eps * peak:
+        raise DegeneratePattern(f"{name} is flat, no distinct peak to measure")
+    return peak
+
+
 def angular_metrics(grid: AngularPatternGrid, focal: SphericalPoint | None = None) -> BeamMetrics:
     """Extract pointing, half-power widths, and sidelobe level for one beam.
 
@@ -131,9 +142,7 @@ def angular_metrics(grid: AngularPatternGrid, focal: SphericalPoint | None = Non
     if focal is None:
         raise ValidationError("a focal point is required to compute the pointing error", "focal")
     p = grid.power
-    peak_val = float(np.max(p))
-    if peak_val <= 0.0 or peak_val == float(np.min(p)):
-        raise DegeneratePattern("pattern is flat, no distinct peak to measure")
+    peak_val = _peak(p, "pattern")
     capture = grid.peak_capture
     if capture is not None and capture < MIN_PEAK_CAPTURE:
         warnings.warn(
@@ -219,9 +228,7 @@ def angular_metrics(grid: AngularPatternGrid, focal: SphericalPoint | None = Non
 def focus_metrics(pattern: DistancePattern) -> FocusMetrics:
     """Peak range, depth of focus, and focal error of a distance pattern."""
     p = pattern.power
-    peak_val = float(np.max(p))
-    if peak_val <= 0.0 or peak_val == float(np.min(p)):
-        raise DegeneratePattern("distance pattern is flat, no distinct peak to measure")
+    peak_val = _peak(p, "distance pattern")
     i_pk = int(np.argmax(p))
     level = 0.5 * peak_val
     left, left_found = _crossing_linear(p, pattern.r_axis, i_pk, -1, level)

@@ -3,12 +3,14 @@
 A scenario is a flat ``key = value`` text document. Keys are strict
 (unknown keys are rejected), ``focal`` is the only repeatable key, and
 angle tokens accept ``pi`` fractions like ``2pi/3`` so configurations can
-state angles exactly. Parsing resolves every default, so emitting a
-parsed scenario and parsing it again yields an equal value.
+state angles exactly. Each value meets its own rule as its line is parsed,
+and the rules across keys run after. Parsing resolves every default, so
+emitting a parsed scenario and parsing it again yields an equal value.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from dataclasses import dataclass, replace
@@ -60,14 +62,7 @@ GEOMETRY_KEYS = ("n", "radius", "spacing", "n_rings", "ring_policy", "subdivisio
 # float key positive and finite (see ``errors``)
 _INT_KEYS = frozenset({"n", "n_rings", "subdivision", "theta_samples", "phi_samples", "r_samples"})
 _FLOAT_KEYS = frozenset({"radius", "spacing", "turns", "wavelength", "eval_range", "r_min", "r_max"})
-_STR_KEYS = frozenset({"kind", "sweep", "normalization", "out"})
-
-# the keys each sweep kind accepts with their defaults, in the order a
-# scenario lists them
-SWEEP_KEYS = {
-    "angle": {"theta_samples": 181, "phi_samples": 181, "eval_range": 30.0},
-    "distance": {"r_min": 5.0, "r_max": 100.0, "r_samples": 960},
-}
+_STR_KEYS = frozenset({"kind", "out"})
 
 _PI_RE = re.compile(r"^([0-9]*\.?[0-9]+)?\s*pi\s*(?:/\s*([0-9]*\.?[0-9]+))?$")
 
@@ -158,6 +153,10 @@ def parse_field(key: str, token: str, lineno: int | None = None):
         return require_count(_parse_int(key, token, lineno), key)
     if key in _FLOAT_KEYS:
         return require_positive(_parse_float(key, token, lineno), key)
+    if key == "sweep":
+        return require_choice(token, SWEEPS, key)
+    if key == "normalization":
+        return require_choice(token, _NORMALIZATIONS, key)
     if key in _STR_KEYS:
         return token
     if key == "ring_policy":
@@ -225,28 +224,13 @@ def _build_scenario(fields: dict, focals: tuple[SphericalPoint, ...]) -> Scenari
     sweep = fields.get("sweep")
     if sweep is None:
         raise ValidationError("sweep is required", field="sweep")
-    require_choice(sweep, SWEEP_KEYS, "sweep")
-
-    normalization = fields.setdefault("normalization", "grid_max")
-    require_choice(normalization, _NORMALIZATIONS, "normalization")
-    if sweep == "distance" and normalization == "focal":
-        raise ValidationError(
-            "normalization 'focal' applies only to angular sweeps", field="normalization"
-        )
-    for other, keys in SWEEP_KEYS.items():
-        if other == sweep:
-            continue
-        for key in keys:
-            if key in fields:
-                noun = "angular" if other == "angle" else other
-                raise ValidationError(f"{key} applies only to {noun} sweeps", field=key)
-
-    fields = {**SWEEP_KEYS[sweep], **fields}
-    if sweep == "angle":
-        require_clearance(fields["eval_range"], radius, "eval_range")
-    else:
-        require_window(fields["r_min"], fields["r_max"], *(point.r for point in focals))
-        require_clearance(fields["r_min"], radius, "r_min")
+    run = SWEEPS[sweep]()
+    for other in SWEEPS.values():
+        for key in other.keys:
+            if key in fields and key not in run.keys:
+                raise ValidationError(f"{key} applies only to {other.noun} sweeps", field=key)
+    fields = {**run.keys, **fields}
+    run.check(fields, focals, radius)
     return Scenario(focals=focals, **fields)
 
 
@@ -296,7 +280,7 @@ def _scalar_entries(scenario: Scenario) -> list[tuple[str, str]]:
 
 
 def _sweep_entries(scenario: Scenario) -> list[tuple[str, str]]:
-    return _entries(scenario, ("sweep", *SWEEP_KEYS[scenario.sweep], "normalization"))
+    return _entries(scenario, ("sweep", *SWEEPS[scenario.sweep].keys, "normalization"))
 
 
 def _focal_text(point: SphericalPoint) -> str:
@@ -341,13 +325,17 @@ class _AngleRun:
     ``beam_NN`` file pair per beam, then the overlay and the isotropy figures.
     ``sweep`` keeps the overlay grid for ``finish``."""
 
+    _spec = AngularSweepSpec()
+    keys = {"theta_samples": _spec.theta_samples, "phi_samples": _spec.phi_samples, "eval_range": _spec.eval_range_m}
+    noun = "angular"
     stem = "beam"
     counted = "beams"
 
+    def check(self, fields: dict, focals, radius) -> None:
+        require_clearance(fields["eval_range"], radius, "eval_range")
+
     def sweep(self, s: Scenario, geometry: ArrayGeometry, threads) -> list[tuple[int, object]]:
-        spec = AngularSweepSpec(
-            theta_samples=s.theta_samples, phi_samples=s.phi_samples, eval_range_m=s.eval_range
-        )
+        spec = AngularSweepSpec(theta_samples=s.theta_samples, phi_samples=s.phi_samples, eval_range_m=s.eval_range)
         self.overlay = multi_focal_overlay(
             geometry, s.wavelength, s.focals, spec, normalization=s.normalization, threads=threads
         )
@@ -410,8 +398,17 @@ class _DistanceRun:
     """The parts of a distance run: one range sweep per focal point and a
     ``focus_NN`` file pair per pattern."""
 
+    _args = inspect.signature(distance_sweep).parameters
+    keys = {"r_min": _args["r_min"].default, "r_max": _args["r_max"].default, "r_samples": _args["samples"].default}
+    noun = "distance"
     stem = "focus"
     counted = "patterns"
+
+    def check(self, fields: dict, focals, radius) -> None:
+        if fields.get("normalization") == "focal":
+            raise ValidationError("normalization 'focal' applies only to angular sweeps", field="normalization")
+        require_window(fields["r_min"], fields["r_max"], *(point.r for point in focals))
+        require_clearance(fields["r_min"], radius, "r_min")
 
     def sweep(self, s: Scenario, geometry: ArrayGeometry, threads) -> list[tuple[int, object]]:
         patterns = []
@@ -453,6 +450,11 @@ class _DistanceRun:
         )
 
 
+# each sweep kind's one record, its run class: its scenario keys in order with
+# the library's defaults, its noun in messages, its range rule and run stages
+SWEEPS = {"angle": _AngleRun, "distance": _DistanceRun}
+
+
 def _start_output(scenario: Scenario, geometry: ArrayGeometry, out: Path) -> None:
     """Create the output directory with ``geometry.csv`` and ``scenario.cfg``.
 
@@ -481,8 +483,8 @@ def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None
     The stages run in order: geometry, sweep, output directory, one
     write-and-measure step per evaluated focal point, the metrics table
     with any run-level files, then ``metrics.txt`` and ``summary.txt``.
-    The sweep kind (``_AngleRun`` or ``_DistanceRun``) supplies ``sweep``,
-    ``step``, ``finish`` and ``describe``; the rest is shared.
+    The sweep kind's run class in ``SWEEPS`` supplies ``sweep``, ``step``,
+    ``finish`` and ``describe``; the rest is shared.
 
     Returns 0 when every focal point produced a pattern and 2 when some were
     skipped for lacking visible elements. Hard failures raise; a failure in
@@ -495,7 +497,7 @@ def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None
     if threads is not None:
         require_count(threads, "threads")
     out = Path(target)
-    run = _AngleRun() if scenario.sweep == "angle" else _DistanceRun()
+    run = SWEEPS[scenario.sweep]()
 
     geometry = build_geometry(scenario)
     patterns = run.sweep(scenario, geometry, threads)

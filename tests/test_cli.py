@@ -107,6 +107,30 @@ class TestPatternCommands:
         assert (out / "focus_00.csv").is_file()
         assert (out / "focus_metrics.csv").is_file()
 
+    def test_one_facing_element_gives_a_degenerate_distance_pattern(self, tmp_path, capsys):
+        # one element's matched share is 1 at every range, so the normalized
+        # power is flat to rounding and has no peak, focus or depth
+        out = tmp_path / "one"
+        assert run_cli(
+            "pattern", "distance",
+            "--kind", "spiral_saa", "--n", "1", "--radius", "0.3",
+            "--wavelength", "0.05", "--focal", "10, pi/4, 0.5",
+            "--r-min", "5", "--r-max", "20", "--r-samples", "16",
+            "--out", str(out),
+        ) == 0
+        report = (out / "metrics.txt").read_text(encoding="utf-8").splitlines()
+        assert report == [
+            "focus_00.peak_r_m = nan",
+            "focus_00.depth_of_focus_m = nan",
+            "focus_00.focal_error_m = nan",
+            "focus_00.one_sided = 0",
+            "skipped = ",
+        ]
+        assert "focus 00: focal 10 m, degenerate pattern" in (out / "summary.txt").read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("metrics", str(out / "focus_00.csv")) == 0
+        assert capsys.readouterr().out.splitlines() == [line[len("focus_00."):] for line in report[:-1]]
+
     def test_infeasible_focals_yield_exit_2(self, tmp_path):
         code = run_cli(
             "pattern", "angle",
@@ -451,12 +475,24 @@ class TestMetricsCommand:
         assert run_cli("metrics", str(path), "--focal", "10, 1, 1") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("key, value", [("eval_range", "inf"), ("eval_range", "abc"), ("peak_capture", "nan")])
-    def test_non_finite_sidecar_number_exits_1(self, angular_run, capsys, key, value):
+    # the sidecar's scenario keys follow the scenario's rules; peak_capture,
+    # which is no scenario key, has a finite-number rule of its own
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("eval_range", "inf", "eval_range must be positive and finite, got inf"),
+            ("eval_range", "abc", "eval_range expects a number, got 'abc'"),
+            ("eval_range", "-1", "eval_range must be positive and finite, got -1.0"),
+            ("normalization", "loudest", "normalization must be 'grid_max' or 'focal', got 'loudest'"),
+            ("peak_capture", "nan", "sidecar peak_capture is not a finite number: 'nan'"),
+        ],
+        ids=["eval_range-inf", "eval_range-abc", "eval_range-negative", "normalization-loudest", "peak_capture-nan"],
+    )
+    def test_non_finite_sidecar_number_exits_1(self, angular_run, capsys, key, value, message):
         sidecar = angular_run / "beam_00.meta"
         sidecar.write_text(sidecar.read_text(encoding="utf-8") + f"{key} = {value}\n", encoding="utf-8")
         assert run_cli("metrics", str(angular_run / "beam_00.csv")) == 1
-        assert capsys.readouterr().err == f"error: sidecar {key} is not a finite number: '{value}'\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "rows, focal, expected",

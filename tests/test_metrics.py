@@ -19,11 +19,13 @@ from spherebeam import (
     SphericalPoint,
     angular_metrics,
     angular_sweep,
+    distance_sweep,
     focus_metrics,
     golden_spiral_saa,
     great_circle_angle,
     isotropy_report,
     measure,
+    upa,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -160,6 +162,11 @@ class TestAngularMetrics:
             angular_metrics(make_grid(np.ones((9, 9)), focal=SphericalPoint(30.0, 1.0, 1.0)))
         with pytest.raises(DegeneratePattern):
             angular_metrics(make_grid(np.zeros((9, 9)), focal=SphericalPoint(30.0, 1.0, 1.0)))
+        # a spread of a few ulps is rounding, not a peak
+        rounded = np.ones((9, 9))
+        rounded[4, 4] -= 4 * np.finfo(float).eps
+        with pytest.raises(DegeneratePattern):
+            angular_metrics(make_grid(rounded, focal=SphericalPoint(30.0, 1.0, 1.0)))
 
     def test_measure_gives_a_flat_grid_the_nan_record(self):
         grid = replace(make_grid(np.ones((9, 9)), focal=SphericalPoint(30.0, 1.0, 1.0)), peak_capture=0.25)
@@ -329,6 +336,29 @@ class TestFocusMetrics:
         r_axis = np.linspace(10.0, 50.0, 41)
         with pytest.raises(DegeneratePattern):
             focus_metrics(DistancePattern(r_axis=r_axis, power=np.ones(41), direction=(1.0, 1.0), focal_range_m=30.0))
+
+    @pytest.mark.parametrize(
+        "geometry, focal, window",
+        [
+            (golden_spiral_saa(1, 0.3), SphericalPoint(10.0, math.pi / 4, 0.5), (5.0, 20.0, 16)),
+            (golden_spiral_saa(4, 0.3), SphericalPoint(10.0, math.pi / 4, 0.5), (5.0, 20.0, 16)),
+            (golden_spiral_saa(2, 0.001), SphericalPoint(50.0, math.pi / 4, 0.5), (5.0, 100.0, 64)),
+        ],
+        ids=["spiral_1", "spiral_4", "spiral_2_1mm_at_50m"],
+    )
+    def test_one_facing_element_is_flat_to_rounding(self, geometry, focal, window):
+        pattern = distance_sweep(geometry, 0.05, focal, *window, threads=1)
+        assert np.ptp(pattern.power) > 0.0
+        with pytest.raises(DegeneratePattern):
+            focus_metrics(pattern)
+
+    def test_weak_planar_focus_is_measured(self):
+        # four elements focus weakly: the profile spreads by about 1e-6
+        focal = SphericalPoint(10.0, math.pi / 4, 0.5)
+        pattern = distance_sweep(upa(4, 0.025), 0.05, focal, 5.0, 20.0, 16, threads=1)
+        assert np.ptp(pattern.power) < 1e-5
+        m = focus_metrics(pattern)
+        assert m.degenerate is False and 5.0 <= m.peak_r_m <= 20.0
 
     def test_measure_gives_a_flat_profile_the_nan_record(self):
         r_axis = np.linspace(10.0, 50.0, 41)

@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 from spherebeam import preset_names
+from spherebeam.scenario import SWEEPS
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 
@@ -22,3 +23,8 @@ def test_every_preset_runs_at_one_and_two_threads():
     for name in preset_names():
         for threads in ("1", "2"):
             assert ("run", "--preset", name, "--threads", threads) in runs, (name, threads)
+
+
+def test_every_sweep_kind_has_a_pattern_run():
+    kinds = {args[1] for _, args in _tool().RUNS if args[0] == "pattern"}
+    assert set(SWEEPS) <= kinds

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import argparse
 import math
 
+import numpy as np
 import pytest
 
 from spherebeam import (
+    AngularSweepSpec,
     ParseError,
     SphericalPoint,
     ValidationError,
     build_geometry,
+    distance_sweep,
     emit_scenario,
     geometry_from_fields,
     load_preset,
@@ -17,7 +21,9 @@ from spherebeam import (
     preset_names,
     run_scenario,
 )
+from spherebeam.cli import _add_beam_flags, _add_geometry_flags, _build_parser
 from spherebeam.fileio import read_angular_csv, read_meta
+from spherebeam.scenario import SWEEPS
 
 MINIMAL_ANGLE = """
 kind = spiral_saa
@@ -199,6 +205,27 @@ class TestScenarioValidation:
         assert err.value.field == "theta_samples"
         assert str(err.value) == "theta_samples applies only to angular sweeps"
 
+    @pytest.mark.parametrize(
+        "text, field, message",
+        [
+            (
+                MINIMAL_ANGLE.replace("kind = spiral_saa\n", "").replace("sweep = angle", "sweep = bogus"),
+                "sweep",
+                "sweep must be 'angle' or 'distance', got 'bogus'",
+            ),
+            (
+                MINIMAL_DISTANCE + "normalization = focal\ntheta_samples = 19\n",
+                "theta_samples",
+                "theta_samples applies only to angular sweeps",
+            ),
+        ],
+        ids=["sweep_before_kind", "stray_key_before_normalization"],
+    )
+    def test_a_value_rule_runs_when_its_line_is_parsed(self, text, field, message):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        assert (err.value.field, str(err.value)) == (field, message)
+
     def test_focal_normalization_needs_angle_sweep(self):
         with pytest.raises(ValidationError) as err:
             parse_scenario(MINIMAL_DISTANCE + "normalization = focal\n")
@@ -295,6 +322,44 @@ class TestEmitRoundTrip:
         assert text.endswith("\n")
         for line in text.splitlines():
             assert " = " in line
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestSweepTable:
+    def test_each_pattern_subcommand_takes_its_kinds_keys(self):
+        common = argparse.ArgumentParser()
+        _add_geometry_flags(common)
+        _add_beam_flags(common)
+        shared = {action.dest for action in common._actions}
+        pattern = _subcommands(_subcommands(_build_parser())["pattern"])
+        assert list(pattern) == list(SWEEPS)
+        for name, sub in pattern.items():
+            assert [a.dest for a in sub._actions if a.dest not in shared] == list(SWEEPS[name].keys), name
+
+    def test_angle_defaults_are_the_sweeps_own(self):
+        s = parse_scenario(MINIMAL_ANGLE.split("theta_samples")[0])
+        spec = AngularSweepSpec()
+        assert (s.theta_samples, s.phi_samples, s.eval_range) == (
+            spec.theta_samples, spec.phi_samples, spec.eval_range_m
+        )
+
+    def test_distance_defaults_are_the_sweeps_own(self):
+        s = parse_scenario(MINIMAL_DISTANCE.split("r_min")[0])
+        pattern = distance_sweep(build_geometry(s), s.wavelength, s.focals[0], threads=1)
+        assert np.array_equal(pattern.r_axis, np.linspace(s.r_min, s.r_max, s.r_samples))
+
+    @pytest.mark.parametrize("sweep", list(SWEEPS))
+    def test_a_minimal_scenario_of_each_kind_round_trips(self, sweep):
+        first = parse_scenario(
+            f"kind = spiral_saa\nn = 16\nradius = 0.3\nwavelength = 0.05\nfocal = 10, pi/4, pi/4\nsweep = {sweep}\n"
+        )
+        text = emit_scenario(first)
+        keys = [line.split(" = ")[0] for line in text.splitlines()]
+        assert keys[keys.index("sweep") + 1 : keys.index("normalization")] == list(SWEEPS[sweep].keys)
+        assert parse_scenario(text) == first
 
 
 class TestGeometryFromFields:

@@ -13,9 +13,11 @@ message and exit code agrees byte for byte:
     diff parent.txt change.txt
 
 The runs: every preset at 1 and 2 threads, edge runs (a planar array with
-a rear focal point, fixed rings with focal normalization, one element, a
-distance sweep with and without a visible focal point), ``metrics`` on
-emitted CSVs, and runs that fail on a bad value.
+a rear focal point, fixed rings with focal normalization, one element in
+an angular and in a distance sweep, a distance sweep with and without a
+visible focal point), ``metrics`` on emitted CSVs, and runs that fail on a
+bad value or on a rule across keys. Scenario files that runs read are
+written into the working directory first.
 """
 
 from __future__ import annotations
@@ -34,6 +36,14 @@ UPA = ("--kind", "upa", "--n", "16", "--spacing", "0.025", "--wavelength", "0.05
 SMALL_GRID = ("--theta-samples", "19", "--phi-samples", "19", "--eval-range", "10")
 WINDOW = ("--r-min", "5", "--r-max", "20")
 FRONT, REAR = "10, pi/4, 0.5", "10, 3pi/4, 0.5"
+
+# file name -> scenario text, written into the working directory before the runs
+SCENARIOS = {
+    "distance_theta_samples.cfg": (
+        "kind = upa\nn = 16\nspacing = 0.025\nwavelength = 0.05\nfocal = 10, pi/4, 0.5\n"
+        "sweep = distance\nr_min = 5\nr_max = 20\nr_samples = 16\ntheta_samples = 19\n"
+    ),
+}
 
 # (name, arguments); a run that writes files names its --out after itself,
 # and runs may read what earlier runs wrote
@@ -61,6 +71,13 @@ RUNS = [
     ),
     ("upa_distance", ("pattern", "distance", *UPA, "--focal", FRONT, *WINDOW, "--r-samples", "64")),
     ("upa_distance_rear", ("pattern", "distance", *UPA, "--focal", REAR, *WINDOW, "--r-samples", "16")),
+    (
+        "spiral_one_element_distance",
+        (
+            "pattern", "distance", "--kind", "spiral_saa", "--n", "1", "--radius", "0.3", "--wavelength", "0.05",
+            "--focal", FRONT, *WINDOW, "--r-samples", "16",
+        ),
+    ),
     ("metrics_fig4_saa_beam_00", ("metrics", "fig4_saa_t1/beam_00.csv")),
     ("metrics_fig4_saa_beam_03", ("metrics", "fig4_saa_t1/beam_03.csv")),
     ("metrics_fig5_r1_focus_00", ("metrics", "fig5_r1_t1/focus_00.csv")),
@@ -68,6 +85,19 @@ RUNS = [
     ("error_normalization", ("pattern", "angle", *UPA, "--focal", FRONT, "--normalization", "loud")),
     ("error_subdivision", ("geometry", "--kind", "polyhedral_saa", "--subdivision", "-1", "--radius", "0.3")),
     ("error_r_samples", ("pattern", "distance", *UPA, "--focal", FRONT, *WINDOW, "--r-samples", "1")),
+    ("error_distance_theta_samples", ("run", "--scenario", "distance_theta_samples.cfg")),
+    (
+        "error_distance_focal_normalization",
+        ("pattern", "distance", *UPA, "--focal", FRONT, *WINDOW, "--normalization", "focal"),
+    ),
+    (
+        "error_eval_range_clearance",
+        (
+            "pattern", "angle", "--kind", "spiral_saa", "--n", "16", "--radius", "0.3", "--wavelength", "0.05",
+            "--focal", FRONT, "--eval-range", "0.2",
+        ),
+    ),
+    ("error_window_misses_focal", ("pattern", "distance", *UPA, "--focal", FRONT, "--r-min", "12", "--r-max", "20")),
 ]
 
 
@@ -80,6 +110,8 @@ def digest_lines(src: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(src / "src"), PYTHONDONTWRITEBYTECODE="1")
     files, commands = [], []
     with tempfile.TemporaryDirectory(prefix="spherebeam-digests-") as work:
+        for file_name, text in SCENARIOS.items():
+            Path(work, file_name).write_text(text, encoding="utf-8")
         for name, args in RUNS:
             out = () if args[0] == "metrics" else ("--out", name)
             done = subprocess.run(
