@@ -2,9 +2,10 @@
 
 Weights are the normalized conjugate of the desired channel, so the
 response at the design target meets the Cauchy-Schwarz bound exactly.
-Each sum adds a target's visible terms in element index order (never
-pairwise sums), so sweep results reproduce direct summation over every
-element bit for bit.
+The sums over elements are ``channel.coherent_power`` and
+``channel.channel_energy``, which add a target's visible terms in element
+index order (never pairwise sums), so sweep results reproduce direct
+summation over every element bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelVector, Entries, Scratch, channel_energy, column_sums, visible_gains
+from .channel import ChannelVector, channel_energy, coherent_power, visible_gains
 from .errors import DegeneratePattern, DimensionMismatch, NoVisibleElements, ValidationError, require_positive
 from .geometry import SphericalPoint
 
@@ -56,22 +57,6 @@ def beam_response(w: BeamWeights, h_probe: ChannelVector) -> float:
             f"weight length {len(w)} does not match channel length {len(h_probe)}"
         )
     return float(coherent_power(w.weights, *visible_gains(h_probe)))
-
-
-def coherent_power(weights: np.ndarray, gains: np.ndarray, entries: Entries, scratch=None) -> np.ndarray:
-    """|sum_k w_k g_k|^2 of each target, summed over its visible entries in
-    element order. ``gains`` and ``entries`` are as ``los_gains`` returns
-    them; the products go into ``scratch`` (a fresh ``Scratch`` when
-    ``None``)."""
-    if scratch is None:
-        scratch = Scratch()
-    products = np.multiply(
-        np.repeat(weights, entries.counts), gains,
-        out=scratch.get("products", (entries.block,), np.complex128)[: gains.size],
-    )
-    s = column_sums(products.view(np.float64), entries.bins, 2 * entries.width)
-    s = s.view(np.complex128).reshape(entries.targets)
-    return s.real * s.real + s.imag * s.imag
 
 
 def to_db(linear) -> np.ndarray:

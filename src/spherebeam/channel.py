@@ -7,9 +7,12 @@ in the forward hemisphere. Visible elements carry the spherical-wave
 coefficient (wl / (4*pi*d)) * exp(-i*2*pi*d/wl) at propagation distance d,
 with no far-field approximation at any range.
 
-A block of gains keeps its facing entries only, element by element, and
-every sum over elements is one ``np.bincount`` of those entries by target
-(``column_sums``), which adds each target's terms in element order.
+A block of gains keeps its facing entries only, element by element, each
+with one target column. Every sum over elements lives here: ``gain_energy``
+and ``coherent_power`` sum a block's facing terms by column with
+``column_sums`` (one ``np.bincount``), the coherent sum once over the real
+and once over the imaginary parts, and each adds a target's terms in
+element order.
 """
 
 from __future__ import annotations
@@ -73,19 +76,13 @@ class Entries(NamedTuple):
 
     The entries run in row-major order of the block's ``(n,) + targets``
     mask: element by element, targets within each. ``counts`` holds each
-    element's number of entries. ``bins`` holds ``2 * c`` and ``2 * c + 1``
-    for each entry's flat target index ``c``, interleaved: the bins of the
-    real and imaginary part of a complex entry read as two float64 values.
+    element's number of entries and ``columns`` each entry's flat target
+    index, the bin it is summed into.
     """
 
     counts: np.ndarray
-    bins: np.ndarray
+    columns: np.ndarray
     targets: tuple
-
-    @property
-    def columns(self) -> np.ndarray:
-        """Each entry's flat target index."""
-        return self.bins[0::2] >> 1
 
     @property
     def width(self) -> int:
@@ -101,27 +98,23 @@ class Entries(NamedTuple):
 def visible_entries(visible) -> Entries:
     """The ``Entries`` of the true entries of an element-major mask."""
     rows = visible.reshape(visible.shape[0], -1)
-    # each target's two bins, viewed as one raw item so that one boolean
-    # gather copies both
-    pair = np.dtype((np.void, 2 * np.dtype(np.intp).itemsize))
-    pairs = np.arange(2 * rows.shape[1], dtype=np.intp).view(pair)
-    bins = np.broadcast_to(pairs, rows.shape)[rows].view(np.intp)
-    return Entries(np.count_nonzero(rows, axis=1), bins, visible.shape[1:])
+    columns = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)[rows]
+    return Entries(np.count_nonzero(rows, axis=1), columns, visible.shape[1:])
 
 
-def column_sums(terms, bins, width) -> np.ndarray:
-    """Sum of the float64 ``terms`` that fall in each of ``width`` bins.
+def column_sums(terms, columns, width) -> np.ndarray:
+    """Sum of the float64 ``terms`` that fall in each of ``width`` columns.
 
-    ``np.bincount`` adds ``terms[i]`` into bin ``bins[i]`` in input order,
-    starting from ``+0.0``, so over ``Entries`` each target adds its facing
-    terms in element order. Direct summation over every element adds the
-    hidden terms too, and those are zeros: a zero added to a nonzero sum
+    ``np.bincount`` adds ``terms[i]`` into bin ``columns[i]`` in input
+    order, starting from ``+0.0``, so over ``Entries`` each target adds its
+    facing terms in element order. Direct summation over every element adds
+    the hidden terms too, and those are zeros: a zero added to a nonzero sum
     leaves it as it is, and a sum of zeros stays zero. The two totals can
     therefore differ only in the sign of an exact zero, which a squared
     magnitude or a sum of squares cannot show. Axis-0 ``np.add.reduce``
     would sum an ``(n, 1)`` block pairwise and change bits.
     """
-    return np.bincount(bins, weights=terms, minlength=width)
+    return np.bincount(columns, weights=terms, minlength=width)
 
 
 def los_gains(positions, normals, tx, ty, tz, wavelength, scratch=None):
@@ -186,7 +179,7 @@ def los_gains(positions, normals, tx, ty, tz, wavelength, scratch=None):
     np.divide(wavelength, amp, out=amp)
     phase = np.multiply(TWO_PI / wavelength, dist, out=facing.reshape(-1)[:count])
     # the rotation is spent once the gains are formed, so it takes the array
-    # that coherent_power fills with its products afterwards
+    # that coherent_power (below) fills with its products afterwards
     block = d2.size
     rotation = np.multiply(-1j, phase, out=scratch.get("products", (block,), np.complex128)[:count])
     np.exp(rotation, out=rotation)
@@ -222,6 +215,23 @@ def gain_energy(gains, entries: Entries, scratch=None) -> np.ndarray:
     energy = np.multiply(gains.real, gains.real, out=scratch.get("energy", (entries.block,))[:count])
     energy += np.multiply(gains.imag, gains.imag, out=scratch.get("energy_term", (entries.block,))[:count])
     return column_sums(energy, entries.columns, entries.width).reshape(entries.targets)
+
+
+def coherent_power(weights: np.ndarray, gains: np.ndarray, entries: Entries, scratch=None) -> np.ndarray:
+    """|sum_k w_k g_k|^2 of each target, summed over its visible entries in
+    element order. ``gains`` and ``entries`` are as ``los_gains`` returns
+    them; the products go into ``scratch`` (a fresh ``Scratch`` when
+    ``None``). The real and the imaginary parts of the products are summed
+    apart, each in element order, as a complex sum adds them."""
+    if scratch is None:
+        scratch = Scratch()
+    products = np.multiply(
+        np.repeat(weights, entries.counts), gains,
+        out=scratch.get("products", (entries.block,), np.complex128)[: gains.size],
+    )
+    re = column_sums(products.real, entries.columns, entries.width)
+    im = column_sums(products.imag, entries.columns, entries.width)
+    return (re * re + im * im).reshape(entries.targets)
 
 
 def channel_energy(h: ChannelVector) -> float:

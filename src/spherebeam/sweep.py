@@ -10,9 +10,9 @@ who computes it and how much memory it takes. Each thread writes every
 block's temporaries into the same cache-sized arrays (a
 ``channel.Scratch``) instead of allocating them anew. A block keeps the
 gains of its facing element x probe entries only, in element-major order,
-and each sum is one ``np.bincount`` over them by probe column, which adds
-every probe's terms in element order; so a block of any width, one probe
-included, sums in element order.
+and ``channel.coherent_power`` and ``channel.gain_energy`` sum them with
+``np.bincount`` by probe column, which adds every probe's terms in element
+order; so a block of any width, one probe included, sums in element order.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamforming import beam_response, coherent_power, conjugate_weights, normalize_pattern
-from .channel import Scratch, gain_energy, los_channel, los_gains
+from .beamforming import beam_response, conjugate_weights, normalize_pattern
+from .channel import Scratch, coherent_power, gain_energy, los_channel, los_gains
 from .errors import (
     AllBeamsInfeasible,
     NoVisibleElements,
@@ -199,7 +199,8 @@ def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, s
     for (h_focal, w), raw in zip(matched, powers):
         raw = raw.reshape(th.shape)
         reference = beam_response(w, h_focal)
-        power = normalize_pattern(raw, mode, reference=reference)
+        # a beam that lights no cell keeps its zeros, a degenerate pattern
+        power = normalize_pattern(raw, mode, reference=reference) if raw.any() else raw
         beams.append(AngularPatternGrid(
             theta_axis=theta_axis, phi_axis=phi_axis, power=power, focal=h_focal.target,
             eval_range_m=spec.eval_range_m, normalization=normalization,

@@ -183,8 +183,6 @@ class TestVisibleOnlyEvaluation:
             rows, columns = np.nonzero(ref_visible.reshape(g.n, -1))
             assert_array_equal(entries.counts, np.bincount(rows, minlength=g.n))
             assert_array_equal(entries.columns, columns)
-            assert_array_equal(entries.bins[0::2], 2 * columns)
-            assert_array_equal(entries.bins[1::2], 2 * columns + 1)
             assert entries.targets == (2, 40)
             facing = (
                 (tx[..., None] - g.positions[:, 0]) * g.normals[:, 0]

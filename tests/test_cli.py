@@ -131,6 +131,35 @@ class TestPatternCommands:
         assert run_cli("metrics", str(out / "focus_00.csv")) == 0
         assert capsys.readouterr().out.splitlines() == [line[len("focus_00."):] for line in report[:-1]]
 
+    def test_a_beam_that_lights_no_cell_is_a_degenerate_record_under_grid_max(self, tmp_path, capsys):
+        # beam 01 aims at phi = pi, where no cell of the 3 x 2 grid lies, so
+        # its raw grid is all zero and has no maximum to normalize by
+        out = tmp_path / "unlit"
+        assert run_cli(
+            "pattern", "angle",
+            "--kind", "ring_saa", "--n-rings", "1", "--radius", "0.3",
+            "--wavelength", "0.05", "--focal", "10, pi/2, 0", "--focal", "10, pi/2, pi",
+            "--theta-samples", "3", "--phi-samples", "2", "--eval-range", "10",
+            "--out", str(out),
+        ) == 0
+        summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert "beam 01: focal theta 90.00 deg, degenerate pattern" in summary
+        assert any(line.startswith("beam 00: focal (theta   90.00, phi    0.00) deg  err") for line in summary)
+        report = [line for line in (out / "metrics.txt").read_text(encoding="utf-8").splitlines()
+                  if line.startswith("beam_01.")]
+        assert report == [
+            "beam_01.peak_theta = nan",
+            "beam_01.peak_phi = nan",
+            "beam_01.pointing_err = nan",
+            "beam_01.hpbw_theta = nan",
+            "beam_01.hpbw_phi = nan",
+            "beam_01.psl_db = nan",
+            "beam_01.peak_capture = 0",
+        ]
+        capsys.readouterr()
+        assert run_cli("metrics", str(out / "beam_01.csv")) == 0
+        assert capsys.readouterr().out.splitlines() == [line[len("beam_01."):] for line in report]
+
     def test_infeasible_focals_yield_exit_2(self, tmp_path):
         code = run_cli(
             "pattern", "angle",
@@ -485,8 +514,12 @@ class TestMetricsCommand:
             ("eval_range", "-1", "eval_range must be positive and finite, got -1.0"),
             ("normalization", "loudest", "normalization must be 'grid_max' or 'focal', got 'loudest'"),
             ("peak_capture", "nan", "sidecar peak_capture is not a finite number: 'nan'"),
+            ("peak_capture", "abc", "sidecar peak_capture is not a finite number: 'abc'"),
         ],
-        ids=["eval_range-inf", "eval_range-abc", "eval_range-negative", "normalization-loudest", "peak_capture-nan"],
+        ids=[
+            "eval_range-inf", "eval_range-abc", "eval_range-negative", "normalization-loudest", "peak_capture-nan",
+            "peak_capture-abc",
+        ],
     )
     def test_non_finite_sidecar_number_exits_1(self, angular_run, capsys, key, value, message):
         sidecar = angular_run / "beam_00.meta"

@@ -381,6 +381,9 @@ class TestGeometryFromFields:
         with pytest.raises(ValidationError) as err:
             geometry_from_fields("nonagon", n=9)
         assert err.value.field == "kind"
+        # a field that no kind takes is a caller's mistake, not bad input
+        with pytest.raises(TypeError, match="^unknown geometry fields: bogus$"):
+            geometry_from_fields("upa", n=4, spacing=0.1, bogus=1)
 
     def test_constructor_failures_surface_as_validation_errors(self):
         with pytest.raises(ValidationError):

@@ -27,6 +27,7 @@ from spherebeam import (
     los_channel,
     multi_focal_overlay,
     parse_scenario,
+    ring_saa,
     rotate,
     rotate_point,
     upa,
@@ -197,6 +198,23 @@ class TestMultiFocalOverlay:
         g = golden_spiral_saa(16, 0.5)
         with pytest.raises(ValueError):
             multi_focal_overlay(g, 0.01, [], SMALL_SPEC)
+
+    def test_a_beam_that_lights_no_cell_keeps_its_zeros_under_grid_max(self):
+        # two elements facing phi = 0 and phi = pi; the grid's cells lie at
+        # the poles and at phi = 0 (and 2pi), where the rear element is hidden
+        g = ring_saa(1, "proportional", 0.3)
+        assert g.n == 2
+        spec = AngularSweepSpec(theta_samples=3, phi_samples=2, eval_range_m=10.0)
+        lit, unlit = SphericalPoint(10.0, math.pi / 2, 0.0), SphericalPoint(10.0, math.pi / 2, math.pi)
+        overlay = multi_focal_overlay(g, 0.05, [lit, unlit], spec, normalization="grid_max")
+        dark = overlay.beams[1]
+        assert_array_equal(dark.power.view(np.uint64), np.zeros((3, 2), np.uint64))
+        assert dark.peak_capture == 0.0
+        assert dark.normalization == "grid_max"
+        assert np.max(overlay.beams[0].power) == 1.0
+        assert_array_equal(overlay.power, overlay.beams[0].power)
+        alone = angular_sweep(g, 0.05, unlit, spec)
+        assert_array_equal(alone.power.view(np.uint64), dark.power.view(np.uint64))
 
 
 class TestSweepKernel:

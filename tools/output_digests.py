@@ -15,8 +15,9 @@ message and exit code agrees byte for byte:
 The runs: every preset at 1 and 2 threads, edge runs (a planar array with
 a rear focal point, fixed rings with focal normalization, one element in
 an angular and in a distance sweep, a distance sweep with and without a
-visible focal point), ``metrics`` on emitted CSVs, and runs that fail on a
-bad value or on a rule across keys. Scenario files that runs read are
+visible focal point, a two-ring-element run at ``grid_max`` whose second
+beam lights no grid cell), ``metrics`` on emitted CSVs (the unlit beam's
+among them), and runs that fail on a bad value or on a rule across keys. Scenario files that runs read are
 written into the working directory first.
 """
 
@@ -69,6 +70,14 @@ RUNS = [
             "--focal", "10, pi/4, pi/4", "--theta-samples", "2", "--phi-samples", "2", "--normalization", "focal",
         ),
     ),
+    (
+        "ring_unlit_beam",
+        (
+            "pattern", "angle", "--kind", "ring_saa", "--n-rings", "1", "--radius", "0.3", "--wavelength", "0.05",
+            "--focal", "10, pi/2, 0", "--focal", "10, pi/2, pi", "--theta-samples", "3", "--phi-samples", "2",
+            "--eval-range", "10",
+        ),
+    ),
     ("upa_distance", ("pattern", "distance", *UPA, "--focal", FRONT, *WINDOW, "--r-samples", "64")),
     ("upa_distance_rear", ("pattern", "distance", *UPA, "--focal", REAR, *WINDOW, "--r-samples", "16")),
     (
@@ -81,6 +90,7 @@ RUNS = [
     ("metrics_fig4_saa_beam_00", ("metrics", "fig4_saa_t1/beam_00.csv")),
     ("metrics_fig4_saa_beam_03", ("metrics", "fig4_saa_t1/beam_03.csv")),
     ("metrics_fig5_r1_focus_00", ("metrics", "fig5_r1_t1/focus_00.csv")),
+    ("metrics_ring_unlit_beam_01", ("metrics", "ring_unlit_beam/beam_01.csv")),
     ("error_radius", ("geometry", "--kind", "spiral_saa", "--n", "16", "--radius", "-1")),
     ("error_normalization", ("pattern", "angle", *UPA, "--focal", FRONT, "--normalization", "loud")),
     ("error_subdivision", ("geometry", "--kind", "polyhedral_saa", "--subdivision", "-1", "--radius", "0.3")),
