@@ -20,10 +20,11 @@ import warnings
 from pathlib import Path
 
 from . import fileio
-from .errors import MainLobeMissed, ParseError, SpherebeamError, ValidationError, require_count, require_single_line
+from .errors import MainLobeMissed, ParseError, SpherebeamError, ValidationError, require_single_line
 from .metrics import measure
 from .scenario import (
     GEOMETRY_KEYS,
+    KEYS,
     SWEEPS,
     _parse_int,
     geometry_from_fields,
@@ -38,16 +39,15 @@ from .scenario import (
 from .sweep import AngularPatternGrid, DistancePattern
 
 
+def _add_key_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """One flag per scenario key, with its field's help, kept as text for the key's rule."""
+    for key in keys:
+        parser.add_argument(f"--{key.replace('_', '-')}", help=KEYS[key]["help"])
+
+
 def _add_geometry_flags(parser: argparse.ArgumentParser) -> None:
-    """Geometry flags, kept as text for the scenario's value parser."""
     parser.add_argument("--kind", required=True, help="array layout family")
-    parser.add_argument("--n", help="element count")
-    parser.add_argument("--radius", help="sphere radius in meters")
-    parser.add_argument("--spacing", help="planar lattice pitch in meters")
-    parser.add_argument("--n-rings", dest="n_rings", help="latitude ring count")
-    parser.add_argument("--ring-policy", dest="ring_policy", help="'proportional' or 'fixed:<count>'")
-    parser.add_argument("--subdivision", help="icosahedron subdivision level")
-    parser.add_argument("--turns", help="spiral curve turn count")
+    _add_key_flags(parser, GEOMETRY_KEYS)
 
 
 def _add_beam_flags(parser: argparse.ArgumentParser) -> None:
@@ -59,7 +59,7 @@ def _add_beam_flags(parser: argparse.ArgumentParser) -> None:
         metavar="R,THETA,PHI",
         help="focal point triple, repeatable; angles accept pi fractions",
     )
-    parser.add_argument("--normalization", help="grid_max (default) or focal")
+    _add_key_flags(parser, ("normalization",))
     parser.add_argument("--threads", help="sweep worker threads (default: all cores)")
     parser.add_argument("--out", required=True, help="output directory")
 
@@ -78,22 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pat = sub.add_parser("pattern", help="run a beam pattern sweep")
     pat_sub = pat.add_subparsers(dest="sweep", required=True)
-
-    pa = pat_sub.add_parser("angle", help="theta x phi sweep at a fixed probe range")
-    _add_geometry_flags(pa)
-    _add_beam_flags(pa)
-    pa.add_argument("--theta-samples", dest="theta_samples", help="theta sample count")
-    pa.add_argument("--phi-samples", dest="phi_samples", help="phi sample count")
-    pa.add_argument("--eval-range", dest="eval_range", help="probe range in meters")
-    pa.set_defaults(func=_cmd_pattern)
-
-    pd = pat_sub.add_parser("distance", help="range sweep along the focal direction")
-    _add_geometry_flags(pd)
-    _add_beam_flags(pd)
-    pd.add_argument("--r-min", dest="r_min", help="sweep window start in meters")
-    pd.add_argument("--r-max", dest="r_max", help="sweep window end in meters")
-    pd.add_argument("--r-samples", dest="r_samples", help="range sample count")
-    pd.set_defaults(func=_cmd_pattern)
+    for name, run in SWEEPS.items():
+        sweep = pat_sub.add_parser(name, help=run.help)
+        _add_geometry_flags(sweep)
+        _add_beam_flags(sweep)
+        _add_key_flags(sweep, run.keys)
+        sweep.set_defaults(func=_cmd_pattern)
 
     m = sub.add_parser("metrics", help="recompute metrics from an emitted pattern CSV")
     m.add_argument("pattern", help="path to a pattern CSV")
@@ -133,9 +123,7 @@ def _flag_pairs(args, keys) -> list[tuple[None, str, str]]:
 
 def _threads(args) -> int | None:
     """``--threads`` under the integer rule of every count flag; None when not given."""
-    if args.threads is None:
-        return None
-    return require_count(_parse_int("threads", args.threads, None), "threads")
+    return None if args.threads is None else _parse_int("threads", args.threads, None)
 
 
 def _cmd_geometry(args) -> int:

@@ -405,10 +405,14 @@ def read_angular_csv(path):
         raise ParseError("a theta row does not repeat the first row's phi values")
     if np.any(np.diff(th[starts]) <= 0.0):
         raise ParseError("theta values are not strictly increasing")
+    if np.any(np.diff(phi[0]) < 0.0):
+        raise ParseError("phi values decrease along a theta row")
     return th[starts], phi[0].copy(), rows[:, 2].reshape(t_n, p_n).copy()
 
 
 def read_distance_csv(path):
     """Reconstruct (r_axis, linear power) from a distance CSV."""
     rows = _read_rows(path, DISTANCE_HEADER, 2)
+    if np.any(np.diff(rows[:, 0]) < 0.0):
+        raise ParseError("r values decrease")
     return rows[:, 0].copy(), rows[:, 1].copy()

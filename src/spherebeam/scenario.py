@@ -3,9 +3,10 @@
 A scenario is a flat ``key = value`` text document. Keys are strict
 (unknown keys are rejected), ``focal`` is the only repeatable key, and
 angle tokens accept ``pi`` fractions like ``2pi/3`` so configurations can
-state angles exactly. Each value meets its own rule as its line is parsed,
-and the rules across keys run after. Parsing resolves every default, so
-emitting a parsed scenario and parsing it again yields an equal value.
+state angles exactly. Each value meets the rule on its key's ``Scenario``
+field as its line is parsed, and the rules across keys run after. Parsing
+resolves every default, so emitting a parsed scenario and parsing it again
+yields an equal value.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import inspect
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -58,45 +59,16 @@ _GEOMETRY_DEFAULTS = {"ring_policy": "proportional"}
 
 GEOMETRY_KEYS = ("n", "radius", "spacing", "n_rings", "ring_policy", "subdivision", "turns")
 
-# every count key must be an integer of at least its minimum, and every
-# float key positive and finite (see ``errors``)
-_INT_KEYS = frozenset({"n", "n_rings", "subdivision", "theta_samples", "phi_samples", "r_samples"})
-_FLOAT_KEYS = frozenset({"radius", "spacing", "turns", "wavelength", "eval_range", "r_min", "r_max"})
-_STR_KEYS = frozenset({"kind", "out"})
-
 _PI_RE = re.compile(r"^([0-9]*\.?[0-9]+)?\s*pi\s*(?:/\s*([0-9]*\.?[0-9]+))?$")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Fully validated run configuration with every default resolved."""
-
-    kind: str
-    wavelength: float
-    focals: tuple[SphericalPoint, ...]
-    sweep: str
-    n: int | None = None
-    radius: float | None = None
-    spacing: float | None = None
-    n_rings: int | None = None
-    ring_policy: str | int | None = None
-    subdivision: int | None = None
-    turns: float | None = None
-    theta_samples: int | None = None
-    phi_samples: int | None = None
-    eval_range: float | None = None
-    r_min: float | None = None
-    r_max: float | None = None
-    r_samples: int | None = None
-    normalization: str = "grid_max"
-    out: str | None = None
-
-
 def _parse_int(key: str, token: str, lineno: int | None) -> int:
+    """The count rule: an integer of at least the key's minimum (see ``errors``)."""
     try:
-        return int(token)
+        count = int(token)
     except ValueError:
         raise ParseError(f"{key} expects an integer, got {token!r}", line=lineno) from None
+    return require_count(count, key)
 
 
 def _parse_float(key: str, token: str, lineno: int | None) -> float:
@@ -104,6 +76,60 @@ def _parse_float(key: str, token: str, lineno: int | None) -> float:
         return float(token)
     except ValueError:
         raise ParseError(f"{key} expects a number, got {token!r}", line=lineno) from None
+
+
+def _parse_positive(key: str, token: str, lineno: int | None) -> float:
+    return require_positive(_parse_float(key, token, lineno), key)
+
+
+def _parse_text(key: str, token: str, lineno: int | None) -> str:
+    return token
+
+
+def _parse_ring_policy(key: str, value: str, lineno: int | None):
+    if value == "proportional":
+        return "proportional"
+    if value.startswith("fixed:"):
+        return _parse_int(key, value[len("fixed:") :].strip(), lineno)
+    raise ValidationError(f"{key} must be 'proportional' or 'fixed:<count>', got {value!r}", field=key)
+
+
+def _key(rule, flag_help: str | None = None, default=MISSING):
+    """A scenario key's field: the rule ``rule(key, token, lineno)`` its text
+    meets as its line is parsed, and the help text of its flag."""
+    return field(default=default, metadata={"rule": rule, "help": flag_help})
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Fully validated run configuration with every default resolved."""
+
+    kind: str = _key(_parse_text)
+    wavelength: float = _key(_parse_positive)
+    focals: tuple[SphericalPoint, ...]
+    # SWEEPS is read at call time, as it is defined below
+    sweep: str = _key(lambda key, token, lineno: require_choice(token, SWEEPS, key))
+    n: int | None = _key(_parse_int, "element count", None)
+    radius: float | None = _key(_parse_positive, "sphere radius in meters", None)
+    spacing: float | None = _key(_parse_positive, "planar lattice pitch in meters", None)
+    n_rings: int | None = _key(_parse_int, "latitude ring count", None)
+    ring_policy: str | int | None = _key(_parse_ring_policy, "'proportional' or 'fixed:<count>'", None)
+    subdivision: int | None = _key(_parse_int, "icosahedron subdivision level", None)
+    turns: float | None = _key(_parse_positive, "spiral curve turn count", None)
+    theta_samples: int | None = _key(_parse_int, "theta sample count", None)
+    phi_samples: int | None = _key(_parse_int, "phi sample count", None)
+    eval_range: float | None = _key(_parse_positive, "probe range in meters", None)
+    r_min: float | None = _key(_parse_positive, "sweep window start in meters", None)
+    r_max: float | None = _key(_parse_positive, "sweep window end in meters", None)
+    r_samples: int | None = _key(_parse_int, "range sample count", None)
+    normalization: str = _key(
+        lambda key, token, lineno: require_choice(token, _NORMALIZATIONS, key), "grid_max (default) or focal", "grid_max"
+    )
+    out: str | None = _key(_parse_text, default=None)
+
+
+# each scalar key's field metadata: its value ``rule`` and its flag's ``help``
+KEYS = {f.name: f.metadata for f in dataclass_fields(Scenario) if f.metadata}
 
 
 def _parse_angle(token: str, lineno: int | None) -> float:
@@ -135,33 +161,11 @@ def parse_focal_text(value: str, lineno: int | None = None) -> SphericalPoint:
         raise ValidationError(str(exc), field="focal") from None
 
 
-def _parse_ring_policy(value: str, lineno: int | None):
-    if value == "proportional":
-        return "proportional"
-    if value.startswith("fixed:"):
-        count = _parse_int("ring_policy", value[len("fixed:") :].strip(), lineno)
-        return require_count(count, "ring_policy")
-    raise ValidationError(
-        f"ring_policy must be 'proportional' or 'fixed:<count>', got {value!r}",
-        field="ring_policy",
-    )
-
-
 def parse_field(key: str, token: str, lineno: int | None = None):
-    """Parse and check the value of one scalar scenario key."""
-    if key in _INT_KEYS:
-        return require_count(_parse_int(key, token, lineno), key)
-    if key in _FLOAT_KEYS:
-        return require_positive(_parse_float(key, token, lineno), key)
-    if key == "sweep":
-        return require_choice(token, SWEEPS, key)
-    if key == "normalization":
-        return require_choice(token, _NORMALIZATIONS, key)
-    if key in _STR_KEYS:
-        return token
-    if key == "ring_policy":
-        return _parse_ring_policy(token, lineno)
-    raise ParseError(f"unknown key {key!r}", line=lineno)
+    """Parse and check the value of one scalar scenario key by its field's rule."""
+    if key not in KEYS:
+        raise ParseError(f"unknown key {key!r}", line=lineno)
+    return KEYS[key]["rule"](key, token, lineno)
 
 
 def scenario_from_pairs(pairs) -> Scenario:
@@ -328,6 +332,7 @@ class _AngleRun:
     _spec = AngularSweepSpec()
     keys = {"theta_samples": _spec.theta_samples, "phi_samples": _spec.phi_samples, "eval_range": _spec.eval_range_m}
     noun = "angular"
+    help = "theta x phi sweep at a fixed probe range"
     stem = "beam"
     counted = "beams"
 
@@ -348,11 +353,11 @@ class _AngleRun:
         meta["peak_capture"] = fileio.fmt(beam.peak_capture)
         fileio.write_meta(out / f"{stem}.meta", meta)
         m = measure(beam, focal)
+        text = f"(theta {math.degrees(focal.theta):7.2f}, phi {math.degrees(focal.phi):7.2f}) deg"
         if m.degenerate:
-            text = f"theta {math.degrees(focal.theta):.2f} deg, degenerate pattern"
+            text += "  degenerate pattern"
         else:
-            text = (
-                f"(theta {math.degrees(focal.theta):7.2f}, phi {math.degrees(focal.phi):7.2f}) deg"
+            text += (
                 f"  err {math.degrees(m.pointing_error_rad):6.3f} deg"
                 f"  hpbw ({math.degrees(m.hpbw_theta):6.3f}, {math.degrees(m.hpbw_phi):6.3f}) deg"
                 f"  psl {m.peak_sidelobe_db:7.2f} dB"
@@ -401,6 +406,7 @@ class _DistanceRun:
     _args = inspect.signature(distance_sweep).parameters
     keys = {"r_min": _args["r_min"].default, "r_max": _args["r_max"].default, "r_samples": _args["samples"].default}
     noun = "distance"
+    help = "range sweep along the focal direction"
     stem = "focus"
     counted = "patterns"
 
@@ -451,7 +457,8 @@ class _DistanceRun:
 
 
 # each sweep kind's one record, its run class: its scenario keys in order with
-# the library's defaults, its noun in messages, its range rule and run stages
+# the library's defaults, its noun in messages, its subcommand's help, its
+# range rule and run stages
 SWEEPS = {"angle": _AngleRun, "distance": _DistanceRun}
 
 

@@ -143,7 +143,7 @@ class TestPatternCommands:
             "--out", str(out),
         ) == 0
         summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
-        assert "beam 01: focal theta 90.00 deg, degenerate pattern" in summary
+        assert "beam 01: focal (theta   90.00, phi  180.00) deg  degenerate pattern" in summary
         assert any(line.startswith("beam 00: focal (theta   90.00, phi    0.00) deg  err") for line in summary)
         report = [line for line in (out / "metrics.txt").read_text(encoding="utf-8").splitlines()
                   if line.startswith("beam_01.")]

@@ -329,6 +329,7 @@ class TestAngularCsv:
         [
             (["0,0,-3", "0,1,-3", "1,5,-3", "1,6,-3"], "phi values"),
             (["0,0,-3", "0,1,-3", "1,0,-3", "1,1,-3", "0,0,-3", "0,1,-3"], "strictly increasing"),
+            (["0,1,-3", "0,0,-3", "1,1,-3", "1,0,-3"], "phi values decrease"),
             # theta runs of 2, 1 and 3 rows over a phi axis that repeats
             (["0,0,-3", "0,1,-3", "1,0,-3", "2,1,-3", "2,0,-3", "2,1,-3"], "ragged"),
         ],
@@ -492,6 +493,15 @@ class TestDistanceCsv:
         with pytest.raises(ParseError, match=message) as err:
             read_distance_csv(path)
         assert err.value.line == 3
+
+    def test_reader_rejects_a_backward_r_axis_and_accepts_ties(self, tmp_path):
+        path = tmp_path / "focus.csv"
+        path.write_text("\n".join([DISTANCE_HEADER, "5,-3", "4,-3", "6,-3"]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="r values decrease"):
+            read_distance_csv(path)
+        path.write_text("\n".join([DISTANCE_HEADER, "5,-3", "5,-2", "6,-3"]) + "\n", encoding="utf-8")
+        r_axis, _ = read_distance_csv(path)
+        assert r_axis.tolist() == [5.0, 5.0, 6.0]
 
     def test_writer_bytes_equal_per_value_formatting(self, tmp_path):
         swept = distance_sweep(golden_spiral_saa(30, 0.5), 0.01, SphericalPoint(30.0, 1.0, 1.0), samples=64)

@@ -9,6 +9,7 @@ import pytest
 from spherebeam import (
     AngularSweepSpec,
     ParseError,
+    SpherebeamError,
     SphericalPoint,
     ValidationError,
     build_geometry,
@@ -23,7 +24,7 @@ from spherebeam import (
 )
 from spherebeam.cli import _add_beam_flags, _add_geometry_flags, _build_parser
 from spherebeam.fileio import read_angular_csv, read_meta
-from spherebeam.scenario import SWEEPS
+from spherebeam.scenario import GEOMETRY_KEYS, KEYS, SWEEPS, parse_field
 
 MINIMAL_ANGLE = """
 kind = spiral_saa
@@ -155,6 +156,12 @@ class TestParseScenario:
     def test_non_integer_count_rejected(self):
         with pytest.raises(ParseError):
             parse_scenario(MINIMAL_ANGLE.replace("n = 16", "n = 3.5"))
+
+    @pytest.mark.parametrize("key", [key for key in KEYS if key not in ("kind", "out")])
+    def test_each_key_rejects_text_by_its_rule(self, key):
+        with pytest.raises(SpherebeamError) as err:
+            parse_field(key, "abc")
+        assert str(err.value).startswith(f"{key} ")
 
 
 class TestScenarioValidation:
@@ -338,6 +345,14 @@ class TestSweepTable:
         assert list(pattern) == list(SWEEPS)
         for name, sub in pattern.items():
             assert [a.dest for a in sub._actions if a.dest not in shared] == list(SWEEPS[name].keys), name
+
+    def test_each_optional_key_flag_is_built_from_its_field(self):
+        pattern = _subcommands(_subcommands(_build_parser())["pattern"])
+        for name, sub in pattern.items():
+            flags = {a.dest: a for a in sub._actions}
+            for key in (*GEOMETRY_KEYS, *SWEEPS[name].keys, "normalization"):
+                assert flags[key].option_strings == [f"--{key.replace('_', '-')}"], (name, key)
+                assert flags[key].help and flags[key].help == KEYS[key]["help"], (name, key)
 
     def test_angle_defaults_are_the_sweeps_own(self):
         s = parse_scenario(MINIMAL_ANGLE.split("theta_samples")[0])
@@ -537,8 +552,8 @@ class TestRunScenario:
             "1.5707963267948966,0.10000000000000001,nan,nan,nan,nan,nan,nan",
         ]
         summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
-        assert "beam 00: focal theta 90.00 deg, degenerate pattern" in summary
-        assert "beam 01: focal theta 90.00 deg, degenerate pattern" in summary
+        assert "beam 00: focal (theta   90.00, phi    0.00) deg  degenerate pattern" in summary
+        assert "beam 01: focal (theta   90.00, phi    5.73) deg  degenerate pattern" in summary
         assert not any(line.startswith("isotropy") for line in summary)
         report = read_meta(out / "metrics.txt")
         assert report["beam_00.hpbw_theta"] == "nan"

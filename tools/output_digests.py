@@ -16,9 +16,13 @@ The runs: every preset at 1 and 2 threads, edge runs (a planar array with
 a rear focal point, fixed rings with focal normalization, one element in
 an angular and in a distance sweep, a distance sweep with and without a
 visible focal point, a two-ring-element run at ``grid_max`` whose second
-beam lights no grid cell), ``metrics`` on emitted CSVs (the unlit beam's
-among them), and runs that fail on a bad value or on a rule across keys. Scenario files that runs read are
-written into the working directory first.
+beam lights no grid cell, a distance window narrower than the spacing of
+doubles near its range, so its CSV repeats ``r`` values), ``metrics`` on
+emitted CSVs (the unlit beam's and the narrow window's among them) and on
+two CSVs whose ``r`` or ``phi`` axis runs backwards, ``--help`` of
+``geometry``, ``pattern angle`` and ``pattern distance`` at 80 columns,
+and runs that fail on a bad value or on a rule across keys. The input
+files that runs read are written into the working directory first.
 """
 
 from __future__ import annotations
@@ -38,12 +42,14 @@ SMALL_GRID = ("--theta-samples", "19", "--phi-samples", "19", "--eval-range", "1
 WINDOW = ("--r-min", "5", "--r-max", "20")
 FRONT, REAR = "10, pi/4, 0.5", "10, 3pi/4, 0.5"
 
-# file name -> scenario text, written into the working directory before the runs
-SCENARIOS = {
+# file name -> text, written into the working directory before the runs
+INPUTS = {
     "distance_theta_samples.cfg": (
         "kind = upa\nn = 16\nspacing = 0.025\nwavelength = 0.05\nfocal = 10, pi/4, 0.5\n"
         "sweep = distance\nr_min = 5\nr_max = 20\nr_samples = 16\ntheta_samples = 19\n"
     ),
+    "backward_r.csv": "r_m,power_db\n5,-3\n4,-1\n6,-6\n",
+    "backward_phi.csv": "theta_rad,phi_rad,power_db\n0,1,-3\n0,0,-1\n1,1,-6\n1,0,-2\n",
 }
 
 # (name, arguments); a run that writes files names its --out after itself,
@@ -87,10 +93,23 @@ RUNS = [
             "--focal", FRONT, *WINDOW, "--r-samples", "16",
         ),
     ),
+    (
+        "upa_distance_narrow",
+        (
+            "pattern", "distance", *UPA, "--focal", "5, pi/4, 0.5",
+            "--r-min", "5", "--r-max", "5.00000000000001", "--r-samples", "64",
+        ),
+    ),
     ("metrics_fig4_saa_beam_00", ("metrics", "fig4_saa_t1/beam_00.csv")),
     ("metrics_fig4_saa_beam_03", ("metrics", "fig4_saa_t1/beam_03.csv")),
     ("metrics_fig5_r1_focus_00", ("metrics", "fig5_r1_t1/focus_00.csv")),
     ("metrics_ring_unlit_beam_01", ("metrics", "ring_unlit_beam/beam_01.csv")),
+    ("metrics_upa_distance_narrow_focus_00", ("metrics", "upa_distance_narrow/focus_00.csv")),
+    ("metrics_backward_r", ("metrics", "backward_r.csv", "--focal", FRONT)),
+    ("metrics_backward_phi", ("metrics", "backward_phi.csv", "--focal", FRONT)),
+    ("help_geometry", ("geometry", "--help")),
+    ("help_pattern_angle", ("pattern", "angle", "--help")),
+    ("help_pattern_distance", ("pattern", "distance", "--help")),
     ("error_radius", ("geometry", "--kind", "spiral_saa", "--n", "16", "--radius", "-1")),
     ("error_normalization", ("pattern", "angle", *UPA, "--focal", FRONT, "--normalization", "loud")),
     ("error_subdivision", ("geometry", "--kind", "polyhedral_saa", "--subdivision", "-1", "--radius", "0.3")),
@@ -117,13 +136,14 @@ def _sha(data: bytes) -> str:
 
 def digest_lines(src: Path) -> list[str]:
     """The sorted file lines, then the sorted command lines, of every run."""
-    env = dict(os.environ, PYTHONPATH=str(src / "src"), PYTHONDONTWRITEBYTECODE="1")
+    # argparse wraps help to the terminal width
+    env = dict(os.environ, PYTHONPATH=str(src / "src"), PYTHONDONTWRITEBYTECODE="1", COLUMNS="80")
     files, commands = [], []
     with tempfile.TemporaryDirectory(prefix="spherebeam-digests-") as work:
-        for file_name, text in SCENARIOS.items():
+        for file_name, text in INPUTS.items():
             Path(work, file_name).write_text(text, encoding="utf-8")
         for name, args in RUNS:
-            out = () if args[0] == "metrics" else ("--out", name)
+            out = () if args[0] == "metrics" or "--help" in args else ("--out", name)
             done = subprocess.run(
                 [sys.executable, "-m", "spherebeam.cli", *args, *out],
                 cwd=work, env=env, capture_output=True, check=False,
