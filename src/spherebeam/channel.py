@@ -57,6 +57,14 @@ class Scratch(threading.local):
     gets a view of its start. Arrays that hold a block's facing entries only
     are asked for at the size of the whole block and then cut to the facing
     count, so they grow with the block, not with each block's count.
+
+    A gain block and its sums hold 65 bytes per element x target entry
+    here: ``diff``, ``d2``, ``facing`` and ``term`` at 8 bytes, ``mask``
+    at 1, and the complex ``gains`` and ``products`` at 16 each; a range
+    sweep adds ``energy`` and ``energy_term`` at 8 each. The gathers of the
+    facing entries are allocated per call and hold at most 24 bytes more
+    per facing entry at a time. ``sweep.BLOCK_ENTRIES`` sizes a block from
+    these figures.
     """
 
     def __init__(self):

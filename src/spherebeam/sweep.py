@@ -4,11 +4,14 @@ Grids are evaluated through the same gain kernel and the same element-order
 sums as single-target channels, so a sweep cell is bitwise identical to
 evaluating that probe on its own. One private kernel walks the probes in
 blocks of at most ``BLOCK_PROBES`` probes and ``BLOCK_ENTRIES`` element x
-probe entries, computes each block's gains once for every beam, and
-spreads the blocks over threads; blocking never changes any value, only
-who computes it and how much memory it takes. Each thread writes every
+probe entries, forms each block's probe points only when it reaches
+the block, computes each block's gains once for every beam, and spreads
+the blocks over threads; blocking never changes any value, only who
+computes it and how much memory it takes. Each thread writes every
 block's temporaries into the same cache-sized arrays (a
-``channel.Scratch``) instead of allocating them anew. A block keeps the
+``channel.Scratch``) instead of allocating them anew, so an angular
+sweep's working memory is one block per thread plus its output rows,
+whatever the size of the grid. A block keeps the
 gains of its facing element x probe entries only, in element-major order,
 and ``channel.coherent_power`` and ``channel.gain_energy`` sum them with
 ``np.bincount`` by probe column, which adds every probe's terms in element
@@ -44,14 +47,20 @@ _NORMALIZATIONS = {"grid_max": "grid_max", "focal": "focal_response"}
 BLOCK_PROBES = 1024
 """Most probes per gain evaluation in a sweep."""
 
-BLOCK_ENTRIES = 102_400
+BLOCK_ENTRIES = 25_600
 """Most element x probe entries per gain evaluation in a sweep.
 
 A block of an ``n``-element array holds
-``min(BLOCK_PROBES, max(1, BLOCK_ENTRIES // n))`` probes: 1024 up to 100
-elements, fewer above. Each float64 array of a block then stays at or
-below 800 KiB whatever the element count, and the arrays a thread reuses
-from block to block stay in cache.
+``min(BLOCK_PROBES, max(1, BLOCK_ENTRIES // n))`` probes: 1024 up to 25
+elements, fewer above. A block's arrays take about 70 bytes per entry:
+65 in the ``channel.Scratch`` arrays a thread reuses (``diff``, ``d2``,
+``facing`` and ``term`` at 8 bytes, the mask at 1, the complex gains and
+products at 16 each) and the rest in the short-lived gathers of the
+facing entries, at most 24 bytes per facing entry. One block then needs
+about 1.7 MiB, which stays in a 2 MiB L2 cache, and each float64 array
+stays at or below 200 KiB whatever the element count. Each ``los_gains``
+call also has a fixed cost of tens of microseconds, so a budget much
+smaller than this one makes the sweeps slower.
 """
 
 
@@ -126,21 +135,21 @@ class DistancePattern:
         self.power.setflags(write=False)
 
 
-def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_sets, threads, *, energy=False):
+def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, total, probes, weight_sets, threads, *, energy=False):
     """Raw coherent power of every weight vector, and channel energy, per probe.
 
-    ``probes`` holds the x, y, z arrays of the probe points, which are
-    flattened. Each block of ``min(BLOCK_PROBES, max(1, BLOCK_ENTRIES //
+    ``probes(i0, i1)`` returns the x, y, z arrays of probes ``i0`` to
+    ``i1 - 1`` of the ``total`` probes, so only one block's points exist at
+    a time. Each block of ``min(BLOCK_PROBES, max(1, BLOCK_ENTRIES //
     geometry.n))`` probes, and at most an even share of the probes per
     worker, makes one ``los_gains`` call shared by all weight vectors, and
     blocks run on at most ``min(threads, blocks, os.cpu_count())`` threads.
-    Each thread reuses one set of block-sized arrays for all of its blocks.
-    Returns ``(powers, energy)`` of shapes ``(len(weight_sets), probes)``
-    and ``(probes,)``; the channel energy is computed only when ``energy``
-    is true and is ``None`` otherwise.
+    Each thread reuses one set of block-sized arrays for all of its blocks,
+    about 70 bytes per entry (see ``BLOCK_ENTRIES``). Returns ``(powers,
+    energy)`` of shapes ``(len(weight_sets), total)`` and ``(total,)``; the
+    channel energy is computed only when ``energy`` is true and is ``None``
+    otherwise.
     """
-    px, py, pz = (np.ravel(a) for a in probes)
-    total = px.shape[0]
     asked = total if threads is None else require_count(threads, "threads")
     workers = min(asked, total, os.cpu_count() or 1)
     block = min(BLOCK_PROBES, max(1, BLOCK_ENTRIES // geometry.n), -(-total // workers))
@@ -151,10 +160,8 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, probes, weight_set
     scratch = Scratch()
 
     def fill(i0: int) -> None:
-        i1 = i0 + block
-        gains, _, entries = los_gains(
-            geometry.positions, geometry.normals, px[i0:i1], py[i0:i1], pz[i0:i1], wavelength, scratch
-        )
+        i1 = min(i0 + block, total)
+        gains, _, entries = los_gains(geometry.positions, geometry.normals, *probes(i0, i1), wavelength, scratch)
         for row, weights in zip(powers, weight_sets):
             row[i0:i1] = coherent_power(weights, gains, entries, scratch)
         if energies is not None:
@@ -192,12 +199,18 @@ def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, s
         return []
     theta_axis = np.linspace(spec.theta_range[0], spec.theta_range[1], spec.theta_samples)
     phi_axis = np.linspace(spec.phi_range[0], spec.phi_range[1], spec.phi_samples)
-    th, ph = np.meshgrid(theta_axis, phi_axis, indexing="ij")
-    probes = sph_to_cart(spec.eval_range_m, th, ph)
-    powers, _ = _sweep_kernel(geometry, wavelength, probes, [w.weights for _, w in matched], threads)
+    shape = (spec.theta_samples, spec.phi_samples)
+
+    def probes(i0, i1):
+        # the grid is row-major: cell c lies in theta row c // m and phi column c % m, m = phi_samples
+        rows, cols = np.divmod(np.arange(i0, i1), spec.phi_samples)
+        return sph_to_cart(spec.eval_range_m, theta_axis[rows], phi_axis[cols])
+
+    weights = [w.weights for _, w in matched]
+    powers, _ = _sweep_kernel(geometry, wavelength, math.prod(shape), probes, weights, threads)
     beams = []
     for (h_focal, w), raw in zip(matched, powers):
-        raw = raw.reshape(th.shape)
+        raw = raw.reshape(shape)
         reference = beam_response(w, h_focal)
         # a beam that lights no cell keeps its zeros, a degenerate pattern
         power = normalize_pattern(raw, mode, reference=reference) if raw.any() else raw
@@ -244,9 +257,9 @@ def multi_focal_overlay(
     beams = _angular_beams(geometry, wavelength, focals, spec, normalization, threads, skipped)
     if not beams:
         raise AllBeamsInfeasible(f"all {len(focals)} focal points were skipped")
-    power = beams[0].power
+    power = beams[0].power.copy()
     for beam in beams[1:]:
-        power = np.maximum(power, beam.power)
+        np.maximum(power, beam.power, out=power)
     return replace(
         beams[0], power=power, focal=None, beams=tuple(beams), skipped=tuple(skipped), peak_capture=None
     )
@@ -276,8 +289,10 @@ def distance_sweep(
     w = conjugate_weights(h_focal)
 
     r_axis = np.linspace(r_min, r_max, samples)
-    probes = np.broadcast_arrays(*sph_to_cart(r_axis, focal.theta, focal.phi))
-    (raw,), energy = _sweep_kernel(geometry, wavelength, probes, [w.weights], threads, energy=True)
+    ray = sph_to_cart(r_axis, focal.theta, focal.phi)
+    (raw,), energy = _sweep_kernel(
+        geometry, wavelength, samples, lambda i0, i1: [a[i0:i1] for a in ray], [w.weights], threads, energy=True
+    )
 
     fraction = np.zeros(samples)
     np.divide(raw, energy, out=fraction, where=energy > 0.0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from spherebeam import (
     ValidationError,
     angular_sweep,
     beam_response,
+    build_geometry,
     channel_energy,
     conjugate_weights,
     distance_sweep,
     golden_spiral_saa,
+    load_preset,
     los_channel,
     multi_focal_overlay,
     parse_scenario,
@@ -32,6 +35,7 @@ from spherebeam import (
     rotate_point,
     upa,
 )
+from spherebeam.geometry import sph_to_cart
 
 FOCAL = SphericalPoint(30.0, math.pi / 6, math.pi / 6)
 SMALL_SPEC = AngularSweepSpec(theta_samples=19, phi_samples=19, eval_range_m=30.0)
@@ -218,8 +222,8 @@ class TestMultiFocalOverlay:
 
 
 class TestSweepKernel:
-    # up to 100 elements the probe cap binds, above it the entry budget
-    @pytest.mark.parametrize("n, width", [(16, 1024), (100, 1024), (360, 284), (1000, 102)])
+    # up to 25 elements the probe cap binds, above it the entry budget
+    @pytest.mark.parametrize("n, width", [(16, 1024), (25, 1024), (100, 256), (360, 71), (1000, 25)])
     def test_block_width_follows_the_element_count(self, gain_calls, n, width):
         g = golden_spiral_saa(n, 0.5)
         spec = AngularSweepSpec(theta_samples=2, phi_samples=width + 1)
@@ -231,6 +235,57 @@ class TestSweepKernel:
         focal = SphericalPoint(30.0, math.pi / 4, math.pi / 4)
         distance_sweep(g, 0.01, focal, samples=2 * width + 1, threads=1)
         assert gain_calls == [n * width, n * width, n]
+
+    def test_block_probes_equal_the_full_grid_bit_for_bit(self, monkeypatch):
+        # the kernel forms each block's probes from the axes; every block
+        # width gives the values sph_to_cart gives over the whole meshgrid
+        given = []
+        kernel = sweep._sweep_kernel
+
+        def capturing(geometry, wavelength, total, probes, *rest, **kw):
+            given.append((total, probes))
+            return kernel(geometry, wavelength, total, probes, *rest, **kw)
+
+        monkeypatch.setattr(sweep, "_sweep_kernel", capturing)
+        spec = AngularSweepSpec(theta_samples=97, phi_samples=203)
+        grid = angular_sweep(golden_spiral_saa(8, 0.5), 0.01, FOCAL, spec, threads=1)
+        th, ph = np.meshgrid(grid.theta_axis, grid.phi_axis, indexing="ij")
+        full = [a.ravel().view(np.uint64) for a in sph_to_cart(spec.eval_range_m, th, ph)]
+        [(total, probes)] = given
+        assert total == 97 * 203
+        for block in (1, 7, 71, 256, 1024):
+            parts = [probes(i0, min(i0 + block, total)) for i0 in range(0, total, block)]
+            for axis, want in enumerate(full):
+                assert_array_equal(np.concatenate([part[axis] for part in parts]).view(np.uint64), want)
+
+    def test_sweep_memory_follows_the_block_not_the_grid(self):
+        # the raw and the normalized grid take 16 bytes per cell; the
+        # probes and gains of one block at a time add a fixed amount
+        g = golden_spiral_saa(16, 0.5)
+        spec = AngularSweepSpec(theta_samples=601, phi_samples=601)
+        tracemalloc.start()
+        try:
+            angular_sweep(g, 0.01, FOCAL, spec, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 601 * 601
+
+    def test_fig4_saa_bits_do_not_depend_on_the_entry_budget(self, monkeypatch):
+        scenario = load_preset("fig4_saa")
+        geometry = build_geometry(scenario)
+        spec = AngularSweepSpec(
+            theta_samples=scenario.theta_samples, phi_samples=scenario.phi_samples, eval_range_m=scenario.eval_range
+        )
+        runs = []
+        for budget in (sweep.BLOCK_ENTRIES, 102_400):
+            monkeypatch.setattr(sweep, "BLOCK_ENTRIES", budget)
+            runs.append(multi_focal_overlay(geometry, scenario.wavelength, scenario.focals, spec, threads=1))
+        default, old = runs
+        assert len(default.beams) == len(old.beams) == 8
+        for a, b in zip(default.beams, old.beams):
+            assert_array_equal(a.power.view(np.uint64), b.power.view(np.uint64))
+        assert_array_equal(default.power.view(np.uint64), old.power.view(np.uint64))
 
     def test_budget_below_the_element_count_gives_one_probe_blocks(self, gain_calls, monkeypatch):
         g = golden_spiral_saa(16, 0.5)
