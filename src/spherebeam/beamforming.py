@@ -68,23 +68,17 @@ def to_db(linear) -> np.ndarray:
     return out
 
 
-def normalize_pattern(raw, mode: str = "grid_max", *, reference: float | None = None):
-    """Scale a non-negative pattern by a reference and return it, still linear.
-
-    ``mode`` is ``"grid_max"`` (divide by the array maximum) or
-    ``"focal_response"`` (divide by the caller-supplied ``reference``).
-    """
+def normalize_pattern(raw, reference: float | None = None):
+    """Scale a non-negative pattern and return it, still linear: divided by
+    ``reference`` when one is given, else by the pattern's maximum."""
     arr = np.asarray(raw, dtype=np.float64)
     if arr.size == 0:
         raise ValidationError("pattern is empty", "raw")
     if np.any(arr < 0.0):
         raise ValidationError("pattern values must be non-negative", "raw")
-    if mode == "grid_max":
-        ref = float(np.max(arr))
-        if ref == 0.0:
-            raise DegeneratePattern("all-zero pattern has no maximum to normalize by")
-    elif mode == "focal_response":
-        ref = require_positive(reference, "reference")
-    else:
-        raise ValidationError(f"unknown normalization mode {mode!r}", "mode")
+    if reference is not None:
+        return arr / require_positive(reference, "reference")
+    ref = float(np.max(arr))
+    if ref == 0.0:
+        raise DegeneratePattern("all-zero pattern has no maximum to normalize by")
     return arr / ref

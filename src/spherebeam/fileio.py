@@ -29,14 +29,21 @@ import numpy as np
 from .beamforming import DB_FLOOR, to_db
 from .errors import ParseError
 from .geometry import ArrayGeometry
-from .metrics import FocusMetrics
+from .metrics import BeamMetrics, FocusMetrics, figures
 from .sweep import AngularPatternGrid, DistancePattern
 
 GEOMETRY_HEADER = "index,x,y,z,nx,ny,nz"
 ANGULAR_HEADER = "theta_rad,phi_rad,power_db"
 DISTANCE_HEADER = "r_m,power_db"
-METRICS_HEADER = "focal_theta,focal_phi,peak_theta,peak_phi,pointing_err,hpbw_theta,hpbw_phi,psl_db"
-FOCUS_HEADER = "focal_theta,focal_phi,peak_r_m,depth_of_focus_m,focal_error_m,one_sided"
+
+
+def _table_header(record) -> str:
+    """Header of a metrics table: the focal direction, then the record's figure keys."""
+    return ",".join(["focal_theta", "focal_phi", *(key for key, _ in figures(record))])
+
+
+METRICS_HEADER = _table_header(BeamMetrics)
+FOCUS_HEADER = _table_header(FocusMetrics)
 
 READ_CHUNK_BYTES = 1 << 16
 """Text the pattern readers parse at once, which bounds their working set."""
@@ -248,27 +255,14 @@ def write_meta(path, entries: dict) -> None:
 
 
 def metric_entries(m) -> list[tuple[str, str]]:
-    """Text ``key = value`` pairs of a ``BeamMetrics`` or ``FocusMetrics``.
+    """Text ``key = value`` pairs of the figures of a metrics record (see
+    ``metrics.figures``), then its ``peak_capture`` when it carries one.
 
     ``metrics.txt`` lists them per pattern and ``spherebeam metrics`` prints
-    them; ``peak_capture`` is left out when the beam does not carry it.
+    them; a flag is written ``1`` or ``0``.
     """
-    if isinstance(m, FocusMetrics):
-        return [
-            ("peak_r_m", fmt(m.peak_r_m)),
-            ("depth_of_focus_m", fmt(m.depth_of_focus_m)),
-            ("focal_error_m", fmt(m.focal_error_m)),
-            ("one_sided", str(int(m.one_sided))),
-        ]
-    entries = [
-        ("peak_theta", fmt(m.peak_theta)),
-        ("peak_phi", fmt(m.peak_phi)),
-        ("pointing_err", fmt(m.pointing_error_rad)),
-        ("hpbw_theta", fmt(m.hpbw_theta)),
-        ("hpbw_phi", fmt(m.hpbw_phi)),
-        ("psl_db", fmt(m.peak_sidelobe_db)),
-    ]
-    if m.peak_capture is not None:
+    entries = [(key, fmt(getattr(m, name))) for key, name in figures(m)]
+    if getattr(m, "peak_capture", None) is not None:
         entries.append(("peak_capture", fmt(m.peak_capture)))
     return entries
 
@@ -295,16 +289,18 @@ def read_meta(path) -> dict:
         return {key: value for _, key, value in key_values(fh)}
 
 
+def _write_table(path, header: str, rows) -> None:
+    write_lines(path, itertools.chain([header], (",".join(map(fmt, row)) for row in rows)))
+
+
 def write_metrics_csv(path, rows) -> None:
-    """Angular metrics table, one row of eight floats per focal point."""
-    lines = (",".join(map(fmt, row)) for row in rows)
-    write_lines(path, itertools.chain([METRICS_HEADER], lines))
+    """Angular metrics table, one row of ``METRICS_HEADER`` values per focal point."""
+    _write_table(path, METRICS_HEADER, rows)
 
 
 def write_focus_csv(path, rows) -> None:
     """Range metrics table; the last column is the one-sided flag (0/1)."""
-    lines = (",".join([*map(fmt, floats), str(int(one_sided))]) for *floats, one_sided in rows)
-    write_lines(path, itertools.chain([FOCUS_HEADER], lines))
+    _write_table(path, FOCUS_HEADER, rows)
 
 
 def _split_csv_line(line: str, expected: int, lineno: int):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +31,19 @@ MIN_PEAK_CAPTURE = 0.5
 """Smallest ``peak_capture`` at which a grid sampled the main lobe's half-power region."""
 
 
+def _figure(key: str | None = None, **field_kwargs):
+    """A reported figure's field; every output names it ``key``, by default
+    the field's own name."""
+    return field(metadata={"figure": key}, **field_kwargs)
+
+
+def figures(record) -> list[tuple[str, str]]:
+    """``(key, field name)`` of each reported figure of a metrics record or
+    class, in field order; tables, ``metrics.txt`` and ``spherebeam
+    metrics`` take their keys and columns from here."""
+    return [(f.metadata["figure"] or f.name, f.name) for f in fields(record) if "figure" in f.metadata]
+
+
 @dataclass(frozen=True)
 class BeamMetrics:
     """Pointing, beamwidth, and sidelobe figures for one angular beam.
@@ -39,12 +52,12 @@ class BeamMetrics:
     it is ``None`` when the grid did not carry it.
     """
 
-    peak_theta: float
-    peak_phi: float
-    pointing_error_rad: float
-    hpbw_theta: float
-    hpbw_phi: float
-    peak_sidelobe_db: float
+    peak_theta: float = _figure()
+    peak_phi: float = _figure()
+    pointing_error_rad: float = _figure("pointing_err")
+    hpbw_theta: float = _figure()
+    hpbw_phi: float = _figure()
+    peak_sidelobe_db: float = _figure("psl_db")
     degenerate: bool = False
     peak_capture: float | None = None
 
@@ -57,10 +70,10 @@ class FocusMetrics:
     sweep window and the window edge substituted for it.
     """
 
-    peak_r_m: float
-    depth_of_focus_m: float
-    focal_error_m: float
-    one_sided: bool = False
+    peak_r_m: float = _figure()
+    depth_of_focus_m: float = _figure()
+    focal_error_m: float = _figure()
+    one_sided: bool = _figure(default=False)
     degenerate: bool = False
 
 
@@ -70,13 +83,13 @@ class IsotropyReport:
 
     hpbw_theta_min: float
     hpbw_theta_max: float
-    hpbw_theta_ratio: float
+    hpbw_theta_ratio: float = _figure()
     hpbw_phi_min: float
     hpbw_phi_max: float
-    hpbw_phi_ratio: float
+    hpbw_phi_ratio: float = _figure()
     sidelobe_min_db: float
     sidelobe_max_db: float
-    sidelobe_spread_db: float
+    sidelobe_spread_db: float = _figure()
     n_beams: int
 
 
@@ -249,19 +262,20 @@ def measure(pattern, focal: SphericalPoint | None = None):
     try:
         return focus_metrics(pattern) if distance else angular_metrics(pattern, focal)
     except DegeneratePattern:
-        if distance:
-            return FocusMetrics(math.nan, math.nan, math.nan, degenerate=True)
-        return BeamMetrics(*(math.nan,) * 6, degenerate=True, peak_capture=pattern.peak_capture)
+        record, kept = (FocusMetrics, {}) if distance else (BeamMetrics, {"peak_capture": pattern.peak_capture})
+        nan = {f.name: math.nan for f in fields(record) if f.default is MISSING}
+        return record(**nan, degenerate=True, **kept)
 
 
 def isotropy_report(per_focal_metrics) -> IsotropyReport:
-    """Min/max/ratio summary of beam metrics across focal points."""
+    """Min/max/ratio summary of beam metrics across focal points; degenerate
+    beams are dropped, and at least two beams must be left."""
     entries = list(per_focal_metrics)
-    if len(entries) < 2:
-        raise ValidationError("need at least two beams to summarize isotropy", "per_focal_metrics")
     usable = [m for m in entries if not m.degenerate]
-    if not usable:
+    if entries and not usable:
         raise DegeneratePattern("every beam was degenerate")
+    if len(usable) < 2:
+        raise ValidationError("need at least two non-degenerate beams to summarize isotropy", "per_focal_metrics")
     ht = [m.hpbw_theta for m in usable]
     hp = [m.hpbw_phi for m in usable]
     sl = [m.peak_sidelobe_db for m in usable]

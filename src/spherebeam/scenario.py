@@ -42,7 +42,7 @@ from .geometry import (
     spiral_curve_saa,
     upa,
 )
-from .metrics import MIN_PEAK_CAPTURE, isotropy_report, measure
+from .metrics import MIN_PEAK_CAPTURE, figures, isotropy_report, measure
 from .sweep import _NORMALIZATIONS, AngularSweepSpec, distance_sweep, multi_focal_overlay
 
 # each kind's constructor arguments, in order
@@ -364,9 +364,7 @@ class _AngleRun:
                 f"  capture {m.peak_capture:5.3f}"
                 + ("  (main lobe not sampled)" if m.peak_capture < MIN_PEAK_CAPTURE else "")
             )
-        row = (focal.theta, focal.phi, m.peak_theta, m.peak_phi,
-               m.pointing_error_rad, m.hpbw_theta, m.hpbw_phi, m.peak_sidelobe_db)
-        return m, row, text
+        return m, text
 
     def finish(self, s: Scenario, out: Path, meta: dict, rows, measured):
         fileio.write_angular_csv(out / "overlay.csv", self.overlay)
@@ -379,11 +377,7 @@ class _AngleRun:
         if len(usable) < 2:
             return [], []
         iso = isotropy_report(usable)
-        entries = [
-            ("isotropy.hpbw_theta_ratio", fileio.fmt(iso.hpbw_theta_ratio)),
-            ("isotropy.hpbw_phi_ratio", fileio.fmt(iso.hpbw_phi_ratio)),
-            ("isotropy.sidelobe_spread_db", fileio.fmt(iso.sidelobe_spread_db)),
-        ]
+        entries = [(f"isotropy.{key}", value) for key, value in fileio.metric_entries(iso)]
         line = (
             f"isotropy: hpbw_theta ratio {iso.hpbw_theta_ratio:.4f}, "
             f"hpbw_phi ratio {iso.hpbw_phi_ratio:.4f}, "
@@ -442,8 +436,7 @@ class _DistanceRun:
                 f"  peak {m.peak_r_m:.3f} m  err {m.focal_error_m:.3f} m"
                 f"  depth {m.depth_of_focus_m:.3f} m" + (" (one-sided)" if m.one_sided else "")
             )
-        row = (focal.theta, focal.phi, m.peak_r_m, m.depth_of_focus_m, m.focal_error_m, m.one_sided)
-        return m, row, text
+        return m, text
 
     def finish(self, s: Scenario, out: Path, meta: dict, rows, measured):
         fileio.write_focus_csv(out / "focus_metrics.csv", rows)
@@ -518,9 +511,9 @@ def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None
     for index, pattern in patterns:
         focal = scenario.focals[index]
         stem = f"{run.stem}_{index:02d}"
-        m, row, text = run.step(out, stem, focal, pattern, dict(meta, focal=_focal_text(focal)))
+        m, text = run.step(out, stem, focal, pattern, dict(meta, focal=_focal_text(focal)))
         per_focal.append((index, m))
-        rows.append(row)
+        rows.append((focal.theta, focal.phi, *(getattr(m, name) for _, name in figures(m))))
         lines.append(f"{run.stem} {index:02d}: focal {text}")
 
     extra, extra_lines = run.finish(scenario, out, meta, rows, [m for _, m in per_focal])

@@ -3,8 +3,7 @@
 Grids are evaluated through the same gain kernel and the same element-order
 sums as single-target channels, so a sweep cell is bitwise identical to
 evaluating that probe on its own. One private kernel walks the probes in
-blocks of at most ``BLOCK_PROBES`` probes and ``BLOCK_ENTRIES`` element x
-probe entries, forms each block's probe points only when it reaches
+blocks of at most ``BLOCK_ENTRIES`` element x probe entries, forms each block's probe points only when it reaches
 the block, computes each block's gains once for every beam, and spreads
 the blocks over threads; blocking never changes any value, only who
 computes it and how much memory it takes. Each thread writes every
@@ -41,22 +40,19 @@ from .errors import (
 )
 from .geometry import TWO_PI, ArrayGeometry, SphericalPoint, sph_to_cart
 
-# each normalization name an angular sweep accepts, with its ``normalize_pattern`` mode
-_NORMALIZATIONS = {"grid_max": "grid_max", "focal": "focal_response"}
-
-BLOCK_PROBES = 1024
-"""Most probes per gain evaluation in a sweep."""
+# each normalization an angular sweep accepts: by the grid maximum or by the
+# beam's response at its focal point
+_NORMALIZATIONS = ("grid_max", "focal")
 
 BLOCK_ENTRIES = 25_600
 """Most element x probe entries per gain evaluation in a sweep.
 
-A block of an ``n``-element array holds
-``min(BLOCK_PROBES, max(1, BLOCK_ENTRIES // n))`` probes: 1024 up to 25
-elements, fewer above. A block's arrays take about 70 bytes per entry:
-65 in the ``channel.Scratch`` arrays a thread reuses (``diff``, ``d2``,
-``facing`` and ``term`` at 8 bytes, the mask at 1, the complex gains and
-products at 16 each) and the rest in the short-lived gathers of the
-facing entries, at most 24 bytes per facing entry. One block then needs
+A block of an ``n``-element array holds ``max(1, BLOCK_ENTRIES // n)``
+probes, and its arrays take about 70 bytes per entry: 65 in the
+``channel.Scratch`` arrays a thread reuses (``diff``, ``d2``, ``facing``
+and ``term`` at 8 bytes, the mask at 1, the complex gains and products at
+16 each) and the rest in the short-lived gathers of the facing entries,
+at most 24 bytes per facing entry. One block then needs
 about 1.7 MiB, which stays in a 2 MiB L2 cache, and each float64 array
 stays at or below 200 KiB whatever the element count. Each ``los_gains``
 call also has a fixed cost of tens of microseconds, so a budget much
@@ -140,10 +136,9 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, total, probes, wei
 
     ``probes(i0, i1)`` returns the x, y, z arrays of probes ``i0`` to
     ``i1 - 1`` of the ``total`` probes, so only one block's points exist at
-    a time. Each block of ``min(BLOCK_PROBES, max(1, BLOCK_ENTRIES //
-    geometry.n))`` probes, and at most an even share of the probes per
-    worker, makes one ``los_gains`` call shared by all weight vectors, and
-    blocks run on at most ``min(threads, blocks, os.cpu_count())`` threads.
+    a time. Each block of ``max(1, BLOCK_ENTRIES // geometry.n)`` probes,
+    and at most an even share of the probes per worker, makes one
+    ``los_gains`` call shared by all weight vectors, and blocks run on at most ``min(threads, blocks, os.cpu_count())`` threads.
     Each thread reuses one set of block-sized arrays for all of its blocks,
     about 70 bytes per entry (see ``BLOCK_ENTRIES``). Returns ``(powers,
     energy)`` of shapes ``(len(weight_sets), total)`` and ``(total,)``; the
@@ -152,7 +147,7 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, total, probes, wei
     """
     asked = total if threads is None else require_count(threads, "threads")
     workers = min(asked, total, os.cpu_count() or 1)
-    block = min(BLOCK_PROBES, max(1, BLOCK_ENTRIES // geometry.n), -(-total // workers))
+    block = min(max(1, BLOCK_ENTRIES // geometry.n), -(-total // workers))
     starts = range(0, total, block)
     workers = min(workers, len(starts))
     powers = np.empty((len(weight_sets), total))
@@ -183,7 +178,7 @@ def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, s
     is appended to ``skipped`` when a list is given. The normalization name
     is checked before any gain is computed.
     """
-    mode = _NORMALIZATIONS[require_choice(normalization, _NORMALIZATIONS, "normalization")]
+    focal_norm = require_choice(normalization, _NORMALIZATIONS, "normalization") == "focal"
     spec = spec if spec is not None else AngularSweepSpec()
     require_clearance(spec.eval_range_m, geometry.radius_m, "eval_range_m")
     matched = []
@@ -213,7 +208,7 @@ def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, s
         raw = raw.reshape(shape)
         reference = beam_response(w, h_focal)
         # a beam that lights no cell keeps its zeros, a degenerate pattern
-        power = normalize_pattern(raw, mode, reference=reference) if raw.any() else raw
+        power = normalize_pattern(raw, reference if focal_norm else None) if raw.any() else raw
         beams.append(AngularPatternGrid(
             theta_axis=theta_axis, phi_axis=phi_axis, power=power, focal=h_focal.target,
             eval_range_m=spec.eval_range_m, normalization=normalization,
@@ -296,7 +291,7 @@ def distance_sweep(
 
     fraction = np.zeros(samples)
     np.divide(raw, energy, out=fraction, where=energy > 0.0)
-    power = normalize_pattern(fraction, "grid_max")
+    power = normalize_pattern(fraction)
     return DistancePattern(
         r_axis=r_axis,
         power=power,

@@ -219,25 +219,21 @@ class TestDbAndNormalization:
 
     def test_normalize_grid_max(self):
         p = np.array([[0.5, 1.0], [2.0, 0.0]])
-        linear = normalize_pattern(p, "grid_max")
+        linear = normalize_pattern(p)
         assert_allclose(linear, p / 2.0, rtol=0)
         assert linear.max() == 1.0
 
     def test_normalize_focal_reference(self):
         p = np.array([[0.5, 1.0], [2.0, 0.0]])
-        linear = normalize_pattern(p, "focal_response", reference=0.5)
+        linear = normalize_pattern(p, reference=0.5)
         assert_allclose(linear, p / 0.5, rtol=0)
 
     def test_normalize_rejects_bad_inputs(self):
         with pytest.raises(DegeneratePattern):
-            normalize_pattern(np.zeros((3, 3)), "grid_max")
+            normalize_pattern(np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            normalize_pattern(np.array([[1.0, -0.5]]), "grid_max")
+            normalize_pattern(np.array([[1.0, -0.5]]))
         with pytest.raises(ValueError):
-            normalize_pattern(np.empty((0, 0)), "grid_max")
+            normalize_pattern(np.empty((0, 0)))
         with pytest.raises(ValueError):
-            normalize_pattern(np.ones((2, 2)), "focal_response")
-        with pytest.raises(ValueError):
-            normalize_pattern(np.ones((2, 2)), "focal_response", reference=-1.0)
-        with pytest.raises(ValueError):
-            normalize_pattern(np.ones((2, 2)), "banana")
+            normalize_pattern(np.ones((2, 2)), reference=-1.0)

@@ -121,7 +121,7 @@ LIBRARY_INPUT_ERRORS = {
     "no_focal_points": lambda: multi_focal_overlay(golden_spiral_saa(16, 0.3), 0.05, [], SPEC),
     "empty_pattern": lambda: normalize_pattern(np.array([])),
     "negative_pattern": lambda: normalize_pattern(np.array([-1.0, 1.0])),
-    "unknown_mode": lambda: normalize_pattern(np.ones(2), "loudest"),
+    "zero_reference": lambda: normalize_pattern(np.ones(2), reference=0.0),
     "metrics_without_focal": lambda: angular_metrics(GRID_WITHOUT_FOCAL),
     "isotropy_of_no_beams": lambda: isotropy_report([]),
 }

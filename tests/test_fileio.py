@@ -36,6 +36,7 @@ from spherebeam.fileio import (
     _pack,
     _split_csv_line,
     fmt,
+    metric_entries,
     read_angular_csv,
     read_distance_csv,
     read_meta,
@@ -46,6 +47,7 @@ from spherebeam.fileio import (
     write_meta,
     write_metrics_csv,
 )
+from spherebeam.metrics import BeamMetrics, FocusMetrics, IsotropyReport, figures
 
 FOCAL = SphericalPoint(30.0, math.pi / 6, math.pi / 6)
 
@@ -640,3 +642,37 @@ class TestRowTables:
         assert lines[0] == FOCUS_HEADER
         assert lines[1].endswith(",1")
         assert lines[2].endswith(",0")
+
+
+def _keys(record):
+    return [key for key, _ in figures(record)]
+
+
+class TestFigureKeys:
+    # every output names a figure by the key declared on its metrics field
+
+    def test_table_columns_after_the_focal_pair_are_the_figure_keys(self):
+        for header, record in ((METRICS_HEADER, BeamMetrics), (FOCUS_HEADER, FocusMetrics)):
+            columns = header.split(",")
+            assert columns[:2] == ["focal_theta", "focal_phi"]
+            assert columns[2:] == _keys(record)
+
+    def test_metric_entries_are_the_figure_keys_then_peak_capture(self):
+        beam = BeamMetrics(*(0.5,) * 6)
+        assert [key for key, _ in metric_entries(beam)] == _keys(BeamMetrics)
+        captured = replace(beam, peak_capture=0.9)
+        assert [key for key, _ in metric_entries(captured)] == [*_keys(BeamMetrics), "peak_capture"]
+        focus = FocusMetrics(1.0, 2.0, 0.0, one_sided=True)
+        assert metric_entries(focus) == [*zip(_keys(FocusMetrics), ["1", "2", "0", "1"])]
+
+    def test_isotropy_entries_of_a_two_beam_run_are_the_report_figure_keys(self, tmp_path):
+        text = (
+            "kind = spiral_saa\nn = 16\nradius = 0.3\nwavelength = 0.05\n"
+            "focal = 10, pi/4, pi/4\nfocal = 10, pi/3, 1\n"
+            "sweep = angle\ntheta_samples = 19\nphi_samples = 19\neval_range = 10\n"
+        )
+        out = tmp_path / "run"
+        assert run_scenario(parse_scenario(text), out) == 0
+        report = read_meta(out / "metrics.txt")
+        isotropy = [key.removeprefix("isotropy.") for key in report if key.startswith("isotropy.")]
+        assert isotropy == _keys(IsotropyReport) == ["hpbw_theta_ratio", "hpbw_phi_ratio", "sidelobe_spread_db"]

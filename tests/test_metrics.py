@@ -17,6 +17,7 @@ from spherebeam import (
     DistancePattern,
     MainLobeMissed,
     SphericalPoint,
+    ValidationError,
     angular_metrics,
     angular_sweep,
     distance_sweep,
@@ -399,6 +400,10 @@ class TestIsotropyReport:
     def test_fewer_than_two_beams_rejected(self):
         with pytest.raises(ValueError):
             isotropy_report([beam(0.2, 0.4, -12.0)])
+
+    def test_a_degenerate_beam_does_not_count_toward_two(self):
+        with pytest.raises(ValidationError):
+            isotropy_report([beam(0.2, 0.4, -12.0), beam(9.9, 9.9, 0.0, degenerate=True)])
 
     def test_all_degenerate_rejected(self):
         with pytest.raises(DegeneratePattern):

@@ -222,8 +222,8 @@ class TestMultiFocalOverlay:
 
 
 class TestSweepKernel:
-    # up to 25 elements the probe cap binds, above it the entry budget
-    @pytest.mark.parametrize("n, width", [(16, 1024), (25, 1024), (100, 256), (360, 71), (1000, 25)])
+    # the entry budget alone sizes a block: BLOCK_ENTRIES // n probes
+    @pytest.mark.parametrize("n, width", [(16, 1600), (25, 1024), (100, 256), (360, 71), (1000, 25)])
     def test_block_width_follows_the_element_count(self, gain_calls, n, width):
         g = golden_spiral_saa(n, 0.5)
         spec = AngularSweepSpec(theta_samples=2, phi_samples=width + 1)
