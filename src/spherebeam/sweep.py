@@ -6,9 +6,13 @@ evaluating that probe on its own. One private kernel walks the probes in
 blocks of at most ``BLOCK_ENTRIES`` element x probe entries, forms each block's probe points only when it reaches
 the block, computes each block's gains once for every beam, and spreads
 the blocks over threads; blocking never changes any value, only who
-computes it and how much memory it takes. Each thread writes every
-block's temporaries into the same cache-sized arrays (a
-``channel.Scratch``) instead of allocating them anew, so an angular
+computes it and how much memory it takes. An angular sweep evaluates only
+the elements that some beam weights (a conjugate beam leaves the elements
+hidden from its focal point at exactly zero, about half of a spherical
+array), and its blocks are sized by those elements; a range sweep, which
+also sums each probe's channel energy, evaluates every element. Each
+thread writes every block's temporaries into the same cache-sized arrays
+(a ``channel.Scratch``) instead of allocating them anew, so an angular
 sweep's working memory is one block per thread plus its output rows,
 whatever the size of the grid. A block keeps the
 gains of its facing element x probe entries only, in element-major order,
@@ -47,16 +51,17 @@ _NORMALIZATIONS = ("grid_max", "focal")
 BLOCK_ENTRIES = 25_600
 """Most element x probe entries per gain evaluation in a sweep.
 
-A block of an ``n``-element array holds ``max(1, BLOCK_ENTRIES // n)``
-probes, and its arrays take about 70 bytes per entry: 65 in the
-``channel.Scratch`` arrays a thread reuses (``diff``, ``d2``, ``facing``
-and ``term`` at 8 bytes, the mask at 1, the complex gains and products at
-16 each) and the rest in the short-lived gathers of the facing entries,
-at most 24 bytes per facing entry. One block then needs
-about 1.7 MiB, which stays in a 2 MiB L2 cache, and each float64 array
-stays at or below 200 KiB whatever the element count. Each ``los_gains``
-call also has a fixed cost of tens of microseconds, so a budget much
-smaller than this one makes the sweeps slower.
+A block over ``n`` evaluated elements holds ``max(1, BLOCK_ENTRIES // n)``
+probes (``n`` counts the elements that some beam weights in an angular
+sweep and every element in a range sweep), and its arrays take about 70
+bytes per entry: 65 in the ``channel.Scratch`` arrays a thread reuses
+(``diff``, ``d2``, ``facing`` and ``term`` at 8 bytes, the mask at 1, the
+complex gains and products at 16 each) and the rest in the short-lived
+gathers of the facing entries, at most 24 bytes per facing entry. One
+block then needs about 1.7 MiB, which stays in a 2 MiB L2 cache, and each
+float64 array stays at or below 200 KiB whatever the element count. Each
+``los_gains`` call also has a fixed cost of tens of microseconds, so a
+budget much smaller than this one makes the sweeps slower.
 """
 
 
@@ -136,18 +141,40 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, total, probes, wei
 
     ``probes(i0, i1)`` returns the x, y, z arrays of probes ``i0`` to
     ``i1 - 1`` of the ``total`` probes, so only one block's points exist at
-    a time. Each block of ``max(1, BLOCK_ENTRIES // geometry.n)`` probes,
-    and at most an even share of the probes per worker, makes one
-    ``los_gains`` call shared by all weight vectors, and blocks run on at most ``min(threads, blocks, os.cpu_count())`` threads.
+    a time. Each block of ``max(1, BLOCK_ENTRIES // n)`` probes, and at
+    most an even share of the probes per worker, makes one ``los_gains``
+    call over ``n`` elements shared by all weight vectors, and blocks run
+    on at most ``min(threads, blocks, os.cpu_count())`` threads.
     Each thread reuses one set of block-sized arrays for all of its blocks,
     about 70 bytes per entry (see ``BLOCK_ENTRIES``). Returns ``(powers,
     energy)`` of shapes ``(len(weight_sets), total)`` and ``(total,)``; the
     channel energy is computed only when ``energy`` is true and is ``None``
     otherwise.
+
+    Without ``energy``, the ``n`` elements are those whose weight is
+    nonzero in at least one weight set, chosen once per sweep and kept in
+    element order. The powers are exact: a dropped element's term is
+    ``(+-0) * g = +-0``, and adding a signed zero changes an element-order
+    sum at most in the sign of an exact zero, which ``re*re + im*im`` cannot
+    show (see ``channel.column_sums``). The channel energy sums every facing
+    element, so with ``energy`` every element is evaluated. The overflow
+    guard of ``los_gains`` bounds the distances of the elements it is given,
+    which are the only ones computed, so probes whose distances overflow
+    still raise before any block array is formed. No ``DegenerateGeometry``
+    can be lost with a dropped element: for the spherical kinds
+    ``require_clearance`` keeps every probe off the array sphere, so no
+    probe meets any element, and a planar array has one normal, so a focal
+    point in front of it weights every element (one behind it has no beam
+    and never reaches the kernel).
     """
+    positions, normals = geometry.positions, geometry.normals
+    if not energy:
+        weighted = np.any(np.not_equal(weight_sets, 0.0), axis=0)
+        positions, normals = positions[weighted], normals[weighted]
+        weight_sets = [weights[weighted] for weights in weight_sets]
     asked = total if threads is None else require_count(threads, "threads")
     workers = min(asked, total, os.cpu_count() or 1)
-    block = min(max(1, BLOCK_ENTRIES // geometry.n), -(-total // workers))
+    block = min(max(1, BLOCK_ENTRIES // len(positions)), -(-total // workers))
     starts = range(0, total, block)
     workers = min(workers, len(starts))
     powers = np.empty((len(weight_sets), total))
@@ -156,7 +183,7 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, total, probes, wei
 
     def fill(i0: int) -> None:
         i1 = min(i0 + block, total)
-        gains, _, entries = los_gains(geometry.positions, geometry.normals, *probes(i0, i1), wavelength, scratch)
+        gains, _, entries = los_gains(positions, normals, *probes(i0, i1), wavelength, scratch)
         for row, weights in zip(powers, weight_sets):
             row[i0:i1] = coherent_power(weights, gains, entries, scratch)
         if energies is not None:

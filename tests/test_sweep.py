@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -35,6 +36,7 @@ from spherebeam import (
     rotate_point,
     upa,
 )
+from spherebeam.channel import Scratch
 from spherebeam.geometry import sph_to_cart
 
 FOCAL = SphericalPoint(30.0, math.pi / 6, math.pi / 6)
@@ -53,6 +55,27 @@ def gain_calls(monkeypatch):
 
     monkeypatch.setattr(sweep, "los_gains", recording)
     return calls
+
+
+@pytest.fixture
+def gain_elements(monkeypatch):
+    """The positions and normals handed to each gain evaluation of the sweeps, in call order."""
+    calls = []
+    real = sweep.los_gains
+
+    def recording(positions, normals, *rest):
+        calls.append((positions, normals))
+        return real(positions, normals, *rest)
+
+    monkeypatch.setattr(sweep, "los_gains", recording)
+    return calls
+
+
+def weighted_elements(g, *focals, wavelength=0.01):
+    """Indices of the elements that the conjugate beam of some focal point weights."""
+    return functools.reduce(np.union1d, [
+        np.flatnonzero(conjugate_weights(los_channel(g, focal, wavelength)).weights) for focal in focals
+    ])
 
 
 class TestAngularSweep:
@@ -222,14 +245,18 @@ class TestMultiFocalOverlay:
 
 
 class TestSweepKernel:
-    # the entry budget alone sizes a block: BLOCK_ENTRIES // n probes
+    # the entry budget alone sizes a block: BLOCK_ENTRIES // n probes, where
+    # a range sweep counts all n elements and an angular sweep the k < n
+    # elements its beam weights
     @pytest.mark.parametrize("n, width", [(16, 1600), (25, 1024), (100, 256), (360, 71), (1000, 25)])
     def test_block_width_follows_the_element_count(self, gain_calls, n, width):
         g = golden_spiral_saa(n, 0.5)
-        spec = AngularSweepSpec(theta_samples=2, phi_samples=width + 1)
+        k = len(weighted_elements(g, FOCAL))
+        assert k < n
+        k_width = sweep.BLOCK_ENTRIES // k
+        spec = AngularSweepSpec(theta_samples=2, phi_samples=k_width + 1)
         angular_sweep(g, 0.01, FOCAL, spec, threads=1)
-        assert sum(gain_calls) == n * 2 * (width + 1)
-        assert len(gain_calls) == 3
+        assert gain_calls == [k * k_width, k * k_width, 2 * k]
         assert max(gain_calls) <= sweep.BLOCK_ENTRIES
         gain_calls.clear()
         focal = SphericalPoint(30.0, math.pi / 4, math.pi / 4)
@@ -288,18 +315,23 @@ class TestSweepKernel:
         assert_array_equal(default.power.view(np.uint64), old.power.view(np.uint64))
 
     def test_budget_below_the_element_count_gives_one_probe_blocks(self, gain_calls, monkeypatch):
+        # an angular sweep counts the k elements its beam weights
         g = golden_spiral_saa(16, 0.5)
+        k = len(weighted_elements(g, FOCAL))
         spec = AngularSweepSpec(theta_samples=3, phi_samples=5)
         base = angular_sweep(g, 0.01, FOCAL, spec, threads=1)
         gain_calls.clear()
-        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", g.n - 1)
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", k - 1)
         grid = angular_sweep(g, 0.01, FOCAL, spec, threads=2)
-        assert gain_calls == [g.n] * 15
+        assert gain_calls == [k] * 15
         assert_array_equal(grid.power, base.power)
 
     def test_one_probe_blocks_equal_per_probe_beam_response(self, gain_calls, monkeypatch):
+        # a budget below the k weighted elements gives one-probe blocks to
+        # the angular sweep and, below all n, to the range sweep
         g = golden_spiral_saa(24, 0.5)
-        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", g.n - 1)
+        k = len(weighted_elements(g, FOCAL))
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", k - 1)
         spec = AngularSweepSpec(theta_samples=5, phi_samples=7)
         grid = angular_sweep(g, 0.01, FOCAL, spec, normalization="focal", threads=1)
         h = los_channel(g, FOCAL, 0.01)
@@ -317,23 +349,22 @@ class TestSweepKernel:
             h_probe = los_channel(g, SphericalPoint(float(r), focal.theta, focal.phi), 0.01)
             fraction.append(beam_response(w, h_probe) / channel_energy(h_probe))
         assert_array_equal(pattern.power, np.array(fraction) / max(fraction))
-        assert gain_calls == [g.n] * (35 + 9)
+        assert gain_calls == [k] * 35 + [g.n] * 9
 
     def test_overlay_makes_one_gain_pass_for_all_beams(self, gain_calls, monkeypatch):
+        # 100-probe blocks over the u elements that some beam weights cover
+        # the 361 probes once, as one beam weighting those u would
         g = golden_spiral_saa(36, 0.5)
-        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 100 * g.n)
-        angular_sweep(g, 0.01, FOCAL, SMALL_SPEC, threads=1)
-        single = len(gain_calls)
-        assert single == 4
-        gain_calls.clear()
         focals = [
             FOCAL,
             SphericalPoint(30.0, 2.0 * math.pi / 3, 3.0 * math.pi / 4),
             SphericalPoint(30.0, 1.0, 4.0),
         ]
+        u = len(weighted_elements(g, *focals))
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 100 * u)
         overlay = multi_focal_overlay(g, 0.01, focals, SMALL_SPEC, threads=1)
         assert len(overlay.beams) == 3
-        assert len(gain_calls) == single
+        assert gain_calls == [100 * u] * 3 + [61 * u]
 
 
     def test_threads_keep_their_own_scratch_arrays(self, monkeypatch):
@@ -375,6 +406,92 @@ class TestSweepKernel:
         assert calls == []
         distance_sweep(g, 0.01, FOCAL, samples=50, threads=1)
         assert calls == [(16, 50)]
+
+
+class TestWeightedElements:
+    # an angular sweep evaluates only the elements some beam weights, once
+    # chosen per sweep; a range sweep sums every facing element's energy
+    def test_one_beam_sweep_evaluates_exactly_its_weighted_elements(self, gain_elements, monkeypatch):
+        g = golden_spiral_saa(64, 0.5)
+        w = conjugate_weights(los_channel(g, FOCAL, 0.01)).weights
+        assert 0 < np.count_nonzero(w) < g.n
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 100 * g.n)
+        angular_sweep(g, 0.01, FOCAL, SMALL_SPEC, threads=1)
+        assert len(gain_elements) > 1
+        for positions, normals in gain_elements:
+            assert_array_equal(positions, g.positions[w != 0])
+            assert_array_equal(normals, g.normals[w != 0])
+
+    def test_overlay_evaluates_the_union_of_its_weighted_elements(self, gain_elements):
+        g = golden_spiral_saa(64, 0.5)
+        focals = [FOCAL, SphericalPoint(30.0, 1.0, 1.5)]
+        union = weighted_elements(g, *focals)
+        assert all(len(weighted_elements(g, focal)) < len(union) < g.n for focal in focals)
+        overlay = multi_focal_overlay(g, 0.01, focals, SMALL_SPEC, threads=1)
+        assert gain_elements
+        for positions, normals in gain_elements:
+            assert_array_equal(positions, g.positions[union])
+            assert_array_equal(normals, g.normals[union])
+        # each beam sums more elements here than alone, and the added terms
+        # are zeros, so its bits stay those of its own sweep
+        for focal, beam in zip(focals, overlay.beams):
+            alone = angular_sweep(g, 0.01, focal, SMALL_SPEC, threads=1)
+            assert_array_equal(beam.power.view(np.uint64), alone.power.view(np.uint64))
+
+    def test_distance_sweep_evaluates_every_element(self, gain_elements):
+        g = golden_spiral_saa(64, 0.5)
+        assert len(weighted_elements(g, FOCAL)) < g.n
+        distance_sweep(g, 0.01, FOCAL, samples=50, threads=1)
+        assert gain_elements
+        for positions, normals in gain_elements:
+            assert_array_equal(positions, g.positions)
+            assert_array_equal(normals, g.normals)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_planar_array_with_a_front_focal_point_keeps_every_element(self, gain_elements, rotated):
+        g, focal = upa(16, 0.025), SphericalPoint(10.0, math.pi / 4, 0.5)
+        if rotated:
+            rotation = random_rotation(np.random.default_rng(5))
+            g, focal = rotate(g, rotation), rotate_point(focal, rotation)
+        angular_sweep(g, 0.05, focal, SMALL_SPEC, threads=1)
+        assert gain_elements
+        for positions, normals in gain_elements:
+            assert_array_equal(positions, g.positions)
+            assert_array_equal(normals, g.normals)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_partly_weighted_beam_equals_per_probe_beam_response(self, monkeypatch, threads):
+        g = golden_spiral_saa(64, 0.5)
+        h = los_channel(g, FOCAL, 0.01)
+        w = conjugate_weights(h)
+        assert 0 < np.count_nonzero(w.weights) < g.n
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 20 * g.n)
+        spec = AngularSweepSpec(theta_samples=13, phi_samples=17)
+        grid = angular_sweep(g, 0.01, FOCAL, spec, normalization="focal", threads=threads)
+        raw = np.array([
+            [beam_response(w, los_channel(g, SphericalPoint(30.0, float(th), float(ph)), 0.01)) for ph in grid.phi_axis]
+            for th in grid.theta_axis
+        ])
+        assert raw.any()
+        assert_array_equal(grid.power.view(np.uint64), (raw / beam_response(w, h)).view(np.uint64))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflowing_probes_raise_before_any_block_array(self, monkeypatch, threads):
+        requested = []
+
+        class RecordingScratch(Scratch):
+            def get(self, name, shape, dtype=np.float64):
+                requested.append(name)
+                return super().get(name, shape, dtype)
+
+        monkeypatch.setattr(sweep, "Scratch", RecordingScratch)
+        g = golden_spiral_saa(64, 0.5)
+        assert len(weighted_elements(g, FOCAL)) < g.n
+        spec = AngularSweepSpec(theta_samples=5, phi_samples=5, eval_range_m=1e300)
+        with pytest.raises(ValidationError, match="overflow") as info:
+            angular_sweep(g, 0.01, FOCAL, spec, threads=threads)
+        assert info.value.field == "target"
+        assert requested == []
 
 
 class TestDistanceSweep:

@@ -16,7 +16,9 @@ The runs: every preset at 1 and 2 threads, edge runs (a planar array with
 a rear focal point, fixed rings with focal normalization, one element in
 an angular and in a distance sweep, a distance sweep with and without a
 visible focal point, a two-ring-element run at ``grid_max`` whose second
-beam lights no grid cell, a distance window narrower than the spacing of
+beam lights no grid cell, two beams of a 64-element spiral at 2 threads
+whose focal points lie in one hemisphere, so together they weight 36 of
+the 64 elements, a distance window narrower than the spacing of
 doubles near its range, so its CSV repeats ``r`` values), ``metrics`` on
 emitted CSVs (the unlit beam's and the narrow window's among them) and on
 two CSVs whose ``r`` or ``phi`` axis runs backwards, ``--help`` of
@@ -82,6 +84,14 @@ RUNS = [
             "pattern", "angle", "--kind", "ring_saa", "--n-rings", "1", "--radius", "0.3", "--wavelength", "0.05",
             "--focal", "10, pi/2, 0", "--focal", "10, pi/2, pi", "--theta-samples", "3", "--phi-samples", "2",
             "--eval-range", "10",
+        ),
+    ),
+    (
+        "spiral_partial_beams",
+        (
+            "pattern", "angle", "--kind", "spiral_saa", "--n", "64", "--radius", "0.3", "--wavelength", "0.05",
+            "--focal", "10, pi/4, pi/4", "--focal", "10, pi/3, pi/2", "--theta-samples", "37",
+            "--phi-samples", "73", "--eval-range", "10", "--threads", "2",
         ),
     ),
     ("upa_distance", ("pattern", "distance", *UPA, "--focal", FRONT, *WINDOW, "--r-samples", "64")),
