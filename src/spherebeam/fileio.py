@@ -211,12 +211,20 @@ def write_lines(path, lines) -> None:
 
 
 def write_geometry_csv(path, geometry: ArrayGeometry) -> None:
-    """One row per element: index, position, outward normal."""
-    rows = (
-        f"{k},{','.join(map(fmt, p))},{','.join(map(fmt, n))}"
-        for k, (p, n) in enumerate(zip(geometry.positions.tolist(), geometry.normals.tolist()))
-    )
-    write_lines(path, itertools.chain([GEOMETRY_HEADER], rows))
+    """One row per element: index, position, outward normal.
+
+    Each block of elements is formatted in numpy, one column of words per
+    coordinate, with the bytes ``fmt`` gives every value.
+    """
+    columns = np.concatenate([geometry.positions, geometry.normals], axis=1)
+    seps = [b","] * 5 + [b"\n"]
+    with open(Path(path), "wb") as fh:
+        fh.write(f"{GEOMETRY_HEADER}\n".encode())
+        for start in range(0, geometry.n, WRITE_BLOCK_CELLS):
+            block = columns[start : start + WRITE_BLOCK_CELLS]
+            index = _text_words([f"{k}," for k in range(start, start + len(block))])
+            words = [_number_words(block[:, c], sep) for c, sep in enumerate(seps)]
+            fh.write(_pack(np.concatenate([index, *words], axis=1)))
 
 
 def write_angular_csv(path, grid: AngularPatternGrid) -> None:

@@ -3,22 +3,27 @@
 Grids are evaluated through the same gain kernel and the same element-order
 sums as single-target channels, so a sweep cell is bitwise identical to
 evaluating that probe on its own. One private kernel walks the probes in
-blocks of at most ``BLOCK_ENTRIES`` element x probe entries, forms each block's probe points only when it reaches
-the block, computes each block's gains once for every beam, and spreads
-the blocks over threads; blocking never changes any value, only who
-computes it and how much memory it takes. An angular sweep evaluates only
-the elements that some beam weights (a conjugate beam leaves the elements
-hidden from its focal point at exactly zero, about half of a spherical
-array), and its blocks are sized by those elements; a range sweep, which
-also sums each probe's channel energy, evaluates every element. Each
-thread writes every block's temporaries into the same cache-sized arrays
-(a ``channel.Scratch``) instead of allocating them anew, so an angular
-sweep's working memory is one block per thread plus its output rows,
-whatever the size of the grid. A block keeps the
-gains of its facing element x probe entries only, in element-major order,
-and ``channel.coherent_power`` and ``channel.gain_energy`` sum them with
-``np.bincount`` by probe column, which adds every probe's terms in element
-order; so a block of any width, one probe included, sums in element order.
+blocks of at most ``BLOCK_ENTRIES`` element x probe entries, forms each
+block's probe points only when it reaches the block, computes each block's
+gains once for every beam, and spreads the blocks over threads; blocking
+never changes any value, only who computes it and how much memory it takes.
+Each sweep chooses once which elements it evaluates, and its blocks are
+sized by all of the array's elements whichever it evaluates. An angular
+sweep evaluates the elements that some beam weights (a conjugate beam
+leaves the elements hidden from its focal point at exactly zero, about half
+of a spherical array). A range sweep, which also sums each probe's channel
+energy, evaluates the elements that can face some point of its ray, found
+by one test per element at the two ends of its window (about half of a
+spherical array again). Neither choice changes a bit: every dropped element
+has a zero weight or faces no probe. Each thread writes every block's
+temporaries into the same cache-sized arrays (a ``channel.Scratch``)
+instead of allocating them anew, so an angular sweep's working memory is
+one block per thread plus its output rows, whatever the size of the grid. A
+block keeps the gains of its facing element x probe entries only, in
+element-major order, and ``channel.coherent_power`` and
+``channel.gain_energy`` sum them with ``np.bincount`` by probe column,
+which adds every probe's terms in element order; so a block of any width,
+one probe included, sums in element order.
 """
 
 from __future__ import annotations
@@ -51,17 +56,23 @@ _NORMALIZATIONS = ("grid_max", "focal")
 BLOCK_ENTRIES = 25_600
 """Most element x probe entries per gain evaluation in a sweep.
 
-A block over ``n`` evaluated elements holds ``max(1, BLOCK_ENTRIES // n)``
-probes (``n`` counts the elements that some beam weights in an angular
-sweep and every element in a range sweep), and its arrays take about 70
-bytes per entry: 65 in the ``channel.Scratch`` arrays a thread reuses
-(``diff``, ``d2``, ``facing`` and ``term`` at 8 bytes, the mask at 1, the
-complex gains and products at 16 each) and the rest in the short-lived
-gathers of the facing entries, at most 24 bytes per facing entry. One
-block then needs about 1.7 MiB, which stays in a 2 MiB L2 cache, and each
-float64 array stays at or below 200 KiB whatever the element count. Each
-``los_gains`` call also has a fixed cost of tens of microseconds, so a
-budget much smaller than this one makes the sweeps slower.
+A block of an ``n``-element array holds ``max(1, BLOCK_ENTRIES // n)``
+probes, whichever ``k <= n`` elements the sweep evaluates: the elements
+that some beam weights in an angular sweep, those that can face the ray
+in a range sweep. Each of its ``k`` x probes entries takes 65 bytes in
+the ``channel.Scratch`` arrays a thread reuses (``diff``, ``d2``,
+``facing`` and ``term`` at 8 bytes, the mask at 1, the complex gains and
+products at 16 each) and at most 40 more: 24 in the short-lived gathers
+of a facing entry and 16 in a range sweep's two energy arrays. So a
+block needs at most about 2.6 MiB, when every element is evaluated and
+faces every probe, as in a range sweep of a planar array in front of it.
+A spherical array's sweeps evaluate about half of its elements, so their
+blocks need about 1 to 1.3 MiB and stay in a 2 MiB L2 cache; a range
+sweep's evaluated elements face nearly every probe, and sizing its blocks
+by those elements alone would take about 2.6 MiB. Each float64 array
+stays at or below 200 KiB whatever the element count. Each ``los_gains``
+call also has a fixed cost of tens of microseconds, so a budget much
+smaller than this one makes the sweeps slower.
 """
 
 
@@ -136,45 +147,55 @@ class DistancePattern:
         self.power.setflags(write=False)
 
 
-def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, total, probes, weight_sets, threads, *, energy=False):
+def _sweep_kernel(
+    geometry: ArrayGeometry, wavelength: float, total, probes, weight_sets, threads, *, kept, energy=False
+):
     """Raw coherent power of every weight vector, and channel energy, per probe.
 
     ``probes(i0, i1)`` returns the x, y, z arrays of probes ``i0`` to
     ``i1 - 1`` of the ``total`` probes, so only one block's points exist at
-    a time. Each block of ``max(1, BLOCK_ENTRIES // n)`` probes, and at
-    most an even share of the probes per worker, makes one ``los_gains``
-    call over ``n`` elements shared by all weight vectors, and blocks run
-    on at most ``min(threads, blocks, os.cpu_count())`` threads.
+    a time. ``kept`` masks the elements the caller evaluates, which must
+    include every element that faces some probe or has a nonzero weight;
+    only those ``k`` elements and their weights reach the gain kernel, in
+    element order. Each block of ``max(1, BLOCK_ENTRIES // n)`` probes for
+    the array's ``n`` elements, and at most an even share of the probes per
+    worker, makes one ``los_gains`` call over the ``k`` elements shared by
+    all weight vectors, and blocks run on at most ``min(threads, blocks,
+    os.cpu_count())`` threads.
     Each thread reuses one set of block-sized arrays for all of its blocks,
-    about 70 bytes per entry (see ``BLOCK_ENTRIES``). Returns ``(powers,
-    energy)`` of shapes ``(len(weight_sets), total)`` and ``(total,)``; the
-    channel energy is computed only when ``energy`` is true and is ``None``
-    otherwise.
+    65 bytes per entry and more per facing entry (see ``BLOCK_ENTRIES``).
+    Returns ``(powers, energy)`` of shapes ``(len(weight_sets), total)``
+    and ``(total,)``; the channel energy is computed only when ``energy``
+    is true and is ``None`` otherwise.
 
-    Without ``energy``, the ``n`` elements are those whose weight is
-    nonzero in at least one weight set, chosen once per sweep and kept in
-    element order. The powers are exact: a dropped element's term is
+    The callers choose ``kept`` once per sweep, and either choice leaves
+    every bit as it is. An angular sweep keeps the elements whose weight is
+    nonzero in some weight set: a dropped element's term is
     ``(+-0) * g = +-0``, and adding a signed zero changes an element-order
     sum at most in the sign of an exact zero, which ``re*re + im*im`` cannot
-    show (see ``channel.column_sums``). The channel energy sums every facing
-    element, so with ``energy`` every element is evaluated. The overflow
-    guard of ``los_gains`` bounds the distances of the elements it is given,
-    which are the only ones computed, so probes whose distances overflow
-    still raise before any block array is formed. No ``DegenerateGeometry``
-    can be lost with a dropped element: for the spherical kinds
+    show (see ``channel.column_sums``). A range sweep, which also sums each
+    probe's channel energy, keeps the elements that can face some point of
+    its ray (``_ray_support``). Every weighted element faces the focal
+    point, which lies on the ray, so it is kept; a dropped element faces no
+    probe, so it adds no entry to any sum, and the kept entries are summed
+    in the same element order.
+
+    No ``DegenerateGeometry`` can be lost with a dropped element. A probe
+    that coincides with an element faces it at exactly 0, which the ray
+    test keeps. In an angular sweep, for the spherical kinds
     ``require_clearance`` keeps every probe off the array sphere, so no
     probe meets any element, and a planar array has one normal, so a focal
     point in front of it weights every element (one behind it has no beam
-    and never reaches the kernel).
+    and never reaches the kernel). The overflow guard of ``los_gains``
+    bounds the distances of the elements it is given, which are the only
+    ones computed, so probes whose distances overflow still raise before
+    any block array is formed.
     """
-    positions, normals = geometry.positions, geometry.normals
-    if not energy:
-        weighted = np.any(np.not_equal(weight_sets, 0.0), axis=0)
-        positions, normals = positions[weighted], normals[weighted]
-        weight_sets = [weights[weighted] for weights in weight_sets]
+    positions, normals = geometry.positions[kept], geometry.normals[kept]
+    weight_sets = [weights[kept] for weights in weight_sets]
     asked = total if threads is None else require_count(threads, "threads")
     workers = min(asked, total, os.cpu_count() or 1)
-    block = min(max(1, BLOCK_ENTRIES // len(positions)), -(-total // workers))
+    block = min(max(1, BLOCK_ENTRIES // geometry.n), -(-total // workers))
     starts = range(0, total, block)
     workers = min(workers, len(starts))
     powers = np.empty((len(weight_sets), total))
@@ -196,6 +217,27 @@ def _sweep_kernel(geometry: ArrayGeometry, wavelength: float, total, probes, wei
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
     return powers, energies
+
+
+def _ray_support(geometry: ArrayGeometry, theta: float, phi: float, r_min: float, r_max: float) -> np.ndarray:
+    """Mask of the elements that can face a point ``r * u`` of the ray at
+    ``(theta, phi)`` with ``r_min <= r <= r_max``.
+
+    An element at ``p`` with normal ``n`` faces ``r * u`` when ``r * (u.n)
+    - p.n > 0``, which is linear in ``r``. So is the rounding margin
+    ``1e-9 * (r + max|p|)``, which lies far above both the drift of the
+    float probes off the exact ray and the rounding of the facing test in
+    ``los_gains``. Their sum is therefore largest at one end of the window,
+    and one test per element at the two ends covers every probe of the
+    sweep: an element that faces any probe is kept, and so is one that a
+    probe coincides with, which faces it at exactly 0.
+    """
+    ux, uy, uz = sph_to_cart(1.0, theta, phi)
+    p, n = geometry.positions, geometry.normals
+    margin = 1e-9
+    un = ((ux * n[:, 0] + uy * n[:, 1]) + uz * n[:, 2]) + margin
+    pn = (p[:, 0] * n[:, 0] + p[:, 1] * n[:, 1]) + p[:, 2] * n[:, 2]
+    return np.maximum(r_min * un, r_max * un) - pn > -margin * float(np.max(np.abs(p)))
 
 
 def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, skipped=None):
@@ -229,7 +271,8 @@ def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, s
         return sph_to_cart(spec.eval_range_m, theta_axis[rows], phi_axis[cols])
 
     weights = [w.weights for _, w in matched]
-    powers, _ = _sweep_kernel(geometry, wavelength, math.prod(shape), probes, weights, threads)
+    weighted = np.any(np.not_equal(weights, 0.0), axis=0)
+    powers, _ = _sweep_kernel(geometry, wavelength, math.prod(shape), probes, weights, threads, kept=weighted)
     beams = []
     for (h_focal, w), raw in zip(matched, powers):
         raw = raw.reshape(shape)
@@ -313,7 +356,8 @@ def distance_sweep(
     r_axis = np.linspace(r_min, r_max, samples)
     ray = sph_to_cart(r_axis, focal.theta, focal.phi)
     (raw,), energy = _sweep_kernel(
-        geometry, wavelength, samples, lambda i0, i1: [a[i0:i1] for a in ray], [w.weights], threads, energy=True
+        geometry, wavelength, samples, lambda i0, i1: [a[i0:i1] for a in ray], [w.weights], threads,
+        kept=_ray_support(geometry, focal.theta, focal.phi, r_min, r_max), energy=True,
     )
 
     fraction = np.zeros(samples)

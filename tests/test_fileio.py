@@ -10,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import random_rotation
+
 from spherebeam import (
     AngularPatternGrid,
+    ArrayGeometry,
+    ArrayKind,
     AngularSweepSpec,
     DistancePattern,
     ParseError,
@@ -21,7 +25,11 @@ from spherebeam import (
     golden_spiral_saa,
     load_preset,
     parse_scenario,
+    polyhedral_saa,
+    ring_saa,
+    rotate,
     run_scenario,
+    spiral_curve_saa,
     upa,
 )
 from spherebeam.beamforming import DB_FLOOR, to_db
@@ -32,6 +40,7 @@ from spherebeam.fileio import (
     GEOMETRY_HEADER,
     METRICS_HEADER,
     READ_CHUNK_BYTES,
+    WRITE_BLOCK_CELLS,
     _number_words,
     _pack,
     _split_csv_line,
@@ -246,7 +255,18 @@ class TestGeometryCsv:
         assert [float(v) for v in first[1:4]] == list(g.positions[0])
         assert [float(v) for v in first[4:7]] == list(g.normals[0])
 
-    @pytest.mark.parametrize("g", [golden_spiral_saa(1000, 0.7), upa(25, 0.005)], ids=["spiral", "upa"])
+    @pytest.mark.parametrize("g", [
+        golden_spiral_saa(1000, 0.7),
+        upa(25, 0.005),
+        # more elements than one write block
+        golden_spiral_saa(WRITE_BLOCK_CELLS + 476, 0.7),
+        ring_saa(6, "proportional", 0.4),
+        polyhedral_saa(2, 0.3),
+        spiral_curve_saa(200, 5.0, 0.5),
+        rotate(upa(16, 0.025), random_rotation(np.random.default_rng(3))),
+        # zeros of both signs
+        ArrayGeometry(ArrayKind.UPA, -upa(9, 0.025).positions, -upa(9, 0.025).normals),
+    ], ids=["spiral", "upa", "spiral_two_blocks", "ring", "polyhedral", "spiral_curve", "rotated_upa", "signed_zeros"])
     def test_bytes_equal_per_value_formatting(self, tmp_path, g):
         path = tmp_path / "geometry.csv"
         write_geometry_csv(path, g)

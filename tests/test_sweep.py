@@ -16,6 +16,8 @@ from spherebeam import sweep
 from spherebeam import (
     AllBeamsInfeasible,
     AngularSweepSpec,
+    ArrayGeometry,
+    ArrayKind,
     NoVisibleElements,
     SphericalPoint,
     TargetInsideArray,
@@ -31,12 +33,14 @@ from spherebeam import (
     los_channel,
     multi_focal_overlay,
     parse_scenario,
+    polyhedral_saa,
     ring_saa,
     rotate,
     rotate_point,
+    spiral_curve_saa,
     upa,
 )
-from spherebeam.channel import Scratch
+from spherebeam.channel import Scratch, los_gains
 from spherebeam.geometry import sph_to_cart
 
 FOCAL = SphericalPoint(30.0, math.pi / 6, math.pi / 6)
@@ -76,6 +80,14 @@ def weighted_elements(g, *focals, wavelength=0.01):
     return functools.reduce(np.union1d, [
         np.flatnonzero(conjugate_weights(los_channel(g, focal, wavelength)).weights) for focal in focals
     ])
+
+
+def ray_elements(g, focal, r_min=5.0, r_max=100.0):
+    """Indices of the elements that face the first or the last point of the
+    range window along the focal direction; the facing test is linear in
+    range, so these are the elements that face some point of the window."""
+    ends = [los_channel(g, SphericalPoint(r, focal.theta, focal.phi), 0.01).visible for r in (r_min, r_max)]
+    return np.flatnonzero(np.logical_or(*ends))
 
 
 class TestAngularSweep:
@@ -245,23 +257,25 @@ class TestMultiFocalOverlay:
 
 
 class TestSweepKernel:
-    # the entry budget alone sizes a block: BLOCK_ENTRIES // n probes, where
-    # a range sweep counts all n elements and an angular sweep the k < n
-    # elements its beam weights
+    # the entry budget and the array's n elements alone size a block:
+    # BLOCK_ENTRIES // n probes, over the k < n elements an angular sweep's
+    # beam weights or the m < n elements that can face a range sweep's ray
     @pytest.mark.parametrize("n, width", [(16, 1600), (25, 1024), (100, 256), (360, 71), (1000, 25)])
     def test_block_width_follows_the_element_count(self, gain_calls, n, width):
         g = golden_spiral_saa(n, 0.5)
         k = len(weighted_elements(g, FOCAL))
         assert k < n
-        k_width = sweep.BLOCK_ENTRIES // k
-        spec = AngularSweepSpec(theta_samples=2, phi_samples=k_width + 1)
+        spec = AngularSweepSpec(theta_samples=2, phi_samples=width + 1)
         angular_sweep(g, 0.01, FOCAL, spec, threads=1)
-        assert gain_calls == [k * k_width, k * k_width, 2 * k]
+        assert gain_calls == [k * width, k * width, 2 * k]
         assert max(gain_calls) <= sweep.BLOCK_ENTRIES
         gain_calls.clear()
         focal = SphericalPoint(30.0, math.pi / 4, math.pi / 4)
+        m = len(ray_elements(g, focal))
+        assert m < n
         distance_sweep(g, 0.01, focal, samples=2 * width + 1, threads=1)
-        assert gain_calls == [n * width, n * width, n]
+        assert gain_calls == [m * width, m * width, m]
+        assert max(gain_calls) <= sweep.BLOCK_ENTRIES
 
     def test_block_probes_equal_the_full_grid_bit_for_bit(self, monkeypatch):
         # the kernel forms each block's probes from the axes; every block
@@ -315,7 +329,7 @@ class TestSweepKernel:
         assert_array_equal(default.power.view(np.uint64), old.power.view(np.uint64))
 
     def test_budget_below_the_element_count_gives_one_probe_blocks(self, gain_calls, monkeypatch):
-        # an angular sweep counts the k elements its beam weights
+        # each one-probe block evaluates the k elements the beam weights
         g = golden_spiral_saa(16, 0.5)
         k = len(weighted_elements(g, FOCAL))
         spec = AngularSweepSpec(theta_samples=3, phi_samples=5)
@@ -327,8 +341,9 @@ class TestSweepKernel:
         assert_array_equal(grid.power, base.power)
 
     def test_one_probe_blocks_equal_per_probe_beam_response(self, gain_calls, monkeypatch):
-        # a budget below the k weighted elements gives one-probe blocks to
-        # the angular sweep and, below all n, to the range sweep
+        # a budget below the n elements gives one-probe blocks to both
+        # sweeps, over the k elements the angular beam weights and over the
+        # m ray elements of the range sweep, which include the k it weights
         g = golden_spiral_saa(24, 0.5)
         k = len(weighted_elements(g, FOCAL))
         monkeypatch.setattr(sweep, "BLOCK_ENTRIES", k - 1)
@@ -349,11 +364,13 @@ class TestSweepKernel:
             h_probe = los_channel(g, SphericalPoint(float(r), focal.theta, focal.phi), 0.01)
             fraction.append(beam_response(w, h_probe) / channel_energy(h_probe))
         assert_array_equal(pattern.power, np.array(fraction) / max(fraction))
-        assert gain_calls == [k] * 35 + [g.n] * 9
+        m = len(ray_elements(g, focal, 10.0, 40.0))
+        assert k <= m < g.n
+        assert gain_calls == [k] * 35 + [m] * 9
 
     def test_overlay_makes_one_gain_pass_for_all_beams(self, gain_calls, monkeypatch):
         # 100-probe blocks over the u elements that some beam weights cover
-        # the 361 probes once, as one beam weighting those u would
+        # the 361 probes once
         g = golden_spiral_saa(36, 0.5)
         focals = [
             FOCAL,
@@ -361,7 +378,8 @@ class TestSweepKernel:
             SphericalPoint(30.0, 1.0, 4.0),
         ]
         u = len(weighted_elements(g, *focals))
-        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 100 * u)
+        assert u < g.n
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 100 * g.n)
         overlay = multi_focal_overlay(g, 0.01, focals, SMALL_SPEC, threads=1)
         assert len(overlay.beams) == 3
         assert gain_calls == [100 * u] * 3 + [61 * u]
@@ -405,12 +423,14 @@ class TestSweepKernel:
         multi_focal_overlay(g, 0.01, [FOCAL, SphericalPoint(30.0, 1.0, 4.0)], SMALL_SPEC, threads=2)
         assert calls == []
         distance_sweep(g, 0.01, FOCAL, samples=50, threads=1)
-        assert calls == [(16, 50)]
+        m = len(ray_elements(g, FOCAL))
+        assert m < g.n
+        assert calls == [(m, 50)]
 
 
 class TestWeightedElements:
-    # an angular sweep evaluates only the elements some beam weights, once
-    # chosen per sweep; a range sweep sums every facing element's energy
+    # an angular sweep evaluates only the elements some beam weights, a
+    # range sweep only those that can face its ray, each chosen once per sweep
     def test_one_beam_sweep_evaluates_exactly_its_weighted_elements(self, gain_elements, monkeypatch):
         g = golden_spiral_saa(64, 0.5)
         w = conjugate_weights(los_channel(g, FOCAL, 0.01)).weights
@@ -438,14 +458,15 @@ class TestWeightedElements:
             alone = angular_sweep(g, 0.01, focal, SMALL_SPEC, threads=1)
             assert_array_equal(beam.power.view(np.uint64), alone.power.view(np.uint64))
 
-    def test_distance_sweep_evaluates_every_element(self, gain_elements):
+    def test_distance_sweep_evaluates_exactly_its_ray_elements(self, gain_elements):
         g = golden_spiral_saa(64, 0.5)
-        assert len(weighted_elements(g, FOCAL)) < g.n
+        ray = ray_elements(g, FOCAL)
+        assert len(weighted_elements(g, FOCAL)) <= len(ray) < g.n
         distance_sweep(g, 0.01, FOCAL, samples=50, threads=1)
         assert gain_elements
         for positions, normals in gain_elements:
-            assert_array_equal(positions, g.positions)
-            assert_array_equal(normals, g.normals)
+            assert_array_equal(positions, g.positions[ray])
+            assert_array_equal(normals, g.normals[ray])
 
     @pytest.mark.parametrize("rotated", [False, True])
     def test_planar_array_with_a_front_focal_point_keeps_every_element(self, gain_elements, rotated):
@@ -490,6 +511,90 @@ class TestWeightedElements:
         spec = AngularSweepSpec(theta_samples=5, phi_samples=5, eval_range_m=1e300)
         with pytest.raises(ValidationError, match="overflow") as info:
             angular_sweep(g, 0.01, FOCAL, spec, threads=threads)
+        assert info.value.field == "target"
+        assert requested == []
+
+
+class TestRaySupport:
+    # a range sweep evaluates only the elements that can face some probe of
+    # its ray, chosen once per sweep from the two ends of its window
+    KINDS = {
+        "upa": upa(64, 0.05),
+        "spiral_saa": golden_spiral_saa(80, 0.5),
+        "ring_saa": ring_saa(5, "proportional", 0.5),
+        "polyhedral_saa": polyhedral_saa(2, 0.5),
+        "spiral_curve_saa": spiral_curve_saa(60, 4.0, 0.5),
+        # off the origin by more than its radius, so some elements face the
+        # near end of a window and not the far end
+        "offset_spiral": ArrayGeometry(
+            ArrayKind.SPIRAL, golden_spiral_saa(80, 0.5).positions + [0.0, 0.0, 2.0], golden_spiral_saa(80, 0.5).normals
+        ),
+    }
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_no_culled_element_faces_any_probe(self, monkeypatch, kind, rotated):
+        rng = np.random.default_rng(sorted(self.KINDS).index(kind) + 10 * rotated)
+        g = self.KINDS[kind]
+        if rotated:
+            g = rotate(g, random_rotation(rng))
+        given = []
+        kernel = sweep._sweep_kernel
+
+        def capturing(geometry, wavelength, total, probes, *rest, kept, **kw):
+            given.append((probes(0, total), kept))
+            return kernel(geometry, wavelength, total, probes, *rest, kept=kept, **kw)
+
+        monkeypatch.setattr(sweep, "_sweep_kernel", capturing)
+        culled = 0
+        for _ in range(12):
+            r_min = rng.uniform(1.0, 20.0)
+            r_max = r_min + rng.uniform(0.01, 80.0)
+            direction = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
+            focal = SphericalPoint(rng.uniform(r_min, r_max), *direction)
+            try:
+                distance_sweep(g, 0.01, focal, r_min, r_max, int(rng.integers(2, 200)), threads=1)
+            except NoVisibleElements:
+                continue
+        assert len(given) >= 6
+        for probes, kept in given:
+            # the full mask, every element against every probe of the sweep
+            _, visible, _ = los_gains(g.positions, g.normals, *probes, 0.01)
+            assert not visible[~kept].any()
+            culled += np.count_nonzero(~kept)
+        # a planar array has one normal, so a ray with a beam faces every element
+        assert (culled == 0) == (kind == "upa")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_range_powers_equal_per_probe_beam_response(self, monkeypatch, threads):
+        g = polyhedral_saa(2, 0.3)
+        focal = SphericalPoint(12.0, 1.1, 4.0)
+        r_min, r_max = 5.0, 40.0
+        assert len(ray_elements(g, focal, r_min, r_max)) < g.n
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 20 * g.n)
+        pattern = distance_sweep(g, 0.01, focal, r_min, r_max, 97, threads=threads)
+        w = conjugate_weights(los_channel(g, focal, 0.01))
+        fraction = []
+        for r in pattern.r_axis:
+            h_probe = los_channel(g, SphericalPoint(float(r), focal.theta, focal.phi), 0.01)
+            fraction.append(beam_response(w, h_probe) / channel_energy(h_probe))
+        fraction = np.array(fraction)
+        assert_array_equal(pattern.power.view(np.uint64), (fraction / fraction.max()).view(np.uint64))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflowing_probes_raise_before_any_block_array(self, monkeypatch, threads):
+        requested = []
+
+        class RecordingScratch(Scratch):
+            def get(self, name, shape, dtype=np.float64):
+                requested.append(name)
+                return super().get(name, shape, dtype)
+
+        monkeypatch.setattr(sweep, "Scratch", RecordingScratch)
+        g = golden_spiral_saa(64, 0.5)
+        assert np.count_nonzero(sweep._ray_support(g, FOCAL.theta, FOCAL.phi, 5.0, 1e300)) < g.n
+        with pytest.raises(ValidationError, match="overflow") as info:
+            distance_sweep(g, 0.01, FOCAL, 5.0, 1e300, threads=threads)
         assert info.value.field == "target"
         assert requested == []
 

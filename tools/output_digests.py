@@ -18,10 +18,12 @@ an angular and in a distance sweep, a distance sweep with and without a
 visible focal point, a two-ring-element run at ``grid_max`` whose second
 beam lights no grid cell, two beams of a 64-element spiral at 2 threads
 whose focal points lie in one hemisphere, so together they weight 36 of
-the 64 elements, a distance window narrower than the spacing of
-doubles near its range, so its CSV repeats ``r`` values), ``metrics`` on
-emitted CSVs (the unlit beam's and the narrow window's among them) and on
-two CSVs whose ``r`` or ``phi`` axis runs backwards, ``--help`` of
+the 64 elements, a distance sweep of a 162-element polyhedral array at 2
+threads whose ray only 80 of the elements can face, a distance window
+narrower than the spacing of doubles near its range, so its CSV repeats
+``r`` values), ``metrics`` on emitted CSVs (the unlit beam's and the
+narrow window's among them) and on two CSVs whose ``r`` or ``phi`` axis
+runs backwards, ``--help`` of
 ``geometry``, ``pattern angle`` and ``pattern distance`` at 80 columns,
 and runs that fail on a bad value or on a rule across keys. The input
 files that runs read are written into the working directory first.
@@ -101,6 +103,13 @@ RUNS = [
         (
             "pattern", "distance", "--kind", "spiral_saa", "--n", "1", "--radius", "0.3", "--wavelength", "0.05",
             "--focal", FRONT, *WINDOW, "--r-samples", "16",
+        ),
+    ),
+    (
+        "polyhedral_distance",
+        (
+            "pattern", "distance", "--kind", "polyhedral_saa", "--subdivision", "2", "--radius", "0.3",
+            "--wavelength", "0.05", "--focal", FRONT, *WINDOW, "--r-samples", "64", "--threads", "2",
         ),
     ),
     (
