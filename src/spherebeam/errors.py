@@ -33,7 +33,8 @@ class NoVisibleElements(SpherebeamError):
 
 
 class DimensionMismatch(SpherebeamError):
-    """Weight and channel vectors have different lengths."""
+    """Arrays that must agree in shape do not: weight and channel vectors of
+    different lengths, or pattern power whose shape is not its axes'."""
 
 
 class DegeneratePattern(SpherebeamError):
@@ -146,6 +147,12 @@ def require_square(n: int, field: str) -> int:
     if side * side != n:
         raise NotSquare(f"{field} must be a perfect square", field)
     return side
+
+
+def require_shape(array, shape: tuple[int, ...], field: str) -> None:
+    """Reject an ``array`` whose shape is not ``shape``."""
+    if array.shape != shape:
+        raise DimensionMismatch(f"{field} has shape {array.shape}, its axes give {shape}")
 
 
 def require_clearance(range_m: float, radius: float | None, field: str) -> None:

@@ -45,6 +45,7 @@ from .errors import (
     require_clearance,
     require_count,
     require_positive,
+    require_shape,
     require_window,
 )
 from .geometry import TWO_PI, ArrayGeometry, SphericalPoint, sph_to_cart
@@ -115,6 +116,9 @@ class AngularPatternGrid:
     cell hits the focal direction at the focal range and falls well below 1
     when the grid steps over the main lobe. It is ``None`` for an overlay
     and for a grid rebuilt from a CSV without its sidecar.
+
+    ``power`` has one row per theta and one column per phi; any other shape
+    raises ``DimensionMismatch``.
     """
 
     theta_axis: np.ndarray
@@ -128,6 +132,7 @@ class AngularPatternGrid:
     peak_capture: float | None = None
 
     def __post_init__(self):
+        require_shape(self.power, (self.theta_axis.size, self.phi_axis.size), "power")
         self.theta_axis.setflags(write=False)
         self.phi_axis.setflags(write=False)
         self.power.setflags(write=False)
@@ -135,7 +140,8 @@ class AngularPatternGrid:
 
 @dataclass(frozen=True, eq=False)
 class DistancePattern:
-    """Normalized power along range at a fixed look direction."""
+    """Normalized power along range at a fixed look direction; ``power``
+    has the shape of ``r_axis`` or raises ``DimensionMismatch``."""
 
     r_axis: np.ndarray
     power: np.ndarray
@@ -143,6 +149,7 @@ class DistancePattern:
     focal_range_m: float
 
     def __post_init__(self):
+        require_shape(self.power, self.r_axis.shape, "power")
         self.r_axis.setflags(write=False)
         self.power.setflags(write=False)
 

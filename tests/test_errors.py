@@ -16,6 +16,8 @@ import pytest
 from spherebeam import (
     AngularPatternGrid,
     AngularSweepSpec,
+    DimensionMismatch,
+    DistancePattern,
     InvalidCount,
     InvalidRadius,
     InvalidSpacing,
@@ -134,3 +136,35 @@ def test_library_input_errors_are_typed(case):
     assert isinstance(err.value, ValidationError)
     assert isinstance(err.value, ValueError)
     assert err.value.field
+
+
+# power whose shape disagrees with its axes: the writer would pair each
+# value with the wrong (theta, phi) or range
+MISSHAPEN_PATTERNS = {
+    "angular_transposed": lambda: AngularPatternGrid(
+        theta_axis=np.linspace(0.0, 3.14, 3),
+        phi_axis=np.linspace(0.0, 6.28, 2),
+        power=np.arange(6.0).reshape(2, 3) / 5,
+        focal=FOCAL,
+        eval_range_m=10.0,
+    ),
+    "angular_flat": lambda: AngularPatternGrid(
+        theta_axis=np.linspace(0.0, 3.14, 3),
+        phi_axis=np.linspace(0.0, 6.28, 2),
+        power=np.arange(6.0) / 5,
+        focal=FOCAL,
+        eval_range_m=10.0,
+    ),
+    "distance_short": lambda: DistancePattern(
+        r_axis=np.linspace(5.0, 20.0, 4), power=np.ones(3), direction=(1.0, 1.0), focal_range_m=10.0
+    ),
+    "distance_column": lambda: DistancePattern(
+        r_axis=np.linspace(5.0, 20.0, 4), power=np.ones((4, 1)), direction=(1.0, 1.0), focal_range_m=10.0
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN_PATTERNS))
+def test_pattern_power_must_match_its_axes(case):
+    with pytest.raises(DimensionMismatch, match="power has shape"):
+        MISSHAPEN_PATTERNS[case]()

@@ -32,6 +32,7 @@ from spherebeam import (
     spiral_curve_saa,
     upa,
 )
+from spherebeam import fileio
 from spherebeam.beamforming import DB_FLOOR, to_db
 from spherebeam.fileio import (
     ANGULAR_HEADER,
@@ -366,8 +367,13 @@ class TestAngularCsv:
 class TestAngularCsvBulk:
     """Row-wise writing and chunked reading give the per-cell bytes and values."""
 
-    # the last two span several write blocks, one with rows longer than a block
-    @pytest.mark.parametrize("shape", [(2, 2), (7, 13), (31, 9), (45, 50), (3, 2500)])
+    # a block is a run of whole theta rows: (100, 50) takes a full block of
+    # 81 rows and a last one of 19, (3, 2500) one row per block, and the
+    # rows of (3, WRITE_BLOCK_CELLS + 905) are longer than a block, so each
+    # is written in two segments
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (7, 13), (31, 9), (45, 50), (100, 50), (3, 2500), (3, WRITE_BLOCK_CELLS + 905)]
+    )
     def test_writer_bytes_equal_per_cell_formatting(self, tmp_path, shape):
         grid = random_grid(np.random.default_rng(sum(shape)), *shape)
         assert np.any(grid.power == 0.0)
@@ -375,6 +381,34 @@ class TestAngularCsvBulk:
         write_angular_csv(path, grid)
         assert path.read_bytes() == per_cell_angular_text(grid).encode("utf-8")
         assert b",-300\n" in path.read_bytes()
+
+    # with 7-cell blocks: rows shorter than a block, whose count is not a
+    # multiple of the rows per block, rows of exactly one block, rows one
+    # cell longer, and rows of several whole and partial segments
+    @pytest.mark.parametrize("phi_samples", [2, 3, 6, 7, 8, 15, 22])
+    def test_writer_bytes_at_the_block_boundaries(self, tmp_path, monkeypatch, phi_samples):
+        monkeypatch.setattr(fileio, "WRITE_BLOCK_CELLS", 7)
+        grid = random_grid(np.random.default_rng(phi_samples), 5, phi_samples)
+        path = tmp_path / "beam.csv"
+        write_angular_csv(path, grid)
+        assert path.read_bytes() == per_cell_angular_text(grid).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "block, shape", [(7, (5, 3)), (7, (4, 7)), (7, (3, 22)), (None, (100, 50)), (None, (3, WRITE_BLOCK_CELLS + 905))]
+    )
+    def test_writer_formats_at_most_one_block_of_values_at_once(self, tmp_path, monkeypatch, block, shape):
+        if block is not None:
+            monkeypatch.setattr(fileio, "WRITE_BLOCK_CELLS", block)
+        sizes = []
+
+        def recording(x, sep):
+            sizes.append(np.size(x))
+            return _number_words(x, sep)
+
+        monkeypatch.setattr(fileio, "_number_words", recording)
+        write_angular_csv(tmp_path / "beam.csv", random_grid(np.random.default_rng(5), *shape))
+        assert sum(sizes) == shape[0] * shape[1]
+        assert max(sizes) <= fileio.WRITE_BLOCK_CELLS
 
     @pytest.mark.parametrize(
         "make",

@@ -18,10 +18,11 @@ an angular and in a distance sweep, a distance sweep with and without a
 visible focal point, a two-ring-element run at ``grid_max`` whose second
 beam lights no grid cell, two beams of a 64-element spiral at 2 threads
 whose focal points lie in one hemisphere, so together they weight 36 of
-the 64 elements, a distance sweep of a 162-element polyhedral array at 2
-threads whose ray only 80 of the elements can face, a distance window
-narrower than the spacing of doubles near its range, so its CSV repeats
-``r`` values), ``metrics`` on emitted CSVs (the unlit beam's and the
+the 64 elements, a 3 x 4500 grid whose phi rows are longer than one
+write block of ``fileio.WRITE_BLOCK_CELLS`` values, a distance sweep of
+a 162-element polyhedral array at 2 threads whose ray only 80 of the
+elements can face, a distance window narrower than the spacing of
+doubles near its range, so its CSV repeats ``r`` values), ``metrics`` on emitted CSVs (the unlit beam's and the
 narrow window's among them) and on two CSVs whose ``r`` or ``phi`` axis
 runs backwards, ``--help`` of
 ``geometry``, ``pattern angle`` and ``pattern distance`` at 80 columns,
@@ -94,6 +95,13 @@ RUNS = [
             "pattern", "angle", "--kind", "spiral_saa", "--n", "64", "--radius", "0.3", "--wavelength", "0.05",
             "--focal", "10, pi/4, pi/4", "--focal", "10, pi/3, pi/2", "--theta-samples", "37",
             "--phi-samples", "73", "--eval-range", "10", "--threads", "2",
+        ),
+    ),
+    (
+        "spiral_long_phi_rows",
+        (
+            "pattern", "angle", "--kind", "spiral_saa", "--n", "16", "--radius", "0.3", "--wavelength", "0.05",
+            "--focal", "10, pi/4, pi/4", "--theta-samples", "3", "--phi-samples", "4500", "--eval-range", "10",
         ),
     ),
     ("upa_distance", ("pattern", "distance", *UPA, "--focal", FRONT, *WINDOW, "--r-samples", "64")),
