@@ -3,9 +3,9 @@
 Weights are the normalized conjugate of the desired channel, so the
 response at the design target meets the Cauchy-Schwarz bound exactly.
 The sums over elements are ``channel.coherent_power`` and
-``channel.channel_energy``, which add a target's visible terms in element
-index order (never pairwise sums), so sweep results reproduce direct
-summation over every element bit for bit.
+``channel.channel_energy``, which add a target's terms in element index
+order (never pairwise sums), so sweep results reproduce direct summation
+over every element bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelVector, channel_energy, coherent_power, visible_gains
+from .channel import ChannelVector, channel_energy, coherent_power
 from .errors import DegeneratePattern, DimensionMismatch, NoVisibleElements, ValidationError, require_positive
 from .geometry import SphericalPoint
 
@@ -56,7 +56,7 @@ def beam_response(w: BeamWeights, h_probe: ChannelVector) -> float:
         raise DimensionMismatch(
             f"weight length {len(w)} does not match channel length {len(h_probe)}"
         )
-    return float(coherent_power(w.weights, *visible_gains(h_probe)))
+    return float(coherent_power(w.weights, h_probe.gains))
 
 
 def to_db(linear) -> np.ndarray:

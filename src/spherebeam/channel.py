@@ -7,12 +7,11 @@ in the forward hemisphere. Visible elements carry the spherical-wave
 coefficient (wl / (4*pi*d)) * exp(-i*2*pi*d/wl) at propagation distance d,
 with no far-field approximation at any range.
 
-A block of gains keeps its facing entries only, element by element, each
-with one target column. Every sum over elements lives here: ``gain_energy``
-and ``coherent_power`` sum a block's facing terms by column with
-``column_sums`` (one ``np.bincount``), the coherent sum once over the real
-and once over the imaginary parts, and each adds a target's terms in
-element order.
+A block of gains is element-major and dense: one row per element, one
+column per target, and a hidden entry holds exactly ``+0+0j``. Every sum
+over elements lives here: ``gain_energy`` and ``coherent_power`` sum a
+block's terms by column with ``column_sums``, which adds each target's
+terms in element order.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,17 +52,17 @@ class Scratch(threading.local):
     temporaries are written into the arrays of the block before instead of
     being allocated and freed again; each thread sees its own arrays. An
     array grows when a larger request asks for it, and a smaller request
-    gets a view of its start. Arrays that hold a block's facing entries only
-    are asked for at the size of the whole block and then cut to the facing
-    count, so they grow with the block, not with each block's count.
+    gets a view of its start, so an array that holds a block's facing
+    entries only takes the start of a block-sized array.
 
-    A gain block and its sums hold 65 bytes per element x target entry
-    here: ``diff``, ``d2``, ``facing`` and ``term`` at 8 bytes, ``mask``
-    at 1, and the complex ``gains`` and ``products`` at 16 each; a range
-    sweep adds ``energy`` and ``energy_term`` at 8 each. The gathers of the
-    facing entries are allocated per call and hold at most 24 bytes more
-    per facing entry at a time. ``sweep.BLOCK_ENTRIES`` sizes a block from
-    these figures.
+    A gain block and its sums hold 49 bytes per element x target entry
+    here, in three complex arrays at 16 bytes and ``mask`` at 1: the
+    returned ``gains``, ``products`` and ``squares``. ``los_gains`` uses the
+    halves of ``products`` and ``squares`` as its four float temporaries,
+    and ``coherent_power`` and ``gain_energy`` then fill them with their
+    products and squares. The gather of the facing distances is allocated
+    per call and holds 8 bytes more per facing entry. ``sweep.BLOCK_ENTRIES``
+    sizes a block from these figures.
     """
 
     def __init__(self):
@@ -78,51 +76,29 @@ class Scratch(threading.local):
             a = self._arrays[name] = np.empty(size, dtype)
         return a[:size].reshape(shape)
 
+    def halves(self, name, shape) -> tuple[np.ndarray, np.ndarray]:
+        """The two float64 arrays of ``shape`` that fill this thread's
+        complex array called ``name`` of ``shape``, first half and second."""
+        size = math.prod(shape)
+        floats = self.get(name, shape, np.complex128).reshape(-1).view(np.float64)
+        return floats[:size].reshape(shape), floats[size:].reshape(shape)
 
-class Entries(NamedTuple):
-    """Where the facing entries of an element-major block lie.
 
-    The entries run in row-major order of the block's ``(n,) + targets``
-    mask: element by element, targets within each. ``counts`` holds each
-    element's number of entries and ``columns`` each entry's flat target
-    index, the bin it is summed into.
+def column_sums(terms) -> np.ndarray:
+    """Sum over elements of an element-major block, one sum per target.
+
+    Axis-0 ``np.add.reduce`` over a C-contiguous ``(k, width)`` block of two
+    or more columns adds whole rows, element after element, from ``+0.0``.
+    A block of one column it would sum pairwise, so that column goes through
+    ``np.cumsum``, which adds one element after another. A hidden entry's
+    term is a zero: a zero added to a nonzero sum leaves it as it is, and a
+    sum of zeros stays zero, so summing a block with its hidden zeros or
+    without them can differ only in the sign of an exact zero, which a
+    squared magnitude or a sum of squares cannot show.
     """
-
-    counts: np.ndarray
-    columns: np.ndarray
-    targets: tuple
-
-    @property
-    def width(self) -> int:
-        """Targets per element, which is the number of sums."""
-        return math.prod(self.targets)
-
-    @property
-    def block(self) -> int:
-        """Entries in the whole block, facing or not."""
-        return self.counts.size * self.width
-
-
-def visible_entries(visible) -> Entries:
-    """The ``Entries`` of the true entries of an element-major mask."""
-    rows = visible.reshape(visible.shape[0], -1)
-    columns = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)[rows]
-    return Entries(np.count_nonzero(rows, axis=1), columns, visible.shape[1:])
-
-
-def column_sums(terms, columns, width) -> np.ndarray:
-    """Sum of the float64 ``terms`` that fall in each of ``width`` columns.
-
-    ``np.bincount`` adds ``terms[i]`` into bin ``columns[i]`` in input
-    order, starting from ``+0.0``, so over ``Entries`` each target adds its
-    facing terms in element order. Direct summation over every element adds
-    the hidden terms too, and those are zeros: a zero added to a nonzero sum
-    leaves it as it is, and a sum of zeros stays zero. The two totals can
-    therefore differ only in the sign of an exact zero, which a squared
-    magnitude or a sum of squares cannot show. Axis-0 ``np.add.reduce``
-    would sum an ``(n, 1)`` block pairwise and change bits.
-    """
-    return np.bincount(columns, weights=terms, minlength=width)
+    rows = terms.reshape(terms.shape[0], -1)
+    sums = np.cumsum(rows[:, 0])[-1:] if rows.shape[1] == 1 else np.add.reduce(rows, axis=0)
+    return sums.reshape(terms.shape[1:])
 
 
 def los_gains(positions, normals, tx, ty, tz, wavelength, scratch=None):
@@ -130,18 +106,18 @@ def los_gains(positions, normals, tx, ty, tz, wavelength, scratch=None):
 
     Element columns broadcast against the target components, giving an
     element-major block of shape ``(n,) + targets``. Returns ``(gains,
-    visible, entries)``: the complex gains of the entries where the element
-    faces the target, in row-major order of the ``visible`` mask (element by
-    element, targets within each), the mask itself, and their ``Entries``.
-    Because both the single-target path and the vectorized sweeps run
-    through this one function (and sum in element index order), their
-    per-element values agree bit for bit.
+    visible, count)``: the C-contiguous complex block of gains, the
+    ``visible`` mask of the entries where the element faces the target, and
+    the number of those entries. Because both the single-target path and
+    the vectorized sweeps run through this one function (and sum in element
+    index order), their per-element values agree bit for bit.
 
     Every entry is checked for coinciding with an element and tested for
     facing. The square root, amplitude and complex exponential then run
-    over the facing entries only, as contiguous arrays; each value is the
-    same elementwise arithmetic as evaluating every entry, so no bit
-    differs. A hidden entry's gain is exactly ``+0+0j`` and is not stored.
+    over the facing entries only, as contiguous arrays, and their gains are
+    scattered into a block of ``+0+0j``; each value is the same elementwise
+    arithmetic as evaluating every entry, so no bit differs, and a hidden
+    entry's gain is exactly ``+0+0j``.
 
     Every block-sized temporary comes from ``scratch`` (a fresh ``Scratch``
     when ``None``). The returned gains and mask are its arrays, so the next
@@ -166,11 +142,13 @@ def los_gains(positions, normals, tx, ty, tz, wavelength, scratch=None):
     px, py, pz = (positions[:, i].reshape(column) for i in range(3))
     nx, ny, nz = (normals[:, i].reshape(column) for i in range(3))
     # d2 = (dx*dx + dy*dy) + dz*dz and facing = (dx*nx + dy*ny) + dz*nz, in
-    # that order, from one coordinate difference at a time
-    diff = np.subtract(tx, px, out=scratch.get("diff", shape))
-    d2 = np.multiply(diff, diff, out=scratch.get("d2", shape))
-    facing = np.multiply(diff, nx, out=scratch.get("facing", shape))
-    term = scratch.get("term", shape)
+    # that order, from one coordinate difference at a time; the four float
+    # arrays are the halves of the complex arrays the sums fill afterwards
+    diff, d2 = scratch.halves("products", shape)
+    facing, term = scratch.halves("squares", shape)
+    np.subtract(tx, px, out=diff)
+    np.multiply(diff, diff, out=d2)
+    np.multiply(diff, nx, out=facing)
     for t, p, normal in ((ty, py, ny), (tz, pz, nz)):
         np.subtract(t, p, out=diff)
         d2 += np.multiply(diff, diff, out=term)
@@ -182,19 +160,19 @@ def los_gains(positions, normals, tx, ty, tz, wavelength, scratch=None):
     dist = d2[visible]
     np.sqrt(dist, out=dist)
     count = dist.size
-    # the amplitude and phase go into arrays the facing test left spent
+    # the amplitude, phase and rotation go into arrays that are spent by now
     amp = np.multiply(FOUR_PI, dist, out=term.reshape(-1)[:count])
     np.divide(wavelength, amp, out=amp)
     phase = np.multiply(TWO_PI / wavelength, dist, out=facing.reshape(-1)[:count])
-    # the rotation is spent once the gains are formed, so it takes the array
-    # that coherent_power (below) fills with its products afterwards
-    block = d2.size
-    rotation = np.multiply(-1j, phase, out=scratch.get("products", (block,), np.complex128)[:count])
+    gains = scratch.get("gains", shape, np.complex128)
+    rotation = np.multiply(-1j, phase, out=gains.reshape(-1)[:count])
     np.exp(rotation, out=rotation)
     # a complex product written over one of its operands can differ from
     # the fresh product in the last bit, so it gets its own array
-    gains = np.multiply(amp, rotation, out=scratch.get("gains", (block,), np.complex128)[:count])
-    return gains, visible, visible_entries(visible)
+    values = np.multiply(amp, rotation, out=scratch.get("products", (count,), np.complex128))
+    gains.fill(0.0)
+    gains[visible] = values
+    return gains, visible, count
 
 
 def los_channel(geometry: ArrayGeometry, target: SphericalPoint, wavelength: float) -> ChannelVector:
@@ -202,46 +180,35 @@ def los_channel(geometry: ArrayGeometry, target: SphericalPoint, wavelength: flo
     wl = require_positive(wavelength, "wavelength")
     require_clearance(target.r, geometry.radius_m, "target")
     t = target.to_cartesian()
-    values, visible, _ = los_gains(geometry.positions, geometry.normals, t[0], t[1], t[2], wl)
-    gains = np.zeros(geometry.n, np.complex128)
-    gains[visible] = values
+    gains, visible, _ = los_gains(geometry.positions, geometry.normals, t[0], t[1], t[2], wl)
     return ChannelVector(gains=gains, visible=visible, wavelength_m=wl, target=target)
 
 
-def visible_gains(h: ChannelVector):
-    """The facing gains of one channel and their ``Entries``, as
-    ``los_gains`` gives them for a single target."""
-    return h.gains[h.visible], visible_entries(h.visible)
-
-
-def gain_energy(gains, entries: Entries, scratch=None) -> np.ndarray:
-    """Sum of squared gain magnitudes of each target, over its visible
-    entries in element order."""
+def gain_energy(gains, scratch=None) -> np.ndarray:
+    """Sum of squared gain magnitudes of each target, over the elements in
+    element order. ``gains`` is an element-major block as ``los_gains``
+    returns it; the squares go into ``scratch`` (a fresh ``Scratch`` when
+    ``None``)."""
     if scratch is None:
         scratch = Scratch()
-    count = gains.size
-    energy = np.multiply(gains.real, gains.real, out=scratch.get("energy", (entries.block,))[:count])
-    energy += np.multiply(gains.imag, gains.imag, out=scratch.get("energy_term", (entries.block,))[:count])
-    return column_sums(energy, entries.columns, entries.width).reshape(entries.targets)
+    energy, term = scratch.halves("squares", gains.shape)
+    np.multiply(gains.real, gains.real, out=energy)
+    energy += np.multiply(gains.imag, gains.imag, out=term)
+    return column_sums(energy)
 
 
-def coherent_power(weights: np.ndarray, gains: np.ndarray, entries: Entries, scratch=None) -> np.ndarray:
-    """|sum_k w_k g_k|^2 of each target, summed over its visible entries in
-    element order. ``gains`` and ``entries`` are as ``los_gains`` returns
-    them; the products go into ``scratch`` (a fresh ``Scratch`` when
-    ``None``). The real and the imaginary parts of the products are summed
-    apart, each in element order, as a complex sum adds them."""
+def coherent_power(weights: np.ndarray, gains: np.ndarray, scratch=None) -> np.ndarray:
+    """|sum_k w_k g_k|^2 of each target, summed over the elements in element
+    order. ``gains`` is an element-major block as ``los_gains`` returns it;
+    the products go into ``scratch`` (a fresh ``Scratch`` when ``None``)."""
     if scratch is None:
         scratch = Scratch()
-    products = np.multiply(
-        np.repeat(weights, entries.counts), gains,
-        out=scratch.get("products", (entries.block,), np.complex128)[: gains.size],
-    )
-    re = column_sums(products.real, entries.columns, entries.width)
-    im = column_sums(products.imag, entries.columns, entries.width)
-    return (re * re + im * im).reshape(entries.targets)
+    column = weights.reshape(weights.shape + (1,) * (gains.ndim - 1))
+    products = np.multiply(column, gains, out=scratch.get("products", gains.shape, np.complex128))
+    sums = column_sums(products)
+    return sums.real * sums.real + sums.imag * sums.imag
 
 
 def channel_energy(h: ChannelVector) -> float:
     """Sum of squared gain magnitudes of one channel, in element order."""
-    return float(gain_energy(*visible_gains(h)))
+    return float(gain_energy(h.gains))

@@ -150,9 +150,11 @@ def require_square(n: int, field: str) -> int:
 
 
 def require_shape(array, shape: tuple[int, ...], field: str) -> None:
-    """Reject an ``array`` whose shape is not ``shape``."""
+    """Reject an ``array`` whose shape is not ``shape``, or is empty."""
     if array.shape != shape:
         raise DimensionMismatch(f"{field} has shape {array.shape}, its axes give {shape}")
+    if 0 in shape:
+        raise DimensionMismatch(f"{field} has shape {shape}, an axis has no samples")
 
 
 def require_clearance(range_m: float, radius: float | None, field: str) -> None:

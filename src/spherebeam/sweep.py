@@ -7,11 +7,10 @@ blocks of at most ``BLOCK_ENTRIES`` element x probe entries, forms each
 block's probe points only when it reaches the block, computes each block's
 gains once for every beam, and spreads the blocks over threads; blocking
 never changes any value, only who computes it and how much memory it takes.
-Each sweep chooses once which elements it evaluates, and its blocks are
-sized by all of the array's elements whichever it evaluates. An angular
-sweep evaluates the elements that some beam weights (a conjugate beam
-leaves the elements hidden from its focal point at exactly zero, about half
-of a spherical array). A range sweep, which also sums each probe's channel
+Each sweep chooses once which elements it evaluates, and sizes its blocks
+by those elements. An angular sweep evaluates the elements that some beam
+weights (a conjugate beam leaves the elements hidden from its focal point
+at exactly zero, about half of a spherical array). A range sweep, which also sums each probe's channel
 energy, evaluates the elements that can face some point of its ray, found
 by one test per element at the two ends of its window (about half of a
 spherical array again). Neither choice changes a bit: every dropped element
@@ -19,11 +18,11 @@ has a zero weight or faces no probe. Each thread writes every block's
 temporaries into the same cache-sized arrays (a ``channel.Scratch``)
 instead of allocating them anew, so an angular sweep's working memory is
 one block per thread plus its output rows, whatever the size of the grid. A
-block keeps the gains of its facing element x probe entries only, in
-element-major order, and ``channel.coherent_power`` and
-``channel.gain_energy`` sum them with ``np.bincount`` by probe column,
-which adds every probe's terms in element order; so a block of any width,
-one probe included, sums in element order.
+block of gains is element-major, with exact zeros at the hidden entries,
+and ``channel.coherent_power`` and ``channel.gain_energy`` sum it by probe
+column with ``channel.column_sums``, which adds every probe's terms in
+element order; so a block of any width, one probe included, sums in
+element order.
 """
 
 from __future__ import annotations
@@ -57,23 +56,18 @@ _NORMALIZATIONS = ("grid_max", "focal")
 BLOCK_ENTRIES = 25_600
 """Most element x probe entries per gain evaluation in a sweep.
 
-A block of an ``n``-element array holds ``max(1, BLOCK_ENTRIES // n)``
-probes, whichever ``k <= n`` elements the sweep evaluates: the elements
-that some beam weights in an angular sweep, those that can face the ray
-in a range sweep. Each of its ``k`` x probes entries takes 65 bytes in
-the ``channel.Scratch`` arrays a thread reuses (``diff``, ``d2``,
-``facing`` and ``term`` at 8 bytes, the mask at 1, the complex gains and
-products at 16 each) and at most 40 more: 24 in the short-lived gathers
-of a facing entry and 16 in a range sweep's two energy arrays. So a
-block needs at most about 2.6 MiB, when every element is evaluated and
-faces every probe, as in a range sweep of a planar array in front of it.
-A spherical array's sweeps evaluate about half of its elements, so their
-blocks need about 1 to 1.3 MiB and stay in a 2 MiB L2 cache; a range
-sweep's evaluated elements face nearly every probe, and sizing its blocks
-by those elements alone would take about 2.6 MiB. Each float64 array
-stays at or below 200 KiB whatever the element count. Each ``los_gains``
-call also has a fixed cost of tens of microseconds, so a budget much
-smaller than this one makes the sweeps slower.
+A block holds ``max(1, BLOCK_ENTRIES // k)`` probes for the ``k``
+elements the sweep evaluates: the elements that some beam weights in an
+angular sweep, those that can face the ray in a range sweep. Each of its
+``k`` x probes entries takes 49 bytes in the ``channel.Scratch`` arrays a
+thread reuses (the complex gains, products and squares at 16 bytes each,
+the mask at 1) and at most 8 more in the short-lived gather of a facing
+entry's distance. So a block needs at most about 1.4 MiB, when every
+evaluated element faces every probe, and stays in a 2 MiB L2 cache, for
+both sweep kinds and any element count. Each ``los_gains`` call also has
+a fixed cost of tens of microseconds, so a budget much smaller than this
+one makes the sweeps slower: half of it made every benchmark workload
+6-8% slower, and one and a half times it made the range study 5% slower.
 """
 
 
@@ -164,13 +158,12 @@ def _sweep_kernel(
     a time. ``kept`` masks the elements the caller evaluates, which must
     include every element that faces some probe or has a nonzero weight;
     only those ``k`` elements and their weights reach the gain kernel, in
-    element order. Each block of ``max(1, BLOCK_ENTRIES // n)`` probes for
-    the array's ``n`` elements, and at most an even share of the probes per
-    worker, makes one ``los_gains`` call over the ``k`` elements shared by
-    all weight vectors, and blocks run on at most ``min(threads, blocks,
-    os.cpu_count())`` threads.
+    element order. Each block of ``max(1, BLOCK_ENTRIES // k)`` probes, and
+    at most an even share of the probes per worker, makes one ``los_gains``
+    call over the ``k`` elements shared by all weight vectors, and blocks
+    run on at most ``min(threads, blocks, os.cpu_count())`` threads.
     Each thread reuses one set of block-sized arrays for all of its blocks,
-    65 bytes per entry and more per facing entry (see ``BLOCK_ENTRIES``).
+    49 bytes per entry and 8 more per facing entry (see ``BLOCK_ENTRIES``).
     Returns ``(powers, energy)`` of shapes ``(len(weight_sets), total)``
     and ``(total,)``; the channel energy is computed only when ``energy``
     is true and is ``None`` otherwise.
@@ -184,8 +177,8 @@ def _sweep_kernel(
     probe's channel energy, keeps the elements that can face some point of
     its ray (``_ray_support``). Every weighted element faces the focal
     point, which lies on the ray, so it is kept; a dropped element faces no
-    probe, so it adds no entry to any sum, and the kept entries are summed
-    in the same element order.
+    probe, so each of its terms is a zero, and the kept terms are summed in
+    the same element order.
 
     No ``DegenerateGeometry`` can be lost with a dropped element. A probe
     that coincides with an element faces it at exactly 0, which the ray
@@ -202,7 +195,7 @@ def _sweep_kernel(
     weight_sets = [weights[kept] for weights in weight_sets]
     asked = total if threads is None else require_count(threads, "threads")
     workers = min(asked, total, os.cpu_count() or 1)
-    block = min(max(1, BLOCK_ENTRIES // geometry.n), -(-total // workers))
+    block = min(max(1, BLOCK_ENTRIES // len(positions)), -(-total // workers))
     starts = range(0, total, block)
     workers = min(workers, len(starts))
     powers = np.empty((len(weight_sets), total))
@@ -211,11 +204,11 @@ def _sweep_kernel(
 
     def fill(i0: int) -> None:
         i1 = min(i0 + block, total)
-        gains, _, entries = los_gains(positions, normals, *probes(i0, i1), wavelength, scratch)
+        gains, _, _ = los_gains(positions, normals, *probes(i0, i1), wavelength, scratch)
         for row, weights in zip(powers, weight_sets):
-            row[i0:i1] = coherent_power(weights, gains, entries, scratch)
+            row[i0:i1] = coherent_power(weights, gains, scratch)
         if energies is not None:
-            energies[i0:i1] = gain_energy(gains, entries, scratch)
+            energies[i0:i1] = gain_energy(gains, scratch)
 
     if workers < 2:
         for i0 in starts:

@@ -24,7 +24,7 @@ from spherebeam import (
     upa,
 )
 from spherebeam.beamforming import coherent_power
-from spherebeam.channel import gain_energy, visible_entries
+from spherebeam.channel import gain_energy
 
 FOCAL = SphericalPoint(30.0, math.pi / 6, math.pi / 6)
 
@@ -142,9 +142,9 @@ def element_loop(columns):
 
 
 def assert_sums_match_a_python_loop(weights, gains, visible):
-    """The program's sums over the visible entries of element-major
-    ``gains`` must equal, bit for bit, direct summation over every entry in
-    element order, hidden zeros included."""
+    """The program's sums over an element-major block of ``gains``, with
+    the hidden entries at ``+0+0j`` as ``los_gains`` returns them, must
+    equal, bit for bit, direct summation over every entry in element order."""
     gains = np.where(visible, gains, 0j)
     n = gains.shape[0]
     columns = gains.reshape(n, -1)
@@ -152,9 +152,8 @@ def assert_sums_match_a_python_loop(weights, gains, visible):
     power = [s.real * s.real + s.imag * s.imag for s in sums]
     energy = element_loop([[g.real * g.real + g.imag * g.imag for g in col] for col in columns.T.tolist()])
 
-    entries = visible_entries(visible)
-    got_power = np.asarray(coherent_power(weights, gains[visible], entries))
-    got_energy = np.asarray(gain_energy(gains[visible], entries))
+    got_power = np.asarray(coherent_power(weights, gains))
+    got_energy = np.asarray(gain_energy(gains))
     assert got_power.shape == got_energy.shape == gains.shape[1:]
     np.testing.assert_array_equal(got_power.reshape(-1).view(np.uint64), np.array(power).view(np.uint64))
     np.testing.assert_array_equal(got_energy.reshape(-1).view(np.uint64), np.array(energy).view(np.uint64))
@@ -163,9 +162,8 @@ def assert_sums_match_a_python_loop(weights, gains, visible):
 class TestElementOrderReduction:
     """Sums over elements must be direct summation in element order. The
     sweep-versus-``beam_response`` properties cannot see a reduction that
-    is pairwise everywhere, so this compares with a Python loop. The
-    program sums the visible entries only; the loop adds every entry,
-    hidden zeros included."""
+    is pairwise everywhere, so this compares with a Python loop. Both add
+    every entry of the block, hidden zeros included."""
 
     @pytest.mark.parametrize("n", [1, 9, 100, 1000])
     @pytest.mark.parametrize("probes", [(), (1,), (2,), (1024,)], ids=["flat", "1probe", "2probes", "1024probes"])

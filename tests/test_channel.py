@@ -21,7 +21,7 @@ from spherebeam import (
     los_channel,
     upa,
 )
-from spherebeam.channel import FOUR_PI, los_gains
+from spherebeam.channel import FOUR_PI, column_sums, los_gains
 from spherebeam.geometry import TWO_PI
 
 FIG4_TARGET = SphericalPoint(30.0, math.pi / 6, math.pi / 6)
@@ -161,8 +161,8 @@ class TestLosChannel:
 
 
 class TestVisibleOnlyEvaluation:
-    """``los_gains`` evaluates and keeps only facing entries; no bit may
-    differ from evaluating every entry."""
+    """``los_gains`` evaluates the facing entries only and returns the whole
+    element-major block; no bit may differ from evaluating every entry."""
 
     def test_gains_match_the_unmasked_kernel_bit_for_bit(self):
         rng = np.random.default_rng(606)
@@ -171,19 +171,19 @@ class TestVisibleOnlyEvaluation:
             g = random_array(rng)
             wl = float(rng.uniform(0.001, 0.1))
             tx, ty, tz = (c.reshape(2, -1) for c in probes_with_tangents(rng, g, 40))
-            gains, visible, entries = los_gains(g.positions, g.normals, tx, ty, tz, wl)
+            gains, visible, count = los_gains(g.positions, g.normals, tx, ty, tz, wl)
             # the reference is target-major; los_gains is element-major
             ref, ref_visible = (
                 np.ascontiguousarray(np.moveaxis(a, -1, 0))
                 for a in unmasked_gains(g.positions, g.normals, tx, ty, tz, wl)
             )
-            assert visible.shape == ref.shape == (g.n, 2, 40)
+            assert gains.shape == visible.shape == ref.shape == (g.n, 2, 40)
+            assert gains.flags.c_contiguous
             assert_array_equal(visible, ref_visible)
-            assert_array_equal(gains.view(np.uint64), ref[ref_visible].view(np.uint64))
-            rows, columns = np.nonzero(ref_visible.reshape(g.n, -1))
-            assert_array_equal(entries.counts, np.bincount(rows, minlength=g.n))
-            assert_array_equal(entries.columns, columns)
-            assert entries.targets == (2, 40)
+            assert count == np.count_nonzero(ref_visible)
+            assert_array_equal(gains[visible].view(np.uint64), ref[ref_visible].view(np.uint64))
+            # a hidden entry is exactly +0+0j
+            assert not np.any(gains[~visible].view(np.uint64))
             facing = (
                 (tx[..., None] - g.positions[:, 0]) * g.normals[:, 0]
                 + (ty[..., None] - g.positions[:, 1]) * g.normals[:, 1]
@@ -217,23 +217,51 @@ class TestPlatformDeterminism:
             x = rng.standard_normal(257) + 1j * rng.standard_normal(257)
             assert np.cumsum(x)[-1] == functools.reduce(operator.add, x)
 
-    def test_bincount_adds_each_bin_in_input_order(self):
-        # the element sums rest on this: bin b receives w[i] for every i
-        # with bins[i] == b, added in input order from +0.0
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            bins = rng.integers(0, 7, int(rng.integers(1, 400)))
-            w = rng.standard_normal(bins.size) * 10.0 ** rng.integers(-20, 20, bins.size)
-            w[rng.random(bins.size) < 0.2] = 0.0
-            w[rng.random(bins.size) < 0.2] = -0.0
-            expected = [0.0] * 9
-            for b, x in zip(bins.tolist(), w.tolist()):
-                expected[b] = expected[b] + x
-            got = np.bincount(bins, weights=w, minlength=9)
-            assert_array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
-        # a bin of signed zeros starts from +0.0
-        got = np.bincount(np.array([1, 1]), weights=np.array([-0.0, -0.0]), minlength=2)
-        assert_array_equal(got.view(np.uint64), np.zeros(2).view(np.uint64))
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("m", [2, 3, 71, 256])
+    def test_axis0_add_reduce_adds_rows_in_element_order(self, m, dtype):
+        # column_sums rests on this: an axis-0 reduction of a C-contiguous
+        # (k, m) block with m >= 2 adds whole rows one after another from
+        # +0.0, so each column is summed in element order
+        rng = np.random.default_rng(m)
+        for _ in range(12):
+            k = int(rng.integers(1, 1200))
+            block = rng.standard_normal((k, m)) * 10.0 ** rng.integers(-20, 20, (k, m))
+            if dtype is np.complex128:
+                block = block + 1j * rng.standard_normal((k, m)) * 10.0 ** rng.integers(-20, 20, (k, m))
+            block[rng.random((k, m)) < 0.2] = 0.0
+            block[rng.random((k, m)) < 0.1] *= -0.0
+            expected = np.zeros(m, dtype)
+            for row in block:
+                expected = expected + row
+            got = np.add.reduce(block, axis=0)
+            assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+            assert_array_equal(column_sums(block).view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_one_target_sum_is_sequential(self, dtype):
+        # a (k,) or (k, 1) block has one sum, which column_sums adds one
+        # element after another from the first
+        rng = np.random.default_rng(8)
+        for k in (1, 2, 9, 128, 257, 1000):
+            x = rng.standard_normal(k) * 10.0 ** rng.integers(-20, 20, k)
+            if dtype is np.complex128:
+                x = x + 1j * rng.standard_normal(k) * 10.0 ** rng.integers(-20, 20, k)
+            expected = functools.reduce(operator.add, x.tolist())
+            for block in (x, x.reshape(k, 1)):
+                got = column_sums(block)
+                assert got.shape == block.shape[1:]
+                assert got.reshape(-1)[0] == expected
+
+    def test_one_dimensional_add_reduce_is_not_sequential(self):
+        # why a one-target block is summed apart: a 1-D reduction, and the
+        # (k, 1) one numpy folds into it, sums pairwise and changes bits
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(1000)
+        sequential = functools.reduce(operator.add, x.tolist())
+        assert np.add.reduce(x) != sequential
+        assert np.add.reduce(x.reshape(-1, 1), axis=0)[0] != sequential
+        assert column_sums(x) == sequential
 
     def test_complex_product_into_a_separate_array_equals_the_fresh_product(self):
         # los_gains and coherent_power write every complex product into an

@@ -168,3 +168,25 @@ MISSHAPEN_PATTERNS = {
 def test_pattern_power_must_match_its_axes(case):
     with pytest.raises(DimensionMismatch, match="power has shape"):
         MISSHAPEN_PATTERNS[case]()
+
+
+# an empty axis with a power of its shape: the writers would fail untyped
+# or write a file that the readers refuse
+EMPTY_PATTERNS = {
+    "angular_no_theta": lambda: AngularPatternGrid(
+        theta_axis=np.array([]), phi_axis=np.array([0.0, 1.0]), power=np.zeros((0, 2)), focal=FOCAL, eval_range_m=10.0
+    ),
+    "angular_no_phi": lambda: AngularPatternGrid(
+        theta_axis=np.array([0.0, 1.0]), phi_axis=np.array([]), power=np.zeros((2, 0)), focal=FOCAL, eval_range_m=10.0
+    ),
+    "distance_no_range": lambda: DistancePattern(
+        r_axis=np.array([]), power=np.array([]), direction=(1.0, 1.0), focal_range_m=10.0
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_PATTERNS))
+def test_pattern_axes_must_not_be_empty(case):
+    with pytest.raises(DimensionMismatch, match="no samples") as err:
+        EMPTY_PATTERNS[case]()
+    assert isinstance(err.value, SpherebeamError)

@@ -257,14 +257,18 @@ class TestMultiFocalOverlay:
 
 
 class TestSweepKernel:
-    # the entry budget and the array's n elements alone size a block:
-    # BLOCK_ENTRIES // n probes, over the k < n elements an angular sweep's
-    # beam weights or the m < n elements that can face a range sweep's ray
-    @pytest.mark.parametrize("n, width", [(16, 1600), (25, 1024), (100, 256), (360, 71), (1000, 25)])
-    def test_block_width_follows_the_element_count(self, gain_calls, n, width):
+    # the entry budget and the elements a sweep evaluates size a block:
+    # BLOCK_ENTRIES // k probes over the k < n elements an angular sweep's
+    # beam weights, BLOCK_ENTRIES // m over the m < n elements that can
+    # face a range sweep's ray
+    @pytest.mark.parametrize(
+        "n, width, range_width", [(16, 3657, 3200), (25, 2133, 2133), (100, 512, 492), (360, 143, 143), (1000, 52, 50)]
+    )
+    def test_block_width_follows_the_element_count(self, gain_calls, n, width, range_width):
         g = golden_spiral_saa(n, 0.5)
         k = len(weighted_elements(g, FOCAL))
         assert k < n
+        assert width == sweep.BLOCK_ENTRIES // k
         spec = AngularSweepSpec(theta_samples=2, phi_samples=width + 1)
         angular_sweep(g, 0.01, FOCAL, spec, threads=1)
         assert gain_calls == [k * width, k * width, 2 * k]
@@ -273,8 +277,9 @@ class TestSweepKernel:
         focal = SphericalPoint(30.0, math.pi / 4, math.pi / 4)
         m = len(ray_elements(g, focal))
         assert m < n
-        distance_sweep(g, 0.01, focal, samples=2 * width + 1, threads=1)
-        assert gain_calls == [m * width, m * width, m]
+        assert range_width == sweep.BLOCK_ENTRIES // m
+        distance_sweep(g, 0.01, focal, samples=2 * range_width + 1, threads=1)
+        assert gain_calls == [m * range_width, m * range_width, m]
         assert max(gain_calls) <= sweep.BLOCK_ENTRIES
 
     def test_block_probes_equal_the_full_grid_bit_for_bit(self, monkeypatch):
@@ -379,16 +384,17 @@ class TestSweepKernel:
         ]
         u = len(weighted_elements(g, *focals))
         assert u < g.n
-        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 100 * g.n)
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 100 * u)
         overlay = multi_focal_overlay(g, 0.01, focals, SMALL_SPEC, threads=1)
         assert len(overlay.beams) == 3
         assert gain_calls == [100 * u] * 3 + [61 * u]
 
 
     def test_threads_keep_their_own_scratch_arrays(self, monkeypatch):
-        # more workers than cores, 8-probe blocks and a short switch interval
-        # interleave the threads' blocks; arrays shared between threads
-        # would mix their values
+        # more workers than cores, blocks of 11 and 17 probes (8 * 64 entries
+        # over the 45 and 30 elements the two sweeps evaluate) and a short
+        # switch interval interleave the threads' blocks; arrays shared
+        # between threads would mix their values
         g = golden_spiral_saa(64, 0.5)
         spec = AngularSweepSpec(theta_samples=31, phi_samples=31)
         focals = [FOCAL, SphericalPoint(30.0, 1.0, 4.0)]
@@ -413,9 +419,9 @@ class TestSweepKernel:
         calls = []
         real = sweep.gain_energy
 
-        def recording(gains, entries, *rest):
-            calls.append((entries.counts.size,) + entries.targets)
-            return real(gains, entries, *rest)
+        def recording(gains, *rest):
+            calls.append(gains.shape)
+            return real(gains, *rest)
 
         monkeypatch.setattr(sweep, "gain_energy", recording)
         g = golden_spiral_saa(16, 0.5)
@@ -649,9 +655,10 @@ class TestDistanceSweep:
         assert started == [3]
         assert_array_equal(capped.power, base.power)
 
-        # never more workers than blocks: 361 probes make 8 blocks of 50, and
-        # 4 probes split over 3 workers make 2 blocks of 2
-        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 50 * g.n)
+        # never more workers than blocks: 361 probes make 8 blocks of 50 over
+        # the k weighted elements, and 4 probes split over 3 workers make 2
+        # blocks of 2
+        monkeypatch.setattr(sweep, "BLOCK_ENTRIES", 50 * len(weighted_elements(g, FOCAL)))
         tiny = AngularSweepSpec(theta_samples=2, phi_samples=2)
         for spec, blocks in ((SMALL_SPEC, 8), (tiny, 2)):
             started.clear()
