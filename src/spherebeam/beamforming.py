@@ -10,6 +10,7 @@ over every element bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,12 @@ def conjugate_weights(h: ChannelVector) -> BeamWeights:
     """Matched-filter weights: conjugate of the channel, scaled to unit norm."""
     if not np.any(h.visible):
         raise NoVisibleElements("no element has line of sight to the target")
-    energy = channel_energy(h)
-    if energy == 0.0:
+    with np.errstate(over="ignore"):
+        energy = channel_energy(h)
+    if energy == 0.0 or not math.isfinite(energy):
+        fault = "underflows to 0" if energy == 0.0 else "overflows"
         raise ValidationError(
-            f"channel energy underflows to 0 although {int(np.count_nonzero(h.visible))} elements"
+            f"channel energy {fault} although {int(np.count_nonzero(h.visible))} elements"
             f" face the target at wavelength {h.wavelength_m} m",
             "wavelength",
         )

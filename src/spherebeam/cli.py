@@ -222,10 +222,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.func(args)
-        except SpherebeamError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
+        except (SpherebeamError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

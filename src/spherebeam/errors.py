@@ -43,7 +43,7 @@ class DegeneratePattern(SpherebeamError):
 
 
 class AllBeamsInfeasible(SpherebeamError):
-    """Every requested focal point was skipped during an overlay."""
+    """Every requested focal point was skipped, in an overlay or a distance run."""
 
 
 class ParseError(SpherebeamError):

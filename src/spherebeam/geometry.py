@@ -232,6 +232,21 @@ def spiral_curve_saa(n: int, turns: float, radius: float) -> ArrayGeometry:
     return ArrayGeometry(ArrayKind.SPIRAL_CURVE, positions, normals, radius_m=radius)
 
 
+def kind_table() -> dict[str, tuple]:
+    """Each kind value's constructor and its argument names, in order.
+
+    Built per call, so that a rebinding of a constructor's name in this
+    module applies.
+    """
+    return {
+        ArrayKind.UPA.value: (upa, ("n", "spacing")),
+        ArrayKind.SPIRAL.value: (golden_spiral_saa, ("n", "radius")),
+        ArrayKind.RING.value: (ring_saa, ("n_rings", "ring_policy", "radius")),
+        ArrayKind.POLYHEDRAL.value: (polyhedral_saa, ("subdivision", "radius")),
+        ArrayKind.SPIRAL_CURVE.value: (spiral_curve_saa, ("n", "turns", "radius")),
+    }
+
+
 def _checked_rotation(rotation) -> np.ndarray:
     R = np.asarray(rotation, dtype=np.float64)
     if R.shape != (3, 3):

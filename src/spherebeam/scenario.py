@@ -32,32 +32,12 @@ from .errors import (
     require_square,
     require_window,
 )
-from .geometry import (
-    ArrayGeometry,
-    ArrayKind,
-    SphericalPoint,
-    golden_spiral_saa,
-    polyhedral_saa,
-    ring_saa,
-    spiral_curve_saa,
-    upa,
-)
+from .geometry import ArrayGeometry, ArrayKind, SphericalPoint, kind_table
 from .metrics import MIN_PEAK_CAPTURE, figures, isotropy_report, measure
 from .sweep import _NORMALIZATIONS, AngularSweepSpec, distance_sweep, multi_focal_overlay
 
-# each kind's constructor arguments, in order
-_KIND_PARAMS = {
-    ArrayKind.UPA.value: ("n", "spacing"),
-    ArrayKind.SPIRAL.value: ("n", "radius"),
-    ArrayKind.RING.value: ("n_rings", "ring_policy", "radius"),
-    ArrayKind.POLYHEDRAL.value: ("subdivision", "radius"),
-    ArrayKind.SPIRAL_CURVE.value: ("n", "turns", "radius"),
-}
-
 # the geometry fields a kind may leave out, with the value they then take
 _GEOMETRY_DEFAULTS = {"ring_policy": "proportional"}
-
-GEOMETRY_KEYS = ("n", "radius", "spacing", "n_rings", "ring_policy", "subdivision", "turns")
 
 _PI_RE = re.compile(r"^([0-9]*\.?[0-9]+)?\s*pi\s*(?:/\s*([0-9]*\.?[0-9]+))?$")
 
@@ -131,6 +111,9 @@ class Scenario:
 # each scalar key's field metadata: its value ``rule`` and its flag's ``help``
 KEYS = {f.name: f.metadata for f in dataclass_fields(Scenario) if f.metadata}
 
+# the keys some array kind takes, in field order
+GEOMETRY_KEYS = tuple(key for key in KEYS if any(key in names for _, names in kind_table().values()))
+
 
 def _parse_angle(token: str, lineno: int | None) -> float:
     """A plain number or a pi fraction like ``pi/6``, ``2pi/3``, ``0.5pi``."""
@@ -189,16 +172,15 @@ def parse_scenario(text: str) -> Scenario:
     return scenario_from_pairs(fileio.key_values(text.splitlines()))
 
 
-def _validate_geometry_fields(fields: dict) -> str:
-    """Check the kind and that exactly its fields are set, filling in defaults."""
+def _validate_geometry_fields(fields: dict) -> tuple:
+    """Check the kind and that exactly its fields are set, filling in defaults; return its ``kind_table`` row."""
+    kinds = kind_table()
     kind = fields.get("kind")
     if kind is None:
         raise ValidationError("kind is required", field="kind")
-    if kind not in _KIND_PARAMS:
-        raise ValidationError(
-            f"unknown kind {kind!r}, expected one of {', '.join(_KIND_PARAMS)}", field="kind"
-        )
-    params = _KIND_PARAMS[kind]
+    if kind not in kinds:
+        raise ValidationError(f"unknown kind {kind!r}, expected one of {', '.join(kinds)}", field="kind")
+    constructor, params = kinds[kind]
     for name in params:
         if fields.get(name) is None:
             fields[name] = _GEOMETRY_DEFAULTS.get(name)
@@ -207,13 +189,13 @@ def _validate_geometry_fields(fields: dict) -> str:
     for name in GEOMETRY_KEYS:
         if name not in params and fields.get(name) is not None:
             raise ValidationError(f"{name} is not used by kind {kind!r}", field=name)
-    return kind
+    return constructor, params
 
 
 def _build_scenario(fields: dict, focals: tuple[SphericalPoint, ...]) -> Scenario:
     """Cross-field checks and defaults; ``parse_field`` has checked each value alone."""
-    kind = _validate_geometry_fields(fields)
-    if kind == ArrayKind.UPA.value:
+    _validate_geometry_fields(fields)
+    if fields["kind"] == ArrayKind.UPA.value:
         require_square(fields["n"], "n")
     radius = fields.get("radius")
 
@@ -247,16 +229,8 @@ def geometry_from_fields(kind: str, **fields) -> ArrayGeometry:
     if unknown:
         raise TypeError(f"unknown geometry fields: {', '.join(sorted(unknown))}")
     fields["kind"] = kind
-    _validate_geometry_fields(fields)
-    # built per call, so that a rebinding of a constructor's name here applies
-    constructors = {
-        ArrayKind.UPA.value: upa,
-        ArrayKind.SPIRAL.value: golden_spiral_saa,
-        ArrayKind.RING.value: ring_saa,
-        ArrayKind.POLYHEDRAL.value: polyhedral_saa,
-        ArrayKind.SPIRAL_CURVE.value: spiral_curve_saa,
-    }
-    return constructors[kind](*(fields[name] for name in _KIND_PARAMS[kind]))
+    constructor, params = _validate_geometry_fields(fields)
+    return constructor(*(fields[name] for name in params))
 
 
 def build_geometry(scenario: Scenario) -> ArrayGeometry:

@@ -67,14 +67,17 @@ class TestConjugateWeights:
         with pytest.raises(NoVisibleElements):
             conjugate_weights(h)
 
-    def test_underflowed_energy_is_not_mistaken_for_no_visibility(self):
-        # half the elements face the target, but at this wavelength each
-        # gain is about 8e-303 and its square underflows to zero
+    @pytest.mark.parametrize("wavelength", [1e-300, 1e160], ids=["underflow", "overflow"])
+    def test_underflowed_energy_is_not_mistaken_for_no_visibility(self, wavelength):
+        # half the elements face the target, but at 1e-300 m each gain is
+        # about 8e-303 and its square underflows to zero, and at 1e160 m
+        # each square is about 1e314 and overflows
         g = golden_spiral_saa(16, 0.3)
-        h = los_channel(g, SphericalPoint(10.0, math.pi / 4, math.pi / 4), 1e-300)
+        h = los_channel(g, SphericalPoint(10.0, math.pi / 4, math.pi / 4), wavelength)
         assert np.count_nonzero(h.visible) == 8
-        assert channel_energy(h) == 0.0
-        with pytest.raises(ValidationError, match="underflows") as info:
+        with np.errstate(over="ignore"):
+            assert channel_energy(h) == (0.0 if wavelength < 1.0 else math.inf)
+        with pytest.raises(ValidationError, match="underflows to 0" if wavelength < 1.0 else "overflows") as info:
             conjugate_weights(h)
         assert not isinstance(info.value, NoVisibleElements)
         assert info.value.field == "wavelength"

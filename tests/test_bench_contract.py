@@ -12,7 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from spherebeam import cli, scenario
+from spherebeam import cli, fileio, geometry, scenario
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -24,6 +24,15 @@ DISTANCE = (
     "kind = upa\nn = 4\nspacing = 0.025\nwavelength = 0.05\n"
     "focal = 10, pi/4, pi/4\nsweep = distance\nr_min = 5\nr_max = 20\nr_samples = 16\n"
 )
+
+# each kind's geometry lines of a small scenario, in kind table order
+KIND_LINES = {
+    "upa": "n = 4\nspacing = 0.025\n",
+    "spiral_saa": "n = 8\nradius = 0.3\n",
+    "ring_saa": "n_rings = 2\nradius = 0.3\n",
+    "polyhedral_saa": "subdivision = 0\nradius = 0.3\n",
+    "spiral_curve_saa": "n = 8\nturns = 2\nradius = 0.3\n",
+}
 
 
 def _tracing():
@@ -66,3 +75,47 @@ def test_runs_leave_spans_in_every_measured_layer(tmp_path, capsys):
     ):
         assert name in names, name
     assert tracer.layer_metrics(["op1"])["channel.calls"] >= 1
+
+
+def test_every_kind_leaves_its_constructor_span():
+    table = geometry.kind_table()
+    assert list(KIND_LINES) == list(table)
+    specs = [
+        scenario.parse_scenario(
+            f"kind = {kind}\n{lines}wavelength = 0.05\nfocal = 10, pi/4, pi/4\nsweep = distance\n"
+        )
+        for kind, lines in KIND_LINES.items()
+    ]
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.label = "setup"
+        built = [scenario.build_geometry(spec) for spec in specs]
+    finally:
+        tracer.label = None
+        tracer.uninstall()
+    spans = [span for span in tracer.spans if span[0].startswith("geometry.")]
+    assert [span[0] for span in spans] == [f"geometry.{constructor.__name__}" for constructor, _ in table.values()]
+    assert [span[5] for span in spans] == [g.n for g in built]
+
+
+def test_angle_run_writes_the_overlay_beams_it_calls_through_scenario(tmp_path, monkeypatch):
+    # the reread_metrics workload rebinds scenario.multi_focal_overlay to
+    # keep the grids a run writes, and reads beams[i] as beam_{i:02d}.csv
+    overlays = []
+    sweep_overlay = scenario.multi_focal_overlay
+
+    def keep(*args, **kwargs):
+        overlays.append(sweep_overlay(*args, **kwargs))
+        return overlays[-1]
+
+    monkeypatch.setattr(scenario, "multi_focal_overlay", keep)
+    focals = "focal = 10, pi/4, pi/4\nfocal = 10, pi/3, pi/2\nfocal = 10, pi/2, 0\n"
+    text = ANGLE.replace("focal = 10, pi/4, pi/4\n", focals)
+    assert scenario.run_scenario(scenario.parse_scenario(text), tmp_path / "angle") == 0
+    assert len(overlays) == 1
+    assert len(overlays[0].beams) == 3
+    for i, grid in enumerate(overlays[0].beams):
+        fileio.write_angular_csv(tmp_path / "expected.csv", grid)
+        written = (tmp_path / "angle" / f"beam_{i:02d}.csv").read_bytes()
+        assert written == (tmp_path / "expected.csv").read_bytes(), i

@@ -184,6 +184,19 @@ class TestPatternCommands:
         assert capsys.readouterr().err == "error: every focal point was skipped, no distance pattern to emit\n"
         assert not out.exists()
 
+    def test_angle_run_with_only_rear_focals_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "rear"
+        code = run_cli(
+            "pattern", "angle",
+            "--kind", "upa", "--n", "16", "--spacing", "0.025",
+            "--wavelength", "0.05", "--focal", "10, 3pi/4, 0.5",
+            "--theta-samples", "19", "--phi-samples", "19", "--eval-range", "10",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: all 1 focal points were skipped\n"
+        assert not out.exists()
+
     def test_validation_failure_yields_exit_1(self, tmp_path, capsys):
         code = run_cli(
             "pattern", "angle",
@@ -211,8 +224,15 @@ class TestPatternCommands:
                 "--wavelength", "1e-300", "--focal", "10, pi/4, pi/4",
                 "--r-min", "2", "--r-max", "40", "--r-samples", "50",
             ),
+            (*ANGLE_ARGS, "--wavelength", "1e300"),
+            (
+                "pattern", "distance",
+                "--kind", "spiral_saa", "--n", "16", "--radius", "0.3",
+                "--wavelength", "1e300", "--focal", "10, pi/4, pi/4",
+                "--r-min", "2", "--r-max", "40", "--r-samples", "50",
+            ),
         ],
-        ids=["angle", "distance"],
+        ids=["angle", "distance", "angle_energy_overflow", "distance_energy_overflow"],
     )
     def test_failed_sweep_leaves_no_output_directory(self, tmp_path, capsys, argv):
         out = tmp_path / "nested" / "failed"

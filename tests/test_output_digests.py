@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spherebeam import conjugate_weights, golden_spiral_saa, los_channel, preset_names, sweep
+from spherebeam import ArrayKind, conjugate_weights, golden_spiral_saa, los_channel, preset_names, sweep
 from spherebeam.scenario import SWEEPS, parse_focal_text
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
@@ -30,6 +30,12 @@ def test_every_preset_runs_at_one_and_two_threads():
 def test_every_sweep_kind_has_a_pattern_run():
     kinds = {args[1] for _, args in _tool().RUNS if args[0] == "pattern"}
     assert set(SWEEPS) <= kinds
+
+
+def test_every_array_kind_has_a_geometry_run():
+    runs = dict(_tool().RUNS)
+    for kind in ArrayKind:
+        assert runs[f"geometry_{kind.value}"][:3] == ("geometry", "--kind", kind.value), kind
 
 
 def test_one_run_ends_its_sweep_on_a_one_probe_block():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from spherebeam import (
 )
 from spherebeam.cli import _add_beam_flags, _add_geometry_flags, _build_parser
 from spherebeam.fileio import read_angular_csv, read_meta
+from spherebeam.geometry import ArrayKind, kind_table
 from spherebeam.scenario import GEOMETRY_KEYS, KEYS, SWEEPS, parse_field
 
 MINIMAL_ANGLE = """
@@ -385,6 +387,17 @@ class TestGeometryFromFields:
         assert geometry_from_fields("ring_saa", n_rings=2, ring_policy=5, radius=0.4).n == 10
         assert geometry_from_fields("polyhedral_saa", subdivision=0, radius=0.4).n == 12
         assert geometry_from_fields("spiral_curve_saa", n=15, turns=3.0, radius=0.4).n == 15
+
+    def test_every_kind_has_one_table_row_of_scenario_keys(self):
+        table = kind_table()
+        assert list(table) == [kind.value for kind in ArrayKind]
+        for kind, (constructor, names) in table.items():
+            assert len(inspect.signature(constructor).parameters) == len(names), kind
+            assert set(names) <= set(KEYS), kind
+        assert GEOMETRY_KEYS == ("n", "radius", "spacing", "n_rings", "ring_policy", "subdivision", "turns")
+        expected = "expected one of upa, spiral_saa, ring_saa, polyhedral_saa, spiral_curve_saa$"
+        with pytest.raises(ValidationError, match=f"^unknown kind 'nonagon', {expected}"):
+            geometry_from_fields("nonagon", n=9)
 
     def test_missing_and_extraneous_fields(self):
         with pytest.raises(ValidationError) as err:

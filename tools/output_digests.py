@@ -12,25 +12,26 @@ message and exit code agrees byte for byte:
     python tools/output_digests.py > change.txt
     diff parent.txt change.txt
 
-The runs: every preset at 1 and 2 threads, edge runs (a planar array with
-a rear focal point, fixed rings with focal normalization, one element in
-an angular and in a distance sweep, a distance sweep with and without a
-visible focal point, a two-ring-element run at ``grid_max`` whose second
-beam lights no grid cell, two beams of a 64-element spiral at 2 threads
-whose focal points lie in one hemisphere, so together they weight 36 of
-the 64 elements, a one-beam 3 x 569 grid of that spiral whose beam
-weights 30 elements, so its 1707 cells make blocks of 853, 853 and one
-probe, and the last block takes the one-target sum, a 3 x 4500 grid
-whose phi rows are longer than one write block of
-``fileio.WRITE_BLOCK_CELLS`` values, a distance sweep of
-a 162-element polyhedral array at 2 threads whose ray only 80 of the
-elements can face, a distance window narrower than the spacing of
-doubles near its range, so its CSV repeats ``r`` values), ``metrics`` on emitted CSVs (the unlit beam's and the
-narrow window's among them) and on two CSVs whose ``r`` or ``phi`` axis
-runs backwards, ``--help`` of
-``geometry``, ``pattern angle`` and ``pattern distance`` at 80 columns,
-and runs that fail on a bad value or on a rule across keys. The input
-files that runs read are written into the working directory first.
+The runs: every preset at 1 and 2 threads, a ``geometry`` run of every
+array kind, edge runs (a planar array with a front and a rear focal point
+and with a rear one alone, whose angular sweep skips it and fails, fixed
+rings with focal normalization, one element in an angular and in a
+distance sweep, a distance sweep with and without a visible focal point, a
+two-ring-element run at ``grid_max`` whose second beam lights no grid
+cell, two beams of a 64-element spiral at 2 threads whose focal points lie
+in one hemisphere, so together they weight 36 of the 64 elements, a
+one-beam 3 x 569 grid of that spiral whose beam weights 30 elements, so
+its 1707 cells make blocks of 853, 853 and one probe, and the last block
+takes the one-target sum, a 3 x 4500 grid whose phi rows are longer than
+one write block of ``fileio.WRITE_BLOCK_CELLS`` values, a distance sweep
+of a 162-element polyhedral array at 2 threads whose ray only 80 of the
+elements can face, a distance window narrower than the spacing of doubles
+near its range, so its CSV repeats ``r`` values), ``metrics`` on emitted
+CSVs (the unlit beam's and the narrow window's among them) and on two CSVs
+whose ``r`` or ``phi`` axis runs backwards, ``--help`` of ``geometry``,
+``pattern angle`` and ``pattern distance`` at 80 columns, and runs that
+fail on an unknown kind, on a bad value or on a rule across keys. The
+input files that runs read are written into the working directory first.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ RUNS = [
         (f"{preset}_t{threads}", ("run", "--preset", preset, "--threads", str(threads)))
         for preset in PRESETS
         for threads in (1, 2)
+    ),
+    *(
+        (f"geometry_{kind}", ("geometry", "--kind", kind, *flags))
+        for kind, flags in (
+            ("upa", ("--n", "16", "--spacing", "0.025")),
+            ("spiral_saa", ("--n", "64", "--radius", "0.3")),
+            ("ring_saa", ("--n-rings", "6", "--radius", "0.3")),
+            ("polyhedral_saa", ("--subdivision", "1", "--radius", "0.3")),
+            ("spiral_curve_saa", ("--n", "40", "--turns", "5", "--radius", "0.3")),
+        )
     ),
     ("upa_front_rear", ("pattern", "angle", *UPA, "--focal", FRONT, "--focal", REAR, *SMALL_GRID)),
     (
@@ -115,6 +126,7 @@ RUNS = [
             "--focal", "10, pi/4, pi/4", "--theta-samples", "3", "--phi-samples", "4500", "--eval-range", "10",
         ),
     ),
+    ("upa_angle_rear", ("pattern", "angle", *UPA, "--focal", REAR, *SMALL_GRID)),
     ("upa_distance", ("pattern", "distance", *UPA, "--focal", FRONT, *WINDOW, "--r-samples", "64")),
     ("upa_distance_rear", ("pattern", "distance", *UPA, "--focal", REAR, *WINDOW, "--r-samples", "16")),
     (
@@ -148,6 +160,7 @@ RUNS = [
     ("help_geometry", ("geometry", "--help")),
     ("help_pattern_angle", ("pattern", "angle", "--help")),
     ("help_pattern_distance", ("pattern", "distance", "--help")),
+    ("error_unknown_kind", ("geometry", "--kind", "nonagon", "--n", "9")),
     ("error_radius", ("geometry", "--kind", "spiral_saa", "--n", "16", "--radius", "-1")),
     ("error_normalization", ("pattern", "angle", *UPA, "--focal", FRONT, "--normalization", "loud")),
     ("error_subdivision", ("geometry", "--kind", "polyhedral_saa", "--subdivision", "-1", "--radius", "0.3")),
