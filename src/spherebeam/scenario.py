@@ -318,8 +318,7 @@ class _AngleRun:
         self.overlay = multi_focal_overlay(
             geometry, s.wavelength, s.focals, spec, normalization=s.normalization, threads=threads
         )
-        skipped = set(self.overlay.skipped)
-        kept = [i for i, focal in enumerate(s.focals) if focal not in skipped]
+        kept = [i for i, focal in enumerate(s.focals) if focal not in self.overlay.skipped]
         return list(zip(kept, self.overlay.beams))
 
     def step(self, out: Path, stem: str, focal: SphericalPoint, beam, meta: dict):
@@ -388,9 +387,7 @@ class _DistanceRun:
         patterns = []
         for index, focal in enumerate(s.focals):
             try:
-                pattern = distance_sweep(
-                    geometry, s.wavelength, focal, s.r_min, s.r_max, s.r_samples, threads=threads
-                )
+                pattern = distance_sweep(geometry, s.wavelength, focal, s.r_min, s.r_max, s.r_samples, threads=threads)
             except NoVisibleElements:
                 continue
             patterns.append((index, pattern))

@@ -1,28 +1,21 @@
 """Angular and range sweeps of beam patterns.
 
-Grids are evaluated through the same gain kernel and the same element-order
-sums as single-target channels, so a sweep cell is bitwise identical to
-evaluating that probe on its own. One private kernel walks the probes in
-blocks of at most ``BLOCK_ENTRIES`` element x probe entries, forms each
-block's probe points only when it reaches the block, computes each block's
-gains once for every beam, and spreads the blocks over threads; blocking
-never changes any value, only who computes it and how much memory it takes.
-Each sweep chooses once which elements it evaluates, and sizes its blocks
-by those elements. An angular sweep evaluates the elements that some beam
-weights (a conjugate beam leaves the elements hidden from its focal point
-at exactly zero, about half of a spherical array). A range sweep, which also sums each probe's channel
-energy, evaluates the elements that can face some point of its ray, found
-by one test per element at the two ends of its window (about half of a
-spherical array again). Neither choice changes a bit: every dropped element
-has a zero weight or faces no probe. Each thread writes every block's
-temporaries into the same cache-sized arrays (a ``channel.Scratch``)
-instead of allocating them anew, so an angular sweep's working memory is
-one block per thread plus its output rows, whatever the size of the grid. A
-block of gains is element-major, with exact zeros at the hidden entries,
-and ``channel.coherent_power`` and ``channel.gain_energy`` sum it by probe
-column with ``channel.column_sums``, which adds every probe's terms in
-element order; so a block of any width, one probe included, sums in
-element order.
+Every sweep takes its beams from one stage, ``matched_beams``: in focal
+order, each focal point's channel, conjugate weights and response at its
+own focal point, the indices of the focal points that no element faces,
+and the elements that some beam weights. One private kernel then walks the
+probes in blocks of at most ``BLOCK_ENTRIES`` element x probe entries,
+forms each block's probe points only when it reaches the block, computes
+its gains once for every beam and spreads the blocks over threads, each of
+which reuses one ``channel.Scratch`` for all of its blocks. A block's gains
+and sums are those of a single-target channel, added in element order
+(``channel.column_sums``), so a sweep cell is bitwise identical to
+evaluating that probe on its own, whatever the block width or thread count.
+Each sweep chooses once which elements it evaluates and sizes its blocks by
+them: an angular sweep the elements that its beams weight, a range sweep,
+which also sums each probe's channel energy, those that can face some
+point of its ray. Each choice drops about half of a spherical array and no
+bit, as every dropped element has a zero weight or faces no probe.
 """
 
 from __future__ import annotations
@@ -166,11 +159,13 @@ def _sweep_kernel(
     49 bytes per entry and 8 more per facing entry (see ``BLOCK_ENTRIES``).
     Returns ``(powers, energy)`` of shapes ``(len(weight_sets), total)``
     and ``(total,)``; the channel energy is computed only when ``energy``
-    is true and is ``None`` otherwise.
+    is true and is ``None`` otherwise. A power or energy that overflows
+    float64 raises ``ValidationError`` on the wavelength, which sets the
+    gain amplitudes, with numpy's warnings silenced in the blocks.
 
-    The callers choose ``kept`` once per sweep, and either choice leaves
-    every bit as it is. An angular sweep keeps the elements whose weight is
-    nonzero in some weight set: a dropped element's term is
+    The weight sets are the ``w`` of ``matched_beams``, and each sweep
+    chooses ``kept`` once without changing a bit. An angular sweep keeps
+    the stage's ``weighted`` elements: a dropped element's term is
     ``(+-0) * g = +-0``, and adding a signed zero changes an element-order
     sum at most in the sign of an exact zero, which ``re*re + im*im`` cannot
     show (see ``channel.column_sums``). A range sweep, which also sums each
@@ -205,10 +200,12 @@ def _sweep_kernel(
     def fill(i0: int) -> None:
         i1 = min(i0 + block, total)
         gains, _, _ = los_gains(positions, normals, *probes(i0, i1), wavelength, scratch)
-        for row, weights in zip(powers, weight_sets):
-            row[i0:i1] = coherent_power(weights, gains, scratch)
-        if energies is not None:
-            energies[i0:i1] = gain_energy(gains, scratch)
+        # numpy's error state is per thread; overflow is checked once below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, weights in zip(powers, weight_sets):
+                row[i0:i1] = coherent_power(weights, gains, scratch)
+            if energies is not None:
+                energies[i0:i1] = gain_energy(gains, scratch)
 
     if workers < 2:
         for i0 in starts:
@@ -216,6 +213,8 @@ def _sweep_kernel(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
+    if not (np.isfinite(powers).all() and (energies is None or np.isfinite(energies).all())):
+        raise ValidationError(f"probe powers overflow float64 at wavelength {wavelength} m", "wavelength")
     return powers, energies
 
 
@@ -240,27 +239,46 @@ def _ray_support(geometry: ArrayGeometry, theta: float, phi: float, r_min: float
     return np.maximum(r_min * un, r_max * un) - pn > -margin * float(np.max(np.abs(p)))
 
 
-def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, skipped=None):
-    """Normalized grids of the focal points in order, from one kernel pass.
+def matched_beams(geometry: ArrayGeometry, wavelength: float, focals):
+    """The conjugate beams of the focal points, each matched once: ``(beams, skipped, weighted)``.
 
-    A focal point with no visible element raises ``NoVisibleElements``, or
-    is appended to ``skipped`` when a list is given. The normalization name
-    is checked before any gain is computed.
+    ``beams`` holds ``(index, h, w, reference)`` for each focal point that
+    some element faces, in focal order, with ``reference = beam_response(w,
+    h)`` its response at its own focal point; ``skipped`` holds the indices
+    of the others, and ``weighted`` masks the elements that some beam
+    weights, the ``kept`` mask of an angular sweep.
     """
+    beams, skipped = [], []
+    weighted = np.zeros(geometry.n, dtype=bool)
+    for index, focal in enumerate(focals):
+        h = los_channel(geometry, focal, wavelength)
+        try:
+            w = conjugate_weights(h)
+        except NoVisibleElements:
+            skipped.append(index)
+            continue
+        weighted |= w.weights != 0.0
+        beams.append((index, h, w, beam_response(w, h)))
+    return beams, skipped, weighted
+
+
+def _only_beam(beams):
+    """The one beam of a single focal point; ``NoVisibleElements`` when it has none."""
+    if not beams:
+        raise NoVisibleElements("no element has line of sight to the target")
+    return beams[0]
+
+
+def _angular_beams(geometry, wavelength, focals, spec, normalization, threads):
+    """The normalized grids of the focal points' ``matched_beams`` from one
+    kernel pass, and the skipped indices; the normalization name and the
+    probe range are checked before any gain is computed."""
     focal_norm = require_choice(normalization, _NORMALIZATIONS, "normalization") == "focal"
     spec = spec if spec is not None else AngularSweepSpec()
     require_clearance(spec.eval_range_m, geometry.radius_m, "eval_range_m")
-    matched = []
-    for focal in focals:
-        h = los_channel(geometry, focal, wavelength)
-        try:
-            matched.append((h, conjugate_weights(h)))
-        except NoVisibleElements:
-            if skipped is None:
-                raise
-            skipped.append(focal)
+    matched, skipped, weighted = matched_beams(geometry, wavelength, focals)
     if not matched:
-        return []
+        return [], skipped
     theta_axis = np.linspace(spec.theta_range[0], spec.theta_range[1], spec.theta_samples)
     phi_axis = np.linspace(spec.phi_range[0], spec.phi_range[1], spec.phi_samples)
     shape = (spec.theta_samples, spec.phi_samples)
@@ -270,13 +288,11 @@ def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, s
         rows, cols = np.divmod(np.arange(i0, i1), spec.phi_samples)
         return sph_to_cart(spec.eval_range_m, theta_axis[rows], phi_axis[cols])
 
-    weights = [w.weights for _, w in matched]
-    weighted = np.any(np.not_equal(weights, 0.0), axis=0)
+    weights = [w.weights for _, _, w, _ in matched]
     powers, _ = _sweep_kernel(geometry, wavelength, math.prod(shape), probes, weights, threads, kept=weighted)
     beams = []
-    for (h_focal, w), raw in zip(matched, powers):
+    for (_, h_focal, _, reference), raw in zip(matched, powers):
         raw = raw.reshape(shape)
-        reference = beam_response(w, h_focal)
         # a beam that lights no cell keeps its zeros, a degenerate pattern
         power = normalize_pattern(raw, reference if focal_norm else None) if raw.any() else raw
         beams.append(AngularPatternGrid(
@@ -284,7 +300,7 @@ def _angular_beams(geometry, wavelength, focals, spec, normalization, threads, s
             eval_range_m=spec.eval_range_m, normalization=normalization,
             peak_capture=float(np.max(raw)) / reference,
         ))
-    return beams
+    return beams, skipped
 
 
 def angular_sweep(
@@ -297,7 +313,7 @@ def angular_sweep(
     threads: int | None = None,
 ) -> AngularPatternGrid:
     """Evaluate one beam over the angular grid at the spec's probe range."""
-    return _angular_beams(geometry, wavelength, [focal], spec, normalization, threads)[0]
+    return _only_beam(_angular_beams(geometry, wavelength, [focal], spec, normalization, threads)[0])
 
 
 def multi_focal_overlay(
@@ -318,16 +334,14 @@ def multi_focal_overlay(
     focals = list(focals)
     if not focals:
         raise ValidationError("focal list is empty", "focals")
-    skipped: list[SphericalPoint] = []
-    beams = _angular_beams(geometry, wavelength, focals, spec, normalization, threads, skipped)
+    beams, skipped = _angular_beams(geometry, wavelength, focals, spec, normalization, threads)
     if not beams:
         raise AllBeamsInfeasible(f"all {len(focals)} focal points were skipped")
     power = beams[0].power.copy()
     for beam in beams[1:]:
         np.maximum(power, beam.power, out=power)
-    return replace(
-        beams[0], power=power, focal=None, beams=tuple(beams), skipped=tuple(skipped), peak_capture=None
-    )
+    skipped = tuple(focals[i] for i in skipped)
+    return replace(beams[0], power=power, focal=None, beams=tuple(beams), skipped=skipped, peak_capture=None)
 
 
 def distance_sweep(
@@ -350,8 +364,7 @@ def distance_sweep(
     samples = require_count(samples, "samples")
     r_min, r_max = require_window(r_min, r_max, focal.r)
     require_clearance(r_min, geometry.radius_m, "r_min")
-    h_focal = los_channel(geometry, focal, wavelength)
-    w = conjugate_weights(h_focal)
+    _, _, w, _ = _only_beam(matched_beams(geometry, wavelength, [focal])[0])
 
     r_axis = np.linspace(r_min, r_max, samples)
     ray = sph_to_cart(r_axis, focal.theta, focal.phi)
@@ -362,10 +375,6 @@ def distance_sweep(
 
     fraction = np.zeros(samples)
     np.divide(raw, energy, out=fraction, where=energy > 0.0)
-    power = normalize_pattern(fraction)
     return DistancePattern(
-        r_axis=r_axis,
-        power=power,
-        direction=(focal.theta, focal.phi),
-        focal_range_m=focal.r,
+        r_axis=r_axis, power=normalize_pattern(fraction), direction=(focal.theta, focal.phi), focal_range_m=focal.r
     )

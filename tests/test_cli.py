@@ -231,8 +231,20 @@ class TestPatternCommands:
                 "--wavelength", "1e300", "--focal", "10, pi/4, pi/4",
                 "--r-min", "2", "--r-max", "40", "--r-samples", "50",
             ),
+            # the focal channel energy is finite, but the powers at probes
+            # nearer the array overflow
+            (*ANGLE_ARGS, "--wavelength", "1e155", "--eval-range", "0.5"),
+            (
+                "pattern", "distance",
+                "--kind", "spiral_saa", "--n", "16", "--radius", "0.3",
+                "--wavelength", "1e155", "--focal", "10, pi/4, pi/4",
+                "--r-min", "0.5", "--r-max", "40", "--r-samples", "50",
+            ),
         ],
-        ids=["angle", "distance", "angle_energy_overflow", "distance_energy_overflow"],
+        ids=[
+            "angle", "distance", "angle_energy_overflow", "distance_energy_overflow",
+            "angle_probe_overflow", "distance_probe_overflow",
+        ],
     )
     def test_failed_sweep_leaves_no_output_directory(self, tmp_path, capsys, argv):
         out = tmp_path / "nested" / "failed"

@@ -32,6 +32,12 @@ def test_every_sweep_kind_has_a_pattern_run():
     assert set(SWEEPS) <= kinds
 
 
+def test_every_sweep_kind_has_a_probe_overflow_run():
+    runs = dict(_tool().RUNS)
+    for kind in SWEEPS:
+        assert runs[f"{kind}_probe_overflow"][:2] == ("pattern", kind), kind
+
+
 def test_every_array_kind_has_a_geometry_run():
     runs = dict(_tool().RUNS)
     for kind in ArrayKind:

@@ -23,6 +23,7 @@ from spherebeam import (
     preset_names,
     run_scenario,
 )
+from spherebeam import sweep
 from spherebeam.cli import _add_beam_flags, _add_geometry_flags, _build_parser
 from spherebeam.fileio import read_angular_csv, read_meta
 from spherebeam.geometry import ArrayKind, kind_table
@@ -549,6 +550,49 @@ class TestRunScenario:
             "focus_02.one_sided = 1\n"
             "skipped = 1\n"
         )
+
+    @pytest.mark.parametrize(
+        "sweep_lines, stem, counted, skipped_text",
+        [
+            (
+                "sweep = angle\ntheta_samples = 19\nphi_samples = 19\neval_range = 10\n",
+                "beam", "beams", "#1 (theta 135.0 deg); #3 (theta 135.0 deg)",
+            ),
+            ("sweep = distance\nr_min = 5\nr_max = 40\nr_samples = 50\n", "focus", "patterns", "#1, #3"),
+        ],
+        ids=["angle", "distance"],
+    )
+    def test_repeated_focal_points_are_matched_once_each_and_reported_by_index(
+        self, tmp_path, monkeypatch, sweep_lines, stem, counted, skipped_text
+    ):
+        matched = []
+        real = sweep.los_channel
+
+        def counting(geometry, target, wavelength):
+            matched.append(target)
+            return real(geometry, target, wavelength)
+
+        monkeypatch.setattr(sweep, "los_channel", counting)
+        front, rear = "focal = 10, pi/4, pi/4\n", "focal = 10, 3pi/4, pi/4\n"
+        s = parse_scenario("kind = upa\nn = 16\nspacing = 0.025\nwavelength = 0.05\n" + 2 * (front + rear) + sweep_lines)
+        out = tmp_path / "run"
+        assert run_scenario(s, out) == 2
+        assert len(matched) == 4
+        assert all(target is focal for target, focal in zip(matched, s.focals))
+        assert sorted(p.name for p in out.glob(f"{stem}_[0-9]*")) == [
+            f"{stem}_00.csv", f"{stem}_00.meta", f"{stem}_02.csv", f"{stem}_02.meta",
+        ]
+        # the two front copies are one beam, written under their own indices
+        assert (out / f"{stem}_00.csv").read_bytes() == (out / f"{stem}_02.csv").read_bytes()
+        report = read_meta(out / "metrics.txt")
+        assert report["skipped"] == "1,3"
+        assert {key.split(".")[0] for key in report} - {"isotropy", "skipped"} == {f"{stem}_00", f"{stem}_02"}
+        summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert f"{counted}: 4 requested, 2 evaluated, 2 skipped" in summary
+        assert [line[: len(stem) + 3] for line in summary if line.startswith(f"{stem} ")] == [
+            f"{stem} 00", f"{stem} 02",
+        ]
+        assert summary[-1] == f"skipped focals: {skipped_text}"
 
     def test_degenerate_beams_give_nan_rows_and_no_isotropy(self, tmp_path):
         # a 2 x 2 grid samples only the poles, which the one element, on

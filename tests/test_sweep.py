@@ -521,6 +521,23 @@ class TestWeightedElements:
         assert requested == []
 
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["angle", "distance"])
+    def test_overflowing_probe_powers_raise_on_the_wavelength(self, kind, threads):
+        # the focal channel energy is finite at this wavelength, but the
+        # squares of the larger gains at probes 0.5 m out overflow; any
+        # RuntimeWarning that escaped a block would fail the test
+        g = golden_spiral_saa(16, 0.3)
+        focal = SphericalPoint(10.0, math.pi / 4, math.pi / 4)
+        assert math.isfinite(channel_energy(los_channel(g, focal, 1e155)))
+        with pytest.raises(ValidationError, match="overflow") as info:
+            if kind == "angle":
+                angular_sweep(g, 1e155, focal, AngularSweepSpec(19, 19, eval_range_m=0.5), threads=threads)
+            else:
+                distance_sweep(g, 1e155, focal, 0.5, 40.0, 50, threads=threads)
+        assert info.value.field == "wavelength"
+
+
 class TestRaySupport:
     # a range sweep evaluates only the elements that can face some probe of
     # its ray, chosen once per sweep from the two ends of its window
@@ -603,6 +620,42 @@ class TestRaySupport:
             distance_sweep(g, 0.01, FOCAL, 5.0, 1e300, threads=threads)
         assert info.value.field == "target"
         assert requested == []
+
+
+class TestMatchedBeams:
+    # every sweep takes its beams, skipped indices and weighted elements
+    # from one stage, which matches each focal point once
+    FOCALS = [FOCAL, SphericalPoint(30.0, 3 * math.pi / 4, 4.0), SphericalPoint(30.0, 1.0, 1.5)]
+
+    @pytest.mark.parametrize("kind", list(ArrayKind), ids=lambda kind: kind.value)
+    def test_each_beam_carries_its_channel_weights_and_focal_response(self, kind):
+        g = TestRaySupport.KINDS[kind.value]
+        beams, skipped, weighted = sweep.matched_beams(g, 0.01, self.FOCALS)
+        # the planar array faces +z, so the rear focal point is skipped by its index
+        assert skipped == ([1] if kind is ArrayKind.UPA else [])
+        assert [index for index, _, _, _ in beams] == [i for i in range(len(self.FOCALS)) if i not in skipped]
+        for index, h, w, reference in beams:
+            expected = los_channel(g, self.FOCALS[index], 0.01)
+            assert h.target is self.FOCALS[index]
+            assert_array_equal(h.gains.view(np.uint64), expected.gains.view(np.uint64))
+            assert_array_equal(w.weights.view(np.uint64), conjugate_weights(expected).weights.view(np.uint64))
+            assert np.float64(reference).view(np.uint64) == np.float64(beam_response(w, h)).view(np.uint64)
+        assert_array_equal(weighted, np.any([w.weights != 0 for _, _, w, _ in beams], axis=0))
+        assert weighted.shape == (g.n,)
+
+    def test_repeated_rear_focal_points_are_skipped_by_index(self):
+        g = upa(16, 0.025)
+        front, rear = SphericalPoint(10.0, math.pi / 4, 0.5), SphericalPoint(10.0, 3 * math.pi / 4, 0.5)
+        beams, skipped, weighted = sweep.matched_beams(g, 0.05, [rear, front, rear, front])
+        assert skipped == [0, 2]
+        assert [index for index, _, _, _ in beams] == [1, 3]
+        assert weighted.all()
+
+    def test_no_beam_leaves_no_weighted_element(self):
+        g = upa(16, 0.025)
+        beams, skipped, weighted = sweep.matched_beams(g, 0.05, [SphericalPoint(10.0, 3 * math.pi / 4, 0.5)])
+        assert (beams, skipped) == ([], [0])
+        assert_array_equal(weighted, np.zeros(g.n, bool))
 
 
 class TestDistanceSweep:

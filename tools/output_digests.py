@@ -13,24 +13,27 @@ message and exit code agrees byte for byte:
     diff parent.txt change.txt
 
 The runs: every preset at 1 and 2 threads, a ``geometry`` run of every
-array kind, edge runs (a planar array with a front and a rear focal point
-and with a rear one alone, whose angular sweep skips it and fails, fixed
-rings with focal normalization, one element in an angular and in a
-distance sweep, a distance sweep with and without a visible focal point, a
-two-ring-element run at ``grid_max`` whose second beam lights no grid
-cell, two beams of a 64-element spiral at 2 threads whose focal points lie
-in one hemisphere, so together they weight 36 of the 64 elements, a
-one-beam 3 x 569 grid of that spiral whose beam weights 30 elements, so
-its 1707 cells make blocks of 853, 853 and one probe, and the last block
-takes the one-target sum, a 3 x 4500 grid whose phi rows are longer than
-one write block of ``fileio.WRITE_BLOCK_CELLS`` values, a distance sweep
-of a 162-element polyhedral array at 2 threads whose ray only 80 of the
-elements can face, a distance window narrower than the spacing of doubles
-near its range, so its CSV repeats ``r`` values), ``metrics`` on emitted
-CSVs (the unlit beam's and the narrow window's among them) and on two CSVs
-whose ``r`` or ``phi`` axis runs backwards, ``--help`` of ``geometry``,
-``pattern angle`` and ``pattern distance`` at 80 columns, and runs that
-fail on an unknown kind, on a bad value or on a rule across keys. The
+array kind, edge runs (a planar array with a front and a rear focal point,
+with both twice, in an angular and in a distance sweep, so each copy is
+written or skipped under its own index, and with a rear one alone, whose
+angular sweep skips it and fails, fixed rings with focal normalization,
+one element in an angular and in a distance sweep, a distance sweep with
+and without a visible focal point, a two-ring-element run at ``grid_max``
+whose second beam lights no grid cell, two beams of a 64-element spiral at
+2 threads whose focal points lie in one hemisphere, so together they
+weight 36 of the 64 elements, a one-beam 3 x 569 grid of that spiral whose
+beam weights 30 elements, so its 1707 cells make blocks of 853, 853 and
+one probe, and the last block takes the one-target sum, a 3 x 4500 grid
+whose phi rows are longer than one write block of
+``fileio.WRITE_BLOCK_CELLS`` values, a distance sweep of a 162-element
+polyhedral array at 2 threads whose ray only 80 of the elements can face,
+a distance window narrower than the spacing of doubles near its range, so
+its CSV repeats ``r`` values), ``metrics`` on emitted CSVs (the unlit
+beam's and the narrow window's among them) and on two CSVs whose ``r`` or
+``phi`` axis runs backwards, ``--help`` of ``geometry``, ``pattern angle``
+and ``pattern distance`` at 80 columns, and runs that fail on an unknown
+kind, on a bad value, on a rule across keys or, in either sweep kind, on
+probe powers that overflow although the focal channel energy does not. The
 input files that runs read are written into the working directory first.
 """
 
@@ -50,6 +53,12 @@ UPA = ("--kind", "upa", "--n", "16", "--spacing", "0.025", "--wavelength", "0.05
 SMALL_GRID = ("--theta-samples", "19", "--phi-samples", "19", "--eval-range", "10")
 WINDOW = ("--r-min", "5", "--r-max", "20")
 FRONT, REAR = "10, pi/4, 0.5", "10, 3pi/4, 0.5"
+REPEATED = ("--focal", FRONT, "--focal", REAR) * 2
+# the focal channel energy of this array is finite at this wavelength, the
+# powers at probes 0.5 m out are not
+PROBE_OVERFLOW = (
+    "--kind", "spiral_saa", "--n", "16", "--radius", "0.3", "--wavelength", "1e155", "--focal", "10, pi/4, pi/4",
+)
 
 # file name -> text, written into the working directory before the runs
 INPUTS = {
@@ -127,6 +136,8 @@ RUNS = [
         ),
     ),
     ("upa_angle_rear", ("pattern", "angle", *UPA, "--focal", REAR, *SMALL_GRID)),
+    ("upa_angle_repeated", ("pattern", "angle", *UPA, *REPEATED, *SMALL_GRID)),
+    ("upa_distance_repeated", ("pattern", "distance", *UPA, *REPEATED, *WINDOW, "--r-samples", "16")),
     ("upa_distance", ("pattern", "distance", *UPA, "--focal", FRONT, *WINDOW, "--r-samples", "64")),
     ("upa_distance_rear", ("pattern", "distance", *UPA, "--focal", REAR, *WINDOW, "--r-samples", "16")),
     (
@@ -178,6 +189,11 @@ RUNS = [
         ),
     ),
     ("error_window_misses_focal", ("pattern", "distance", *UPA, "--focal", FRONT, "--r-min", "12", "--r-max", "20")),
+    ("angle_probe_overflow", ("pattern", "angle", *PROBE_OVERFLOW, *SMALL_GRID[:4], "--eval-range", "0.5")),
+    (
+        "distance_probe_overflow",
+        ("pattern", "distance", *PROBE_OVERFLOW, "--r-min", "0.5", "--r-max", "40", "--r-samples", "50"),
+    ),
 ]
 
 
