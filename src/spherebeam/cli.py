@@ -20,7 +20,7 @@ import warnings
 from pathlib import Path
 
 from . import fileio
-from .errors import MainLobeMissed, ParseError, SpherebeamError, ValidationError, require_single_line
+from .errors import MainLobeMissed, ParseError, SpherebeamError, ValidationError, require_output_dir, require_single_line
 from .metrics import measure
 from .scenario import (
     GEOMETRY_KEYS,
@@ -127,8 +127,7 @@ def _threads(args) -> int | None:
 
 
 def _cmd_geometry(args) -> int:
-    if not args.out:
-        raise ValidationError("an output directory is required", field="out")
+    require_output_dir(args.out)
     pairs = _flag_pairs(args, ("kind", *GEOMETRY_KEYS))
     geometry = geometry_from_fields(**{key: parse_field(key, value) for _, key, value in pairs})
     out = Path(args.out)

@@ -121,6 +121,13 @@ def require_single_line(value: str, field: str) -> str:
     return value
 
 
+def require_output_dir(value):
+    """``value`` when it names an output directory: not empty and not None."""
+    if not value:
+        raise ValidationError("an output directory is required", "out")
+    return value
+
+
 def require_count(value, field: str) -> int:
     """``value`` as an int of at least the field's minimum; fractions are rejected."""
     minimum = _COUNT_MINIMA.get(field, 1)

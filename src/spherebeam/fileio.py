@@ -5,19 +5,19 @@ decimals, enough to reconstruct every double exactly. Pattern CSVs carry
 power in dB with exact zeros pinned at the floor value; readers map
 anything at or below the floor back to linear 0.
 
-Sidecars and tables format plain Python floats with ``fmt``. The pattern
-writers format their values in numpy instead, a block of at most
-``WRITE_BLOCK_CELLS`` values at a time, through ``_number_words``, which
+Sidecars, summaries and axis texts format single Python floats with
+``fmt``. The CSV writers format their values in numpy instead, at most
+``WRITE_BLOCK_CELLS`` values per call, through ``_number_words``, which
 gives the bytes of ``"%.17g" % v`` for every double; each block of lines
 is written as one ``bytes`` object, so no more than a block of text is
-held at a time. A block of a pattern CSV is a run of whole theta rows, or
-a segment of one row longer than a block, laid out in one line buffer per
-file that holds the phi texts of every row. The pattern readers parse the
-body in chunks of about ``READ_CHUNK_BYTES`` of whole lines through one
-``numpy`` conversion per chunk, which calls the same parser as ``float``;
-each distinct axis text of a chunk is converted once. A chunk that does
-not convert is parsed again line by line, so a ``ParseError`` names the
-first bad line exactly.
+held at a time. The geometry, range pattern and metrics table CSVs share
+one loop over blocks of whole rows, ``_write_rows``; the angular pattern
+CSV lays its blocks out in a line buffer of its own. The pattern readers
+parse the body in chunks of about ``READ_CHUNK_BYTES`` of whole lines
+through one ``numpy`` conversion per chunk, which calls the same parser
+as ``float``; each distinct axis text of a chunk is converted once. A
+chunk that does not convert is parsed again line by line, so a
+``ParseError`` names the first bad line exactly.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ READ_CHUNK_BYTES = 1 << 16
 
 
 WRITE_BLOCK_CELLS = 4096
-"""Values the pattern writers format at once. Each ``_number_words`` call
+"""Values the CSV writers format at once. Each ``_number_words`` call
 makes about 70 numpy calls, so larger blocks spread that cost over more
 values. A pattern CSV's line buffer holds one block of 88-byte lines, about
 360 KB, and the formatter's temporaries reach 160 KB each, above the
@@ -213,26 +213,30 @@ def open_text(path):
 def write_lines(path, lines) -> None:
     """Text file of ``lines``, each ended by LF."""
     with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _write_rows(path, header: str, columns, db: bool = False) -> None:
+    """CSV of ``header`` and a line per row of the table whose columns are
+    ``columns``, every value with the bytes of ``fmt``; with ``db`` the last
+    column, linear power, is written in dB. A block of ``WRITE_BLOCK_CELLS
+    // (columns - 1)`` rows, at least one, takes one ``_number_words`` call
+    for its leading columns and one for its last. An index column is exact,
+    as ``"%.17g" % k`` is ``str(k)`` for every ``k`` below ``10**16``."""
+    table = np.reshape(np.asarray(columns, dtype=np.float64), (header.count(",") + 1, -1))
+    rows = max(1, WRITE_BLOCK_CELLS // (len(table) - 1))
+    with open(Path(path), "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        for start in range(0, table.shape[1], rows):
+            block = table[:, start : start + rows]
+            last = to_db(block[-1]) if db else block[-1]
+            words = _number_words(block[:-1].T.ravel(), b",").reshape(block.shape[1], -1)
+            fh.write(_pack(np.concatenate([words, _number_words(last, b"\n")], axis=1)))
 
 
 def write_geometry_csv(path, geometry: ArrayGeometry) -> None:
-    """One row per element: index, position, outward normal.
-
-    Each block of elements is formatted in numpy, one column of words per
-    coordinate, with the bytes ``fmt`` gives every value.
-    """
-    columns = np.concatenate([geometry.positions, geometry.normals], axis=1)
-    seps = [b","] * 5 + [b"\n"]
-    with open(Path(path), "wb") as fh:
-        fh.write(f"{GEOMETRY_HEADER}\n".encode())
-        for start in range(0, geometry.n, WRITE_BLOCK_CELLS):
-            block = columns[start : start + WRITE_BLOCK_CELLS]
-            index = _text_words([f"{k}," for k in range(start, start + len(block))])
-            words = [_number_words(block[:, c], sep) for c, sep in enumerate(seps)]
-            fh.write(_pack(np.concatenate([index, *words], axis=1)))
+    """One row per element: index, position, outward normal."""
+    _write_rows(path, GEOMETRY_HEADER, [np.arange(geometry.n), *geometry.positions.T, *geometry.normals.T])
 
 
 def write_angular_csv(path, grid: AngularPatternGrid) -> None:
@@ -269,13 +273,7 @@ def write_angular_csv(path, grid: AngularPatternGrid) -> None:
 
 def write_distance_csv(path, pattern: DistancePattern) -> None:
     """One row per range sample: range, power in dB."""
-    samples = pattern.r_axis.size
-    with open(Path(path), "wb") as fh:
-        fh.write(f"{DISTANCE_HEADER}\n".encode())
-        for start in range(0, samples, WRITE_BLOCK_CELLS):
-            r = pattern.r_axis[start : start + WRITE_BLOCK_CELLS]
-            db = to_db(pattern.power[start : start + WRITE_BLOCK_CELLS])
-            fh.write(_pack(np.concatenate([_number_words(r, b","), _number_words(db, b"\n")], axis=1)))
+    _write_rows(path, DISTANCE_HEADER, [pattern.r_axis, pattern.power], db=True)
 
 
 def write_meta(path, entries: dict) -> None:
@@ -319,18 +317,14 @@ def read_meta(path) -> dict:
         return {key: value for _, key, value in key_values(fh)}
 
 
-def _write_table(path, header: str, rows) -> None:
-    write_lines(path, itertools.chain([header], (",".join(map(fmt, row)) for row in rows)))
-
-
 def write_metrics_csv(path, rows) -> None:
     """Angular metrics table, one row of ``METRICS_HEADER`` values per focal point."""
-    _write_table(path, METRICS_HEADER, rows)
+    _write_rows(path, METRICS_HEADER, np.transpose(rows))
 
 
 def write_focus_csv(path, rows) -> None:
     """Range metrics table; the last column is the one-sided flag (0/1)."""
-    _write_table(path, FOCUS_HEADER, rows)
+    _write_rows(path, FOCUS_HEADER, np.transpose(rows))
 
 
 def _split_csv_line(line: str, expected: int, lineno: int):

@@ -27,6 +27,7 @@ from .errors import (
     require_choice,
     require_clearance,
     require_count,
+    require_output_dir,
     require_positive,
     require_single_line,
     require_square,
@@ -461,9 +462,7 @@ def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None
     skipped for lacking visible elements. Hard failures raise; a failure in
     the sweep leaves no output directory behind.
     """
-    target = out_dir if out_dir is not None else scenario.out
-    if not target:
-        raise ValidationError("an output directory is required", field="out")
+    target = require_output_dir(out_dir if out_dir is not None else scenario.out)
     require_single_line(str(target), "out")
     if threads is not None:
         require_count(threads, "threads")

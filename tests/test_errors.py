@@ -37,7 +37,8 @@ from spherebeam import (
     polyhedral_saa,
     upa,
 )
-from spherebeam.scenario import scenario_from_pairs
+from spherebeam.errors import require_output_dir
+from spherebeam.scenario import run_scenario, scenario_from_pairs
 
 FOCAL = SphericalPoint(10.0, math.pi / 4, math.pi / 4)
 SPIRAL = {"kind": "spiral_saa", "n": "16", "radius": "0.3"}
@@ -190,3 +191,21 @@ def test_pattern_axes_must_not_be_empty(case):
     with pytest.raises(DimensionMismatch, match="no samples") as err:
         EMPTY_PATTERNS[case]()
     assert isinstance(err.value, SpherebeamError)
+
+
+def test_one_output_directory_rule_on_every_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = "".join(f"{k} = {v}\n" for k, v in _fields().items())
+    raised = []
+    for attempt in (
+        lambda: require_output_dir(""),
+        lambda: require_output_dir(None),
+        lambda: run_scenario(parse_scenario(text)),
+        lambda: run_scenario(parse_scenario(text + "out = \n")),
+        lambda: run_scenario(parse_scenario(text), out_dir=""),
+    ):
+        with pytest.raises(ValidationError) as err:
+            attempt()
+        raised.append((type(err.value), str(err.value), err.value.field))
+    assert raised == [(ValidationError, "an output directory is required", "out")] * 5
+    assert list(tmp_path.iterdir()) == []

@@ -80,6 +80,18 @@ def per_value_text(header, rows) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def recorded_sizes(monkeypatch) -> list[int]:
+    """The value count of every ``_number_words`` call the writers make from now on."""
+    sizes = []
+
+    def recording(x, sep):
+        sizes.append(np.size(x))
+        return _number_words(x, sep)
+
+    monkeypatch.setattr(fileio, "_number_words", recording)
+    return sizes
+
+
 def random_grid(rng, theta_samples, phi_samples) -> AngularPatternGrid:
     """Grid with exact zeros (the dB floor), subnormal and tiny cells, and 1."""
     power = rng.random((theta_samples, phi_samples)) ** 8
@@ -274,6 +286,21 @@ class TestGeometryCsv:
         rows = ([str(k), *g.positions[k], *g.normals[k]] for k in range(g.n))
         assert path.read_bytes() == per_value_text(GEOMETRY_HEADER, rows).encode("utf-8")
 
+    # a block is the rows whose six leading values fit WRITE_BLOCK_CELLS:
+    # one row per block, two, three, all 17 but one, all 17 in one block
+    # exactly, and the shipped size
+    @pytest.mark.parametrize("block", [6, 12, 18, 96, 102, WRITE_BLOCK_CELLS])
+    def test_bytes_at_the_block_boundaries(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(fileio, "WRITE_BLOCK_CELLS", block)
+        sizes = recorded_sizes(monkeypatch)
+        g = rotate(golden_spiral_saa(17, 0.5), random_rotation(np.random.default_rng(block)))
+        path = tmp_path / "geometry.csv"
+        write_geometry_csv(path, g)
+        rows = ([str(k), *g.positions[k], *g.normals[k]] for k in range(g.n))
+        assert path.read_bytes() == per_value_text(GEOMETRY_HEADER, rows).encode("utf-8")
+        assert sum(sizes) == 7 * g.n
+        assert max(sizes) <= block
+
 
 class TestAngularCsv:
     def test_round_trip_preserves_zeros_and_values(self, tmp_path):
@@ -399,13 +426,7 @@ class TestAngularCsvBulk:
     def test_writer_formats_at_most_one_block_of_values_at_once(self, tmp_path, monkeypatch, block, shape):
         if block is not None:
             monkeypatch.setattr(fileio, "WRITE_BLOCK_CELLS", block)
-        sizes = []
-
-        def recording(x, sep):
-            sizes.append(np.size(x))
-            return _number_words(x, sep)
-
-        monkeypatch.setattr(fileio, "_number_words", recording)
+        sizes = recorded_sizes(monkeypatch)
         write_angular_csv(tmp_path / "beam.csv", random_grid(np.random.default_rng(5), *shape))
         assert sum(sizes) == shape[0] * shape[1]
         assert max(sizes) <= fileio.WRITE_BLOCK_CELLS
@@ -575,6 +596,24 @@ class TestDistanceCsv:
         assert b",-300\n" in path.read_bytes()
 
 
+    # a block is WRITE_BLOCK_CELLS samples: one per block, two, all 23 but
+    # one, all 23 in one block exactly, and the shipped size
+    @pytest.mark.parametrize("block", [1, 2, 22, 23, WRITE_BLOCK_CELLS])
+    def test_writer_bytes_at_the_block_boundaries(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(fileio, "WRITE_BLOCK_CELLS", block)
+        sizes = recorded_sizes(monkeypatch)
+        power = np.random.default_rng(block).random(23) ** 8
+        power[::5] = 0.0
+        pattern = DistancePattern(
+            r_axis=np.linspace(5.0, 100.0, 23), power=power, direction=(1.0, 1.0), focal_range_m=30.0
+        )
+        path = tmp_path / "focus.csv"
+        write_distance_csv(path, pattern)
+        rows = zip(pattern.r_axis, to_db(pattern.power))
+        assert path.read_bytes() == per_value_text(DISTANCE_HEADER, rows).encode("utf-8")
+        assert sum(sizes) == 2 * 23
+        assert max(sizes) <= block
+
     def test_multi_chunk_reader_matches_the_line_by_line_parse(self, tmp_path):
         power = np.random.default_rng(9).random(6000) ** 8
         power[::13] = 0.0
@@ -679,23 +718,57 @@ class TestKeyValueLines:
         assert err.value.line == 4
 
 
+def fmt_lines_text(header, rows) -> bytes:
+    """Reference table writer: each row's values through ``fmt``, joined by commas."""
+    return "".join(line + "\n" for line in [header, *(",".join(map(fmt, row)) for row in rows)]).encode()
+
+
+NAN, INF = math.nan, math.inf
+# rows of METRICS_HEADER: a measured beam, a degenerate (NaN) beam, signed
+# zeros, infinities, values at the ends of the exponent range, no rows, and
+# more rows than one block
+METRICS_ROWS = {
+    "measured": [(0.5, 0.5, 0.5, 0.5, 0.0, 0.1, 0.2, -12.5)],
+    "degenerate": [(0.5, 0.5, NAN, NAN, NAN, NAN, NAN, NAN), (0.7, 0.1, 0.7, 0.1, 0.0, 0.02, 0.03, -8.0)],
+    "signed_zeros": [(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0)],
+    "infinite": [(INF, -INF, 1.0, -1.0, INF, -INF, 0.0, -INF)],
+    "extreme": [(1e-300, 1e300, -1e-300, -1e300, 5e-324, 1.7976931348623157e308, 1e-5, 1e16)],
+    "empty": [],
+    "past_one_block": [tuple(row) for row in np.random.default_rng(6).normal(0.0, 10.0, (700, 8))],
+}
+# rows of FOCUS_HEADER, whose last column is the one-sided flag
+FOCUS_ROWS = {
+    "measured": [(0.5, 0.5, 30.0, 4.0, 0.01, True), (0.7, 0.1, 29.0, 3.0, 0.02, False)],
+    "degenerate": [(0.5, 0.5, NAN, NAN, NAN, False), (0.7, 0.1, 29.0, 3.0, -0.0, True)],
+    "signed_zeros": [(-0.0, 0.0, 30.0, -0.0, 0.0, False)],
+    "infinite": [(0.5, 0.5, INF, -INF, INF, True)],
+    "extreme": [(1e-300, 1e300, 5e-324, 1e-4, 9.999999999999999e15, False)],
+    "empty": [],
+}
+
+
 class TestRowTables:
-    def test_metrics_table_shape(self, tmp_path):
+    @pytest.mark.parametrize("case", list(METRICS_ROWS))
+    def test_metrics_table_shape(self, tmp_path, case):
+        rows = METRICS_ROWS[case]
         path = tmp_path / "metrics.csv"
-        rows = [(0.5, 0.5, 0.5, 0.5, 0.0, 0.1, 0.2, -12.5)]
         write_metrics_csv(path, rows)
+        assert path.read_bytes() == fmt_lines_text(METRICS_HEADER, rows)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == METRICS_HEADER
-        assert len(lines) == 2
-        assert [float(v) for v in lines[1].split(",")] == list(rows[0])
+        assert len(lines) == len(rows) + 1
+        values = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert_array_equal(np.reshape(values, (-1, 8)), np.reshape(rows, (-1, 8)))
 
-    def test_focus_table_flag_column(self, tmp_path):
+    @pytest.mark.parametrize("case", list(FOCUS_ROWS))
+    def test_focus_table_flag_column(self, tmp_path, case):
+        rows = FOCUS_ROWS[case]
         path = tmp_path / "focus.csv"
-        write_focus_csv(path, [(0.5, 0.5, 30.0, 4.0, 0.01, True), (0.7, 0.1, 29.0, 3.0, 0.02, False)])
+        write_focus_csv(path, rows)
+        assert path.read_bytes() == fmt_lines_text(FOCUS_HEADER, rows)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == FOCUS_HEADER
-        assert lines[1].endswith(",1")
-        assert lines[2].endswith(",0")
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["1" if row[-1] else "0" for row in rows]
 
 
 def _keys(record):

@@ -7,7 +7,16 @@ from pathlib import Path
 
 import numpy as np
 
-from spherebeam import ArrayKind, conjugate_weights, golden_spiral_saa, los_channel, preset_names, sweep
+from spherebeam import (
+    ArrayKind,
+    conjugate_weights,
+    golden_spiral_saa,
+    los_channel,
+    polyhedral_saa,
+    preset_names,
+    sweep,
+)
+from spherebeam.fileio import DISTANCE_HEADER, GEOMETRY_HEADER, WRITE_BLOCK_CELLS
 from spherebeam.scenario import SWEEPS, parse_focal_text
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
@@ -55,3 +64,18 @@ def test_one_run_ends_its_sweep_on_a_one_probe_block():
     assert flags["--threads"] == "1"
     assert cells > sweep.BLOCK_ENTRIES // k
     assert cells % (sweep.BLOCK_ENTRIES // k) == 1
+
+
+def test_one_geometry_and_one_range_run_write_more_rows_than_one_block():
+    # a table block is the rows whose leading columns make at most
+    # WRITE_BLOCK_CELLS values; each run passes a whole block of values,
+    # whatever the column count, and ends on a partial block
+    runs = dict(_tool().RUNS)
+    args = runs["geometry_past_one_block"]
+    flags = dict(zip(args[1::2], args[2::2]))
+    elements = polyhedral_saa(int(flags["--subdivision"]), float(flags["--radius"])).n
+    args = runs["distance_past_one_block"]
+    samples = int(dict(zip(args[2::2], args[3::2]))["--r-samples"])
+    for rows, header in ((elements, GEOMETRY_HEADER), (samples, DISTANCE_HEADER)):
+        assert rows > WRITE_BLOCK_CELLS
+        assert rows % (WRITE_BLOCK_CELLS // header.count(",")) != 0

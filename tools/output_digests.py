@@ -13,28 +13,31 @@ message and exit code agrees byte for byte:
     diff parent.txt change.txt
 
 The runs: every preset at 1 and 2 threads, a ``geometry`` run of every
-array kind, edge runs (a planar array with a front and a rear focal point,
-with both twice, in an angular and in a distance sweep, so each copy is
-written or skipped under its own index, and with a rear one alone, whose
-angular sweep skips it and fails, fixed rings with focal normalization,
-one element in an angular and in a distance sweep, a distance sweep with
-and without a visible focal point, a two-ring-element run at ``grid_max``
-whose second beam lights no grid cell, two beams of a 64-element spiral at
-2 threads whose focal points lie in one hemisphere, so together they
-weight 36 of the 64 elements, a one-beam 3 x 569 grid of that spiral whose
-beam weights 30 elements, so its 1707 cells make blocks of 853, 853 and
-one probe, and the last block takes the one-target sum, a 3 x 4500 grid
-whose phi rows are longer than one write block of
-``fileio.WRITE_BLOCK_CELLS`` values, a distance sweep of a 162-element
-polyhedral array at 2 threads whose ray only 80 of the elements can face,
-a distance window narrower than the spacing of doubles near its range, so
-its CSV repeats ``r`` values), ``metrics`` on emitted CSVs (the unlit
-beam's and the narrow window's among them) and on two CSVs whose ``r`` or
-``phi`` axis runs backwards, ``--help`` of ``geometry``, ``pattern angle``
-and ``pattern distance`` at 80 columns, and runs that fail on an unknown
-kind, on a bad value, on a rule across keys or, in either sweep kind, on
-probe powers that overflow although the focal channel energy does not. The
-input files that runs read are written into the working directory first.
+array kind and one of 10242 elements, more rows than one write block of
+``fileio.WRITE_BLOCK_CELLS`` values, edge runs (a planar array with a
+front and a rear focal point, with both twice, in an angular and in a
+distance sweep, so each copy is written or skipped under its own index,
+and with a rear one alone, whose angular sweep skips it and fails, fixed
+rings with focal normalization, one element in an angular and in a
+distance sweep, a distance sweep with and without a visible focal point, a
+two-ring-element run at ``grid_max`` whose second beam lights no grid
+cell, two beams of a 64-element spiral at 2 threads whose focal points lie
+in one hemisphere, so together they weight 36 of the 64 elements, a
+one-beam 3 x 569 grid of that spiral whose beam weights 30 elements, so
+its 1707 cells make blocks of 853, 853 and one probe, and the last block
+takes the one-target sum, a 3 x 4500 grid whose phi rows are longer than
+one write block of ``fileio.WRITE_BLOCK_CELLS`` values, a distance sweep
+of 9000 samples, more than one write block, a distance sweep of a
+162-element polyhedral array at 2 threads whose ray only 80 of the
+elements can face, a distance window narrower than the spacing of doubles
+near its range, so its CSV repeats ``r`` values), ``metrics`` on emitted
+CSVs (the unlit beam's and the narrow window's among them) and on two CSVs
+whose ``r`` or ``phi`` axis runs backwards, ``--help`` of ``geometry``,
+``pattern angle`` and ``pattern distance`` at 80 columns, and runs that
+fail on an unknown kind, on a bad value, on a rule across keys or, in
+either sweep kind, on probe powers that overflow although the focal
+channel energy does not. The input files that runs read are written into
+the working directory first.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ RUNS = [
             ("spiral_curve_saa", ("--n", "40", "--turns", "5", "--radius", "0.3")),
         )
     ),
+    ("geometry_past_one_block", ("geometry", "--kind", "polyhedral_saa", "--subdivision", "5", "--radius", "0.3")),
     ("upa_front_rear", ("pattern", "angle", *UPA, "--focal", FRONT, "--focal", REAR, *SMALL_GRID)),
     (
         "ring_fixed_focal",
@@ -139,6 +143,7 @@ RUNS = [
     ("upa_angle_repeated", ("pattern", "angle", *UPA, *REPEATED, *SMALL_GRID)),
     ("upa_distance_repeated", ("pattern", "distance", *UPA, *REPEATED, *WINDOW, "--r-samples", "16")),
     ("upa_distance", ("pattern", "distance", *UPA, "--focal", FRONT, *WINDOW, "--r-samples", "64")),
+    ("distance_past_one_block", ("pattern", "distance", *UPA, "--focal", FRONT, *WINDOW, "--r-samples", "9000")),
     ("upa_distance_rear", ("pattern", "distance", *UPA, "--focal", REAR, *WINDOW, "--r-samples", "16")),
     (
         "spiral_one_element_distance",
