@@ -4,7 +4,8 @@ Subcommands: ``geometry`` emits a layout CSV, ``pattern angle`` and
 ``pattern distance`` run sweeps, ``metrics`` recomputes figures from an
 emitted pattern CSV, ``run`` executes a preset or scenario file, and
 ``preset list`` names the shipped configurations. Emitting commands all
-require ``--out``. Flags and the scenario keys of a ``.meta`` sidecar go
+require ``--out``. Every flag value but a path is one line, then stripped
+(``_flag_pairs``). Flags and the scenario keys of a ``.meta`` sidecar go
 to the scenario's value parser as key-value pairs, not as text, so
 angle-valued flags accept pi fractions like ``2pi/3``.
 Warnings raised while a command runs are printed to stderr as
@@ -121,16 +122,21 @@ def _flag_pairs(args, keys) -> list[tuple[None, str, str]]:
     return pairs
 
 
+def _flag_value(args, key: str, default=None):
+    """The value of the one-valued flag ``key`` as ``_flag_pairs`` passes it on; ``default`` when not given."""
+    return next((value for _, _, value in _flag_pairs(args, (key,))), default)
+
+
 def _threads(args) -> int | None:
     """``--threads`` under the integer rule of every count flag; None when not given."""
-    return None if args.threads is None else _parse_int("threads", args.threads, None)
+    threads = _flag_value(args, "threads")
+    return None if threads is None else _parse_int("threads", threads, None)
 
 
 def _cmd_geometry(args) -> int:
-    require_output_dir(args.out)
+    out = Path(require_output_dir(args.out))
     pairs = _flag_pairs(args, ("kind", *GEOMETRY_KEYS))
     geometry = geometry_from_fields(**{key: parse_field(key, value) for _, key, value in pairs})
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "geometry.csv"
     fileio.write_geometry_csv(path, geometry)
@@ -143,17 +149,6 @@ def _cmd_pattern(args) -> int:
     keys = ("kind", *GEOMETRY_KEYS, "wavelength", "focal", "sweep", *SWEEPS[args.sweep].keys, "normalization")
     scenario = scenario_from_pairs(_flag_pairs(args, keys))
     return run_scenario(scenario, out_dir=args.out, threads=threads)
-
-
-def _resolve_focal(args, meta: dict) -> "SphericalPoint":
-    if args.focal is not None:
-        return parse_focal_text(args.focal)
-    if "focal" in meta:
-        return parse_focal_text(meta["focal"])
-    raise ValidationError(
-        "no focal point available; pass --focal or keep the .meta sidecar next to the CSV",
-        field="focal",
-    )
 
 
 def _meta_float(meta: dict, key: str):
@@ -174,7 +169,13 @@ def _cmd_metrics(args) -> int:
         header = fh.readline().strip()
     sidecar = path.with_suffix(".meta")
     meta = fileio.read_meta(sidecar) if sidecar.exists() else {}
-    focal = _resolve_focal(args, meta)
+    focal_text = _flag_value(args, "focal", meta.get("focal"))
+    if focal_text is None:
+        raise ValidationError(
+            "no focal point available; pass --focal or keep the .meta sidecar next to the CSV",
+            field="focal",
+        )
+    focal = parse_focal_text(focal_text)
 
     if header == fileio.ANGULAR_HEADER:
         m = measure(AngularPatternGrid(
@@ -195,8 +196,8 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_run(args) -> int:
     threads = _threads(args)
-    if args.preset is not None:
-        scenario = load_preset(args.preset)
+    if args.scenario is None:
+        scenario = load_preset(_flag_value(args, "preset"))
     else:
         with fileio.open_text(args.scenario) as fh:
             scenario = parse_scenario(fh.read())

@@ -6,7 +6,8 @@ that were computed but may not mean what their names say.
 
 Each input rule has one checker here (the ``require_*`` functions), and the
 geometry constructors, the sweeps, the channel and the scenario parser all
-call it, so they accept and reject the same values. ``_FIELD_ERRORS`` and
+call it, so they accept and reject the same values; so does the command
+line, whose flag values pass the same checkers. ``_FIELD_ERRORS`` and
 ``_COUNT_MINIMA`` hold each field's rule that differs from the default, so a
 scenario key, its flag and the library argument of one name raise one error.
 """
@@ -122,9 +123,10 @@ def require_single_line(value: str, field: str) -> str:
 
 
 def require_output_dir(value):
-    """``value`` when it names an output directory: not empty and not None."""
+    """``value`` when it names an output directory: not empty, not None and one line."""
     if not value:
         raise ValidationError("an output directory is required", "out")
+    require_single_line(str(value), "out")
     return value
 
 

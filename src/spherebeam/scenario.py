@@ -29,7 +29,6 @@ from .errors import (
     require_count,
     require_output_dir,
     require_positive,
-    require_single_line,
     require_square,
     require_window,
 )
@@ -277,26 +276,23 @@ def emit_scenario(scenario: Scenario) -> str:
     return "".join(f"{k} = {v}\n" for k, v in entries)
 
 
+def _preset_files() -> dict:
+    """The ``.cfg`` files shipped with the package, by preset name."""
+    root = resources.files("spherebeam") / "presets"
+    return {entry.name[: -len(".cfg")]: entry for entry in root.iterdir() if entry.name.endswith(".cfg")}
+
+
 def preset_names() -> tuple[str, ...]:
     """Names of the scenario presets shipped with the package."""
-    root = resources.files("spherebeam") / "presets"
-    names = sorted(
-        entry.name[: -len(".cfg")]
-        for entry in root.iterdir()
-        if entry.name.endswith(".cfg")
-    )
-    return tuple(names)
+    return tuple(sorted(_preset_files()))
 
 
 def load_preset(name: str) -> Scenario:
-    """Parse a shipped preset by name (see ``preset_names``)."""
-    path = resources.files("spherebeam") / "presets" / f"{name}.cfg"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        known = ", ".join(preset_names())
-        raise ValidationError(f"unknown preset {name!r}, expected one of {known}") from None
-    return parse_scenario(text)
+    """Parse a shipped preset by name, one of ``preset_names``; no path is built from ``name``."""
+    files = _preset_files()
+    if name not in files:
+        raise ValidationError(f"unknown preset {name!r}, expected one of {', '.join(sorted(files))}")
+    return parse_scenario(files[name].read_text(encoding="utf-8"))
 
 
 class _AngleRun:
@@ -462,11 +458,9 @@ def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None
     skipped for lacking visible elements. Hard failures raise; a failure in
     the sweep leaves no output directory behind.
     """
-    target = require_output_dir(out_dir if out_dir is not None else scenario.out)
-    require_single_line(str(target), "out")
+    out = Path(require_output_dir(out_dir if out_dir is not None else scenario.out))
     if threads is not None:
         require_count(threads, "threads")
-    out = Path(target)
     run = SWEEPS[scenario.sweep]()
 
     geometry = build_geometry(scenario)

@@ -302,8 +302,9 @@ class TestPatternCommands:
         [
             (*ANGLE_ARGS, "--threads", "1"),
             ("run", "--preset", "fig5_r2", "--threads", "1"),
+            ("geometry", "--kind", "spiral_saa", "--n", "16", "--radius", "0.3"),
         ],
-        ids=["pattern", "run"],
+        ids=["pattern", "run", "geometry"],
     )
     def test_line_break_in_the_output_directory_is_rejected(self, tmp_path, argv):
         args = _build_parser().parse_args([*argv, "--out", str(tmp_path / "o\nfocal = 10, 1.5, 1")])
@@ -353,12 +354,13 @@ class TestRunCommand:
         assert run_cli("run", "--scenario", str(cfg), "--out", str(out)) == 0
         assert (out / "summary.txt").is_file()
 
-    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    @pytest.mark.parametrize("value", ["abc", "1.5", "1\n"])
     @pytest.mark.parametrize("argv", [ANGLE_ARGS, ("run", "--preset", "fig5_r2")], ids=["pattern", "run"])
     def test_non_integer_threads_exits_1_before_writing(self, tmp_path, capsys, argv, value):
         out = tmp_path / "threads"
         assert run_cli(*argv, "--threads", value, "--out", str(out)) == 1
-        assert capsys.readouterr().err == f"error: threads expects an integer, got '{value}'\n"
+        rule = "must be a single line" if "\n" in value else "expects an integer"
+        assert capsys.readouterr().err == f"error: threads {rule}, got {value!r}\n"
         assert not out.exists()
 
     def test_zero_threads_exits_1_before_writing(self, tmp_path, capsys):
@@ -383,10 +385,19 @@ class TestRunCommand:
         summary = (out / "summary.txt").read_text(encoding="utf-8")
         assert summary.count("main lobe not sampled") == 2
 
-    def test_unknown_preset_exits_1(self, tmp_path, capsys):
-        code = run_cli("run", "--preset", "fig0_never", "--out", str(tmp_path / "x"))
+    # a preset is a name that ``preset list`` prints, not a path to a shipped file
+    @pytest.mark.parametrize("name", ["fig0_never", "../presets/fig5_r1"])
+    def test_unknown_preset_exits_1(self, tmp_path, capsys, name):
+        code = run_cli("run", "--preset", name, "--out", str(tmp_path / "x"))
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: unknown preset {name!r}, expected one of fig4_saa, ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_padded_preset_name_runs_that_preset(self, tmp_path):
+        for out, name in (("plain", "fig5_r2"), ("padded", " fig5_r2 ")):
+            assert run_cli("run", "--preset", name, "--threads", "1", "--out", str(tmp_path / out)) == 0
+        plain = (tmp_path / "plain" / "focus_00.csv").read_bytes()
+        assert (tmp_path / "padded" / "focus_00.csv").read_bytes() == plain
 
     def test_missing_scenario_file_exits_1(self, tmp_path, capsys):
         code = run_cli("run", "--scenario", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "x"))
@@ -450,7 +461,8 @@ class TestMetricsCommand:
         lone.write_bytes((angular_run / "beam_00.csv").read_bytes())
         assert run_cli("metrics", str(lone)) == 1
         assert "focal" in capsys.readouterr().err
-        capsys.readouterr()
+        assert run_cli("metrics", str(lone), "--focal", "10, pi/4,\npi/4") == 1
+        assert capsys.readouterr().err.startswith("error: focal must be a single line")
         assert run_cli("metrics", str(lone), "--focal", "10, pi/4, pi/4") == 0
         assert "hpbw_theta" in capsys.readouterr().out
 

@@ -9,6 +9,7 @@ as an argument to a library function. Each way must raise the same
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,4 +209,18 @@ def test_one_output_directory_rule_on_every_path(tmp_path, monkeypatch):
             attempt()
         raised.append((type(err.value), str(err.value), err.value.field))
     assert raised == [(ValidationError, "an output directory is required", "out")] * 5
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_directory_is_one_line_on_every_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = "".join(f"{k} = {v}\n" for k, v in _fields().items())
+    for attempt in (
+        lambda: require_output_dir(Path("a\nb")),
+        lambda: run_scenario(parse_scenario(text), out_dir=Path("a\nb")),
+        lambda: run_scenario(parse_scenario(text), out_dir="a\rb"),
+    ):
+        with pytest.raises(ValidationError, match="^out must be a single line") as err:
+            attempt()
+        assert err.value.field == "out"
     assert list(tmp_path.iterdir()) == []

@@ -36,8 +36,12 @@ whose ``r`` or ``phi`` axis runs backwards, ``--help`` of ``geometry``,
 ``pattern angle`` and ``pattern distance`` at 80 columns, and runs that
 fail on an unknown kind, on a bad value, on a rule across keys or, in
 either sweep kind, on probe powers that overflow although the focal
-channel energy does not. The input files that runs read are written into
-the working directory first.
+channel energy does not, and runs that must exit 1 and leave no file: a
+``geometry`` run whose ``--out`` holds a line break, a ``run`` whose
+``--threads`` does, ``metrics`` on an emitted CSV with a line-broken
+``--focal``, and ``run --preset ../presets/fig5_r1``, a path where a preset
+name belongs. The input files that runs read are written into the working
+directory first.
 """
 
 from __future__ import annotations
@@ -73,8 +77,8 @@ INPUTS = {
     "backward_phi.csv": "theta_rad,phi_rad,power_db\n0,1,-3\n0,0,-1\n1,1,-6\n1,0,-2\n",
 }
 
-# (name, arguments); a run that writes files names its --out after itself,
-# and runs may read what earlier runs wrote
+# (name, arguments); a run that writes files and gives no --out names its
+# --out after itself, and runs may read what earlier runs wrote
 RUNS = [
     *(
         (f"{preset}_t{threads}", ("run", "--preset", preset, "--threads", str(threads)))
@@ -199,6 +203,13 @@ RUNS = [
         "distance_probe_overflow",
         ("pattern", "distance", *PROBE_OVERFLOW, "--r-min", "0.5", "--r-max", "40", "--r-samples", "50"),
     ),
+    (
+        "error_out_line_break",
+        ("geometry", "--kind", "spiral_saa", "--n", "16", "--radius", "0.3", "--out", "error_out\nline_break"),
+    ),
+    ("error_threads_line_break", ("run", "--preset", "fig5_r2", "--threads", "1\n")),
+    ("error_focal_line_break", ("metrics", "fig5_r1_t1/focus_00.csv", "--focal", "10, pi/4,\npi/4")),
+    ("error_preset_path", ("run", "--preset", "../presets/fig5_r1")),
 ]
 
 
@@ -215,7 +226,7 @@ def digest_lines(src: Path) -> list[str]:
         for file_name, text in INPUTS.items():
             Path(work, file_name).write_text(text, encoding="utf-8")
         for name, args in RUNS:
-            out = () if args[0] == "metrics" or "--help" in args else ("--out", name)
+            out = () if args[0] == "metrics" or "--help" in args or "--out" in args else ("--out", name)
             done = subprocess.run(
                 [sys.executable, "-m", "spherebeam.cli", *args, *out],
                 cwd=work, env=env, capture_output=True, check=False,
