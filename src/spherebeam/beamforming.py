@@ -11,34 +11,18 @@ over every element bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelVector, channel_energy, coherent_power
 from .errors import DegeneratePattern, DimensionMismatch, NoVisibleElements, ValidationError, require_positive
-from .geometry import SphericalPoint
 
 DB_FLOOR = -300.0
 """dB value substituted for exactly-zero linear power."""
 
 
-@dataclass(frozen=True, eq=False)
-class BeamWeights:
-    """Unit-norm weight vector tied to the focal point it was built for."""
-
-    weights: np.ndarray
-    focal: SphericalPoint
-
-    def __post_init__(self):
-        self.weights.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.weights.shape[0]
-
-
-def conjugate_weights(h: ChannelVector) -> BeamWeights:
-    """Matched-filter weights: conjugate of the channel, scaled to unit norm."""
+def conjugate_weights(h: ChannelVector) -> np.ndarray:
+    """Read-only matched-filter weights: conjugate of the channel, scaled to unit norm."""
     if not np.any(h.visible):
         raise NoVisibleElements("no element has line of sight to the target")
     with np.errstate(over="ignore"):
@@ -50,16 +34,18 @@ def conjugate_weights(h: ChannelVector) -> BeamWeights:
             f" face the target at wavelength {h.wavelength_m} m",
             "wavelength",
         )
-    return BeamWeights(weights=np.conj(h.gains) / np.sqrt(energy), focal=h.target)
+    weights = np.conj(h.gains) / np.sqrt(energy)
+    weights.setflags(write=False)
+    return weights
 
 
-def beam_response(w: BeamWeights, h_probe: ChannelVector) -> float:
+def beam_response(w: np.ndarray, h_probe: ChannelVector) -> float:
     """Coherent combined power |sum_k w_k h_k|^2, before any normalization."""
     if len(w) != len(h_probe):
         raise DimensionMismatch(
             f"weight length {len(w)} does not match channel length {len(h_probe)}"
         )
-    return float(coherent_power(w.weights, h_probe.gains))
+    return float(coherent_power(w, h_probe.gains))
 
 
 def to_db(linear) -> np.ndarray:

@@ -186,7 +186,7 @@ def _cmd_metrics(args) -> int:
             peak_capture=_meta_float(meta, "peak_capture"),
         ))
     elif header == fileio.DISTANCE_HEADER:
-        m = measure(DistancePattern(*fileio.read_distance_csv(path), (focal.theta, focal.phi), focal.r))
+        m = measure(DistancePattern(*fileio.read_distance_csv(path), focal))
     else:
         raise ValidationError(f"unrecognized pattern CSV header {header!r}")
     for key, value in fileio.metric_entries(m):

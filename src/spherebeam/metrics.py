@@ -24,7 +24,7 @@ import numpy as np
 
 from .beamforming import DB_FLOOR
 from .errors import DegeneratePattern, MainLobeMissed, ValidationError
-from .geometry import TWO_PI, SphericalPoint, sph_to_cart
+from .geometry import TWO_PI, sph_to_cart
 from .sweep import AngularPatternGrid, DistancePattern
 
 MIN_PEAK_CAPTURE = 0.5
@@ -79,16 +79,10 @@ class FocusMetrics:
 
 @dataclass(frozen=True)
 class IsotropyReport:
-    """Spread of beam metrics across focal points."""
+    """Max/min half-power width ratios and sidelobe spread across focal points."""
 
-    hpbw_theta_min: float
-    hpbw_theta_max: float
     hpbw_theta_ratio: float = _figure()
-    hpbw_phi_min: float
-    hpbw_phi_max: float
     hpbw_phi_ratio: float = _figure()
-    sidelobe_min_db: float
-    sidelobe_max_db: float
     sidelobe_spread_db: float = _figure()
     n_beams: int
 
@@ -144,14 +138,14 @@ def _peak(p, name: str) -> float:
     return peak
 
 
-def angular_metrics(grid: AngularPatternGrid, focal: SphericalPoint | None = None) -> BeamMetrics:
-    """Extract pointing, half-power widths, and sidelobe level for one beam.
+def angular_metrics(grid: AngularPatternGrid) -> BeamMetrics:
+    """Extract pointing, half-power widths, and sidelobe level for one beam;
+    the pointing error is measured against ``grid.focal``.
 
     Warns with ``MainLobeMissed`` when the grid's ``peak_capture`` is below
     ``MIN_PEAK_CAPTURE``; the figures are still returned as measured.
     """
-    if focal is None:
-        focal = grid.focal
+    focal = grid.focal
     if focal is None:
         raise ValidationError("a focal point is required to compute the pointing error", "focal")
     p = grid.power
@@ -250,17 +244,18 @@ def focus_metrics(pattern: DistancePattern) -> FocusMetrics:
     return FocusMetrics(
         peak_r_m=peak_r,
         depth_of_focus_m=right - left,
-        focal_error_m=abs(peak_r - pattern.focal_range_m),
+        focal_error_m=abs(peak_r - pattern.focal.r),
         one_sided=not (left_found and right_found),
     )
 
 
-def measure(pattern, focal: SphericalPoint | None = None):
-    """Figures of an angular grid or distance pattern; a flat pattern gets the
-    NaN record marked ``degenerate``, which keeps a grid's ``peak_capture``."""
+def measure(pattern):
+    """Figures of an angular grid or distance pattern against its ``focal``; a
+    flat pattern gets the NaN record marked ``degenerate``, which keeps a
+    grid's ``peak_capture``."""
     distance = isinstance(pattern, DistancePattern)
     try:
-        return focus_metrics(pattern) if distance else angular_metrics(pattern, focal)
+        return focus_metrics(pattern) if distance else angular_metrics(pattern)
     except DegeneratePattern:
         record, kept = (FocusMetrics, {}) if distance else (BeamMetrics, {"peak_capture": pattern.peak_capture})
         nan = {f.name: math.nan for f in fields(record) if f.default is MISSING}
@@ -268,8 +263,9 @@ def measure(pattern, focal: SphericalPoint | None = None):
 
 
 def isotropy_report(per_focal_metrics) -> IsotropyReport:
-    """Min/max/ratio summary of beam metrics across focal points; degenerate
-    beams are dropped, and at least two beams must be left."""
+    """Ratio and spread summary of beam metrics across focal points;
+    degenerate beams are dropped, at least two beams must be left, and each
+    of their half-power widths must be positive."""
     entries = list(per_focal_metrics)
     usable = [m for m in entries if not m.degenerate]
     if entries and not usable:
@@ -278,16 +274,12 @@ def isotropy_report(per_focal_metrics) -> IsotropyReport:
         raise ValidationError("need at least two non-degenerate beams to summarize isotropy", "per_focal_metrics")
     ht = [m.hpbw_theta for m in usable]
     hp = [m.hpbw_phi for m in usable]
+    if min(ht + hp) <= 0.0:
+        raise ValidationError("a beam with a zero half-power width has no isotropy ratio", "per_focal_metrics")
     sl = [m.peak_sidelobe_db for m in usable]
     return IsotropyReport(
-        hpbw_theta_min=min(ht),
-        hpbw_theta_max=max(ht),
         hpbw_theta_ratio=max(ht) / min(ht),
-        hpbw_phi_min=min(hp),
-        hpbw_phi_max=max(hp),
         hpbw_phi_ratio=max(hp) / min(hp),
-        sidelobe_min_db=min(sl),
-        sidelobe_max_db=max(sl),
         sidelobe_spread_db=max(sl) - min(sl),
         n_beams=len(usable),
     )

@@ -318,12 +318,12 @@ class _AngleRun:
         kept = [i for i, focal in enumerate(s.focals) if focal not in self.overlay.skipped]
         return list(zip(kept, self.overlay.beams))
 
-    def step(self, out: Path, stem: str, focal: SphericalPoint, beam, meta: dict):
+    def step(self, out: Path, stem: str, beam, meta: dict):
         fileio.write_angular_csv(out / f"{stem}.csv", beam)
         meta["peak_capture"] = fileio.fmt(beam.peak_capture)
         fileio.write_meta(out / f"{stem}.meta", meta)
-        m = measure(beam, focal)
-        text = f"(theta {math.degrees(focal.theta):7.2f}, phi {math.degrees(focal.phi):7.2f}) deg"
+        m = measure(beam)
+        text = f"(theta {math.degrees(beam.focal.theta):7.2f}, phi {math.degrees(beam.focal.phi):7.2f}) deg"
         if m.degenerate:
             text += "  degenerate pattern"
         else:
@@ -392,15 +392,15 @@ class _DistanceRun:
             raise AllBeamsInfeasible("every focal point was skipped, no distance pattern to emit")
         return patterns
 
-    def step(self, out: Path, stem: str, focal: SphericalPoint, pattern, meta: dict):
+    def step(self, out: Path, stem: str, pattern, meta: dict):
         fileio.write_distance_csv(out / f"{stem}.csv", pattern)
         fileio.write_meta(out / f"{stem}.meta", meta)
         m = measure(pattern)
         if m.degenerate:
-            text = f"{fileio.fmt(focal.r)} m, degenerate pattern"
+            text = f"{fileio.fmt(pattern.focal.r)} m, degenerate pattern"
         else:
             text = (
-                f"{fileio.fmt(focal.r)} m"
+                f"{fileio.fmt(pattern.focal.r)} m"
                 f"  peak {m.peak_r_m:.3f} m  err {m.focal_error_m:.3f} m"
                 f"  depth {m.depth_of_focus_m:.3f} m" + (" (one-sided)" if m.one_sided else "")
             )
@@ -473,9 +473,9 @@ def run_scenario(scenario: Scenario, out_dir=None, *, threads: int | None = None
     meta = [*_scalar_entries(scenario), ("n_elements", str(geometry.n)), *_sweep_entries(scenario), skipped_entry]
     per_focal, rows, lines = [], [], []
     for index, pattern in patterns:
-        focal = scenario.focals[index]
+        focal = pattern.focal
         stem = f"{run.stem}_{index:02d}"
-        m, text = run.step(out, stem, focal, pattern, dict(meta, focal=_focal_text(focal)))
+        m, text = run.step(out, stem, pattern, dict(meta, focal=_focal_text(focal)))
         per_focal.append((index, m))
         rows.append((focal.theta, focal.phi, *(getattr(m, name) for _, name in figures(m))))
         lines.append(f"{run.stem} {index:02d}: focal {text}")

@@ -127,13 +127,12 @@ class AngularPatternGrid:
 
 @dataclass(frozen=True, eq=False)
 class DistancePattern:
-    """Normalized power along range at a fixed look direction; ``power``
+    """Normalized power along range on the ray through ``focal``; ``power``
     has the shape of ``r_axis`` or raises ``DimensionMismatch``."""
 
     r_axis: np.ndarray
     power: np.ndarray
-    direction: tuple[float, float]
-    focal_range_m: float
+    focal: SphericalPoint
 
     def __post_init__(self):
         require_shape(self.power, self.r_axis.shape, "power")
@@ -257,7 +256,7 @@ def matched_beams(geometry: ArrayGeometry, wavelength: float, focals):
         except NoVisibleElements:
             skipped.append(index)
             continue
-        weighted |= w.weights != 0.0
+        weighted |= w != 0.0
         beams.append((index, h, w, beam_response(w, h)))
     return beams, skipped, weighted
 
@@ -288,7 +287,7 @@ def _angular_beams(geometry, wavelength, focals, spec, normalization, threads):
         rows, cols = np.divmod(np.arange(i0, i1), spec.phi_samples)
         return sph_to_cart(spec.eval_range_m, theta_axis[rows], phi_axis[cols])
 
-    weights = [w.weights for _, _, w, _ in matched]
+    weights = [w for _, _, w, _ in matched]
     powers, _ = _sweep_kernel(geometry, wavelength, math.prod(shape), probes, weights, threads, kept=weighted)
     beams = []
     for (_, h_focal, _, reference), raw in zip(matched, powers):
@@ -369,12 +368,10 @@ def distance_sweep(
     r_axis = np.linspace(r_min, r_max, samples)
     ray = sph_to_cart(r_axis, focal.theta, focal.phi)
     (raw,), energy = _sweep_kernel(
-        geometry, wavelength, samples, lambda i0, i1: [a[i0:i1] for a in ray], [w.weights], threads,
+        geometry, wavelength, samples, lambda i0, i1: [a[i0:i1] for a in ray], [w], threads,
         kept=_ray_support(geometry, focal.theta, focal.phi, r_min, r_max), energy=True,
     )
 
     fraction = np.zeros(samples)
     np.divide(raw, energy, out=fraction, where=energy > 0.0)
-    return DistancePattern(
-        r_axis=r_axis, power=normalize_pattern(fraction), direction=(focal.theta, focal.phi), focal_range_m=focal.r
-    )
+    return DistancePattern(r_axis=r_axis, power=normalize_pattern(fraction), focal=focal)

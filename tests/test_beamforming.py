@@ -40,7 +40,7 @@ class TestConjugateWeights:
         g = golden_spiral_saa(100, 0.5)
         h = los_channel(g, FOCAL, 0.01)
         w = conjugate_weights(h)
-        wv = w.weights
+        wv = w
         norm_sq = float(np.cumsum(wv.real * wv.real + wv.imag * wv.imag)[-1])
         assert_allclose(norm_sq, 1.0, rtol=1e-14)
 
@@ -49,7 +49,7 @@ class TestConjugateWeights:
         h = los_channel(g, FOCAL, 0.01)
         w = conjugate_weights(h)
         hidden = np.count_nonzero(~h.visible)
-        np.testing.assert_array_equal(w.weights[~h.visible], np.zeros(hidden, dtype=complex))
+        np.testing.assert_array_equal(w[~h.visible], np.zeros(hidden, dtype=complex))
 
     def test_weights_align_channel_phase(self):
         # w_k h_k must be real positive for every visible element, that is
@@ -57,7 +57,7 @@ class TestConjugateWeights:
         g = golden_spiral_saa(64, 0.5)
         h = los_channel(g, FOCAL, 0.01)
         w = conjugate_weights(h)
-        prod = w.weights * h.gains
+        prod = w * h.gains
         assert np.all(prod.real[h.visible] > 0.0)
         assert_allclose(prod.imag[h.visible], 0.0, atol=1e-20)
 

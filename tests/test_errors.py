@@ -158,10 +158,10 @@ MISSHAPEN_PATTERNS = {
         eval_range_m=10.0,
     ),
     "distance_short": lambda: DistancePattern(
-        r_axis=np.linspace(5.0, 20.0, 4), power=np.ones(3), direction=(1.0, 1.0), focal_range_m=10.0
+        r_axis=np.linspace(5.0, 20.0, 4), power=np.ones(3), focal=SphericalPoint(10.0, 1.0, 1.0)
     ),
     "distance_column": lambda: DistancePattern(
-        r_axis=np.linspace(5.0, 20.0, 4), power=np.ones((4, 1)), direction=(1.0, 1.0), focal_range_m=10.0
+        r_axis=np.linspace(5.0, 20.0, 4), power=np.ones((4, 1)), focal=SphericalPoint(10.0, 1.0, 1.0)
     ),
 }
 
@@ -182,7 +182,7 @@ EMPTY_PATTERNS = {
         theta_axis=np.array([0.0, 1.0]), phi_axis=np.array([]), power=np.zeros((2, 0)), focal=FOCAL, eval_range_m=10.0
     ),
     "distance_no_range": lambda: DistancePattern(
-        r_axis=np.array([]), power=np.array([]), direction=(1.0, 1.0), focal_range_m=10.0
+        r_axis=np.array([]), power=np.array([]), focal=SphericalPoint(10.0, 1.0, 1.0)
     ),
 }
 

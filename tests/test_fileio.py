@@ -586,7 +586,7 @@ class TestDistanceCsv:
         power[::7] = 0.0
         power[1::11] = 5e-324
         floored = DistancePattern(
-            r_axis=np.linspace(5.0, 100.0, 4000), power=power, direction=(1.0, 1.0), focal_range_m=30.0
+            r_axis=np.linspace(5.0, 100.0, 4000), power=power, focal=SphericalPoint(30.0, 1.0, 1.0)
         )
         for pattern in (swept, floored):
             path = tmp_path / "focus.csv"
@@ -605,7 +605,7 @@ class TestDistanceCsv:
         power = np.random.default_rng(block).random(23) ** 8
         power[::5] = 0.0
         pattern = DistancePattern(
-            r_axis=np.linspace(5.0, 100.0, 23), power=power, direction=(1.0, 1.0), focal_range_m=30.0
+            r_axis=np.linspace(5.0, 100.0, 23), power=power, focal=SphericalPoint(30.0, 1.0, 1.0)
         )
         path = tmp_path / "focus.csv"
         write_distance_csv(path, pattern)
@@ -618,7 +618,7 @@ class TestDistanceCsv:
         power = np.random.default_rng(9).random(6000) ** 8
         power[::13] = 0.0
         pattern = DistancePattern(
-            r_axis=np.linspace(5.0, 100.0, 6000), power=power, direction=(1.0, 1.0), focal_range_m=30.0
+            r_axis=np.linspace(5.0, 100.0, 6000), power=power, focal=SphericalPoint(30.0, 1.0, 1.0)
         )
         path = tmp_path / "focus.csv"
         write_distance_csv(path, pattern)

@@ -188,15 +188,6 @@ class TestAngularMetrics:
         with pytest.raises(ValueError):
             angular_metrics(make_grid(power))
 
-    def test_explicit_focal_overrides_grid(self):
-        power = np.zeros((61, 73))
-        power[30, 40] = 1.0
-        grid = make_grid(power, focal=SphericalPoint(30.0, math.pi / 2, math.pi))
-        peak_t = float(grid.theta_axis[30])
-        peak_p = float(grid.phi_axis[40])
-        m = angular_metrics(grid, focal=SphericalPoint(30.0, peak_t, peak_p))
-        assert_allclose(m.pointing_error_rad, 0.0, atol=1e-12)
-
     def test_tied_peaks_resolve_in_row_major_order(self):
         power = np.zeros((21, 21))
         power[2, 3] = 1.0
@@ -264,8 +255,8 @@ class TestAngularMetrics:
         # columns 0 and m are one direction; the cut through the peak takes
         # the larger of the two, not column 0 alone
         power = np.array([[0.1, 0.1, 1.0], [0.01, 0.01, 0.01]])
-        grid = make_grid(power, np.array([0.5, 1.0]), np.array([0.0, math.pi, TWO_PI]))
-        m = angular_metrics(grid, SphericalPoint(10.0, 0.5, 0.0))
+        grid = make_grid(power, np.array([0.5, 1.0]), np.array([0.0, math.pi, TWO_PI]), SphericalPoint(10.0, 0.5, 0.0))
+        m = angular_metrics(grid)
         assert (m.peak_theta, m.peak_phi) == (0.5, TWO_PI)
         assert m.hpbw_phi == 2.0 * (0.5 / 0.9) * math.pi
         assert m.hpbw_theta == (0.5 + (0.5 / 0.99) * 0.5) - 0.5
@@ -273,8 +264,8 @@ class TestAngularMetrics:
 
     def test_underflowing_sidelobe_ratio_reads_the_floor(self):
         power = np.array([[1e-25, 1e-30, 1e300, 1e-30, 1e-25]])
-        grid = make_grid(power, np.array([0.5]), np.arange(5.0))
-        m = angular_metrics(grid, SphericalPoint(10.0, 0.5, 2.0))
+        grid = make_grid(power, np.array([0.5]), np.arange(5.0), SphericalPoint(10.0, 0.5, 2.0))
+        m = angular_metrics(grid)
         assert (m.peak_theta, m.peak_phi) == (0.5, 2.0)
         assert m.peak_sidelobe_db == -300.0
 
@@ -317,7 +308,7 @@ class TestFocusMetrics:
     def test_triangle_profile(self):
         r_axis = np.linspace(10.0, 50.0, 401)
         power = np.clip(1.0 - np.abs(r_axis - 30.0) / 10.0, 0.0, None)
-        pattern = DistancePattern(r_axis=r_axis, power=power, direction=(1.0, 1.0), focal_range_m=30.0)
+        pattern = DistancePattern(r_axis=r_axis, power=power, focal=SphericalPoint(30.0, 1.0, 1.0))
         m = focus_metrics(pattern)
         assert m.peak_r_m == 30.0
         assert m.focal_error_m == 0.0
@@ -327,7 +318,7 @@ class TestFocusMetrics:
     def test_truncated_window_flags_one_sided(self):
         r_axis = np.linspace(28.0, 50.0, 221)
         power = np.clip(1.0 - np.abs(r_axis - 30.0) / 10.0, 0.0, None)
-        pattern = DistancePattern(r_axis=r_axis, power=power, direction=(1.0, 1.0), focal_range_m=30.0)
+        pattern = DistancePattern(r_axis=r_axis, power=power, focal=SphericalPoint(30.0, 1.0, 1.0))
         m = focus_metrics(pattern)
         assert m.one_sided is True
         # left crossing clamps to the window edge at 28
@@ -336,7 +327,7 @@ class TestFocusMetrics:
     def test_flat_profile_is_degenerate(self):
         r_axis = np.linspace(10.0, 50.0, 41)
         with pytest.raises(DegeneratePattern):
-            focus_metrics(DistancePattern(r_axis=r_axis, power=np.ones(41), direction=(1.0, 1.0), focal_range_m=30.0))
+            focus_metrics(DistancePattern(r_axis=r_axis, power=np.ones(41), focal=SphericalPoint(30.0, 1.0, 1.0)))
 
     @pytest.mark.parametrize(
         "geometry, focal, window",
@@ -363,7 +354,7 @@ class TestFocusMetrics:
 
     def test_measure_gives_a_flat_profile_the_nan_record(self):
         r_axis = np.linspace(10.0, 50.0, 41)
-        m = measure(DistancePattern(r_axis=r_axis, power=np.zeros(41), direction=(1.0, 1.0), focal_range_m=30.0))
+        m = measure(DistancePattern(r_axis=r_axis, power=np.zeros(41), focal=SphericalPoint(30.0, 1.0, 1.0)))
         assert m.degenerate is True and m.one_sided is False
         assert all(math.isnan(v) for v in (m.peak_r_m, m.depth_of_focus_m, m.focal_error_m))
 
@@ -384,12 +375,8 @@ class TestIsotropyReport:
     def test_ratios_and_spread(self):
         r = isotropy_report([beam(0.2, 0.4, -12.0), beam(0.25, 0.5, -10.0), beam(0.22, 0.44, -11.0)])
         assert r.n_beams == 3
-        assert r.hpbw_theta_min == 0.2
-        assert r.hpbw_theta_max == 0.25
         assert_allclose(r.hpbw_theta_ratio, 1.25, rtol=1e-15)
         assert_allclose(r.hpbw_phi_ratio, 1.25, rtol=1e-15)
-        assert r.sidelobe_min_db == -12.0
-        assert r.sidelobe_max_db == -10.0
         assert_allclose(r.sidelobe_spread_db, 2.0, rtol=1e-15)
 
     def test_degenerate_beams_are_excluded(self):
@@ -404,6 +391,16 @@ class TestIsotropyReport:
     def test_a_degenerate_beam_does_not_count_toward_two(self):
         with pytest.raises(ValidationError):
             isotropy_report([beam(0.2, 0.4, -12.0), beam(9.9, 9.9, 0.0, degenerate=True)])
+
+    def test_a_zero_half_power_width_is_rejected(self):
+        # a grid of one theta row measures a zero theta width, and a ratio
+        # over it would divide by zero
+        power = np.array([[0.1, 0.5, 1.0, 0.5, 0.1]])
+        m = angular_metrics(make_grid(power, np.array([0.5]), np.arange(5.0), SphericalPoint(10.0, 0.5, 2.0)))
+        assert m.hpbw_theta == 0.0
+        with pytest.raises(ValidationError) as err:
+            isotropy_report([m, m])
+        assert err.value.field == "per_focal_metrics"
 
     def test_all_degenerate_rejected(self):
         with pytest.raises(DegeneratePattern):

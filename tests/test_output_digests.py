@@ -59,7 +59,7 @@ def test_one_run_ends_its_sweep_on_a_one_probe_block():
     flags = dict(zip(args[2::2], args[3::2]))
     geometry = golden_spiral_saa(int(flags["--n"]), float(flags["--radius"]))
     h = los_channel(geometry, parse_focal_text(flags["--focal"]), float(flags["--wavelength"]))
-    k = int(np.count_nonzero(conjugate_weights(h).weights))
+    k = int(np.count_nonzero(conjugate_weights(h)))
     cells = int(flags["--theta-samples"]) * int(flags["--phi-samples"])
     assert flags["--threads"] == "1"
     assert cells > sweep.BLOCK_ENTRIES // k
