@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument(
         "--focal",
         metavar="R,THETA,PHI",
-        help="focal point override when no sidecar is present",
+        help="focal point; replaces the .meta sidecar's, and is needed without one",
     )
     m.set_defaults(func=_cmd_metrics)
 

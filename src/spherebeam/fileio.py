@@ -13,11 +13,11 @@ is written as one ``bytes`` object, so no more than a block of text is
 held at a time. The geometry, range pattern and metrics table CSVs share
 one loop over blocks of whole rows, ``_write_rows``; the angular pattern
 CSV lays its blocks out in a line buffer of its own. The pattern readers
-parse the body in chunks of about ``READ_CHUNK_BYTES`` of whole lines
-through one ``numpy`` conversion per chunk, which calls the same parser
-as ``float``; each distinct axis text of a chunk is converted once. A
-chunk that does not convert is parsed again line by line, so a
-``ParseError`` names the first bad line exactly.
+parse the body in chunks of about ``READ_CHUNK_BYTES`` of whole lines: one
+separator check per chunk, then one ``numpy`` conversion, which calls the
+same parser as ``float``; each distinct axis text of a chunk is converted
+once. A chunk that fails the check or does not convert is parsed line by
+line, so a ``ParseError`` names the first bad line exactly.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ METRICS_HEADER = _table_header(BeamMetrics)
 FOCUS_HEADER = _table_header(FocusMetrics)
 
 READ_CHUNK_BYTES = 1 << 16
-"""Text the pattern readers parse at once, which bounds their working set."""
+"""Characters the pattern readers read at once, which bounds their working set."""
 
 
 WRITE_BLOCK_CELLS = 4096
@@ -350,21 +350,27 @@ def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def _parse_chunk(chunk, expected: int, lineno: int) -> np.ndarray:
-    """Non-blank lines of ``chunk`` as a ``(rows, expected)`` float array
-    whose last column, power in dB in the file, is linear power.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
-    The first line of the chunk is line ``lineno`` of the file. When every
-    line has ``expected`` fields, the fields convert in bulk: each distinct
-    text of a leading (axis) column once, the power column in one call. If
-    a field does not convert, is not finite, or overflows linear power, the
-    lines are split one by one, which raises the ``ParseError`` of the
-    first bad line.
+
+def _parse_chunk(text: str, expected: int, lineno: int) -> np.ndarray:
+    """Non-blank lines of ``text`` as a ``(rows, expected)`` float array
+    whose last column, power in dB in the file, is linear power. The first
+    line of ``text`` is line ``lineno`` of the file, and its last line ends
+    with a line break.
+
+    When the ``,`` and ``\\n`` bytes of ``text`` are ``expected - 1`` commas
+    and a line break for every line (UTF-8 puts neither byte inside another
+    character), the fields convert in bulk: each distinct text of a leading
+    (axis) column once, the power column in one call. Otherwise, as with a
+    blank line, or if a field does not convert, is not finite, or overflows
+    linear power, the lines are split at ``\\n`` and parsed one by one, which
+    skips blank lines and raises the ``ParseError`` of the first bad line.
     """
-    lines = [line for line in map(str.strip, chunk) if line]
-    if {*map(str.count, lines, itertools.repeat(","))} == {expected - 1}:
-        fields = ",".join(lines).split(",")
-        n = len(lines)
+    separators = text.encode().translate(None, _NOT_SEPARATORS)
+    n = len(separators) // expected
+    if separators == (b"," * (expected - 1) + b"\n") * n:
+        fields = text[:-1].replace("\n", ",").split(",")
         rows = np.empty((n, expected))
         try:
             for k in range(expected - 1):
@@ -383,27 +389,40 @@ def _parse_chunk(chunk, expected: int, lineno: int) -> np.ndarray:
                 return rows
         except (ValueError, OverflowError):
             pass
-    rows = [
-        _split_csv_line(line, expected, n)
-        for n, line in enumerate(map(str.strip, chunk), start=lineno)
-        if line
-    ]
+    lines = enumerate(map(str.strip, text.split("\n")), start=lineno)
+    rows = [_split_csv_line(line, expected, k) for k, line in lines if line]
     return np.array(rows, dtype=np.float64).reshape(-1, expected)
+
+
+def _whole_lines(fh):
+    """The rest of ``fh`` in texts of whole lines that end with a line
+    break: each read of ``READ_CHUNK_BYTES`` characters is cut after its
+    last line break and the rest carried into the next text, and a last
+    line without a line break is given one."""
+    carried = []
+    while chunk := fh.read(READ_CHUNK_BYTES):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join([*carried, chunk[:cut]])
+            carried = []
+        carried.append(chunk[cut:])
+    if last := "".join(carried):
+        yield last + "\n"
 
 
 def _read_rows(path, header: str, expected: int) -> np.ndarray:
     """Body of a pattern CSV as a ``(rows, expected)`` float array with
-    linear power last, read in chunks of about ``READ_CHUNK_BYTES``; blank
-    lines are skipped."""
+    linear power last, parsed a chunk of whole lines at a time; blank lines
+    are skipped."""
     parts = []
     with open_text(path) as fh:
         first = fh.readline().strip()
         if first != header:
             raise ParseError(f"expected header {header!r}, got {first!r}", line=1)
         lineno = 2
-        while chunk := fh.readlines(READ_CHUNK_BYTES):
-            parts.append(_parse_chunk(chunk, expected, lineno))
-            lineno += len(chunk)
+        for text in _whole_lines(fh):
+            parts.append(_parse_chunk(text, expected, lineno))
+            lineno += text.count("\n")
     rows = np.concatenate(parts) if parts else np.empty((0, expected))
     if not rows.size:
         raise ParseError("no data rows")

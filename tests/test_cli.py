@@ -502,6 +502,21 @@ class TestMetricsCommand:
         assert "peak_r_m = " in text
         assert "depth_of_focus_m = " in text
 
+    def test_focal_flag_replaces_the_sidecar_focal(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run_cli(
+            "pattern", "distance", "--kind", "upa", "--n", "16", "--spacing", "0.025",
+            "--wavelength", "0.05", "--focal", "10, 0.5, 0.5",
+            "--r-min", "5", "--r-max", "20", "--r-samples", "61", "--out", str(out),
+        ) == 0
+        capsys.readouterr()
+        csv = str(out / "focus_00.csv")
+        assert (out / "focus_00.meta").exists()
+        assert run_cli("metrics", csv) == 0
+        assert "focal_error_m = 0\n" in capsys.readouterr().out
+        assert run_cli("metrics", csv, "--focal", "15, 0.5, 0.5") == 0
+        assert "focal_error_m = 5\n" in capsys.readouterr().out
+
     def test_undecodable_csv_exits_1(self, tmp_path, capsys):
         odd = tmp_path / "odd.csv"
         odd.write_bytes(b"\xff\xfe\x00\n")

@@ -538,6 +538,99 @@ class TestAngularCsvBulk:
         assert_bits_equal(power.ravel(), parsed[:, 2])
         assert_bits_equal(power, expected_linear(grid))
 
+    @staticmethod
+    def read_or_error(path):
+        """The arrays ``read_angular_csv`` gives, or its ``ParseError``'s message and line."""
+        try:
+            return read_angular_csv(path)
+        except ParseError as err:
+            return str(err), err.line
+
+    def assert_same_parse(self, got, want):
+        if isinstance(want[0], str):
+            assert got == want
+        else:
+            for a, b in zip(got, want, strict=True):
+                assert_bits_equal(a, b)
+
+    # the CRLF copy and the copy without a final line break take the bulk
+    # path; with chunks shorter than a line every line spans chunks
+    @pytest.mark.parametrize(
+        "ends, chunk",
+        [("\r\n", READ_CHUNK_BYTES), ("", READ_CHUNK_BYTES), ("\n", 3)],
+        ids=["crlf", "no_final_line_break", "lines_span_chunks"],
+    )
+    @pytest.mark.parametrize("bad", [None, "middle", "last"])
+    def test_line_ends_and_chunk_cuts_parse_as_the_clean_file(self, large, monkeypatch, ends, chunk, bad):
+        _, path = large
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if bad:
+            lines[len(lines) // 2 if bad == "middle" else -1] = "0,0,banana"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want = self.read_or_error(path)
+        assert isinstance(want[0], str) == bool(bad)
+        variant = path.with_name("variant.csv")
+        variant.write_bytes(((ends or "\n").join(lines) + ends).encode("utf-8"))
+        monkeypatch.setattr(fileio, "READ_CHUNK_BYTES", chunk)
+        assert chunk == READ_CHUNK_BYTES or chunk < min(map(len, lines[1:]))
+        self.assert_same_parse(self.read_or_error(variant), want)
+
+    # the two lines hold as many commas as two good lines, in a chunk with
+    # no blank line
+    @pytest.mark.parametrize(
+        "bad, message", [(["0,1,2,3", "0,1"], "got 4"), (["0,1", "0,1,2,3"], "got 2")], ids=["long_first", "short_first"]
+    )
+    def test_compensating_field_counts_report_their_line(self, large, bad, message):
+        _, path = large
+        lines = path.read_text(encoding="utf-8").splitlines()
+        target = len(lines) // 2
+        lines[target : target + 2] = bad
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"expected 3 fields, {message}") as err:
+            read_angular_csv(path)
+        assert err.value.line == target + 1
+
+    @pytest.mark.parametrize("odd", ["\x0c", "\u2028"], ids=["form_feed", "line_separator"])
+    def test_unicode_line_boundaries_are_not_line_breaks(self, large, odd):
+        grid, path = large
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # the odd character after an axis text, in the bulk path, and as a
+        # whole line, which takes a chunk line by line
+        for k in range(1, len(lines), 50):
+            th, rest = lines[k].split(",", 1)
+            lines[k] = f"{th}{odd},{rest}"
+        lines[1000:1000] = [odd] * 3
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        theta_axis, phi_axis, power = read_angular_csv(path)
+        assert_bits_equal(theta_axis, grid.theta_axis)
+        assert_bits_equal(phi_axis, grid.phi_axis)
+        assert_bits_equal(power, expected_linear(grid))
+
+        # lines are counted at line breaks alone, as text-mode readlines does
+        lines[1010] = "0,0,banana"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="could not convert") as err:
+            read_angular_csv(path)
+        assert err.value.line == 1011
+
+    @pytest.mark.parametrize("kind", ["angular", "distance"])
+    def test_writer_output_never_takes_the_line_by_line_parse(self, large, monkeypatch, kind):
+        grid, path = large
+        if kind == "distance":
+            power = np.tile(grid.power.ravel(), 2)
+            pattern = DistancePattern(r_axis=np.linspace(5.0, 100.0, power.size), power=power, focal=FOCAL)
+            write_distance_csv(path, pattern)
+        assert path.stat().st_size > 3 * READ_CHUNK_BYTES
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _split_csv_line(*args)
+
+        monkeypatch.setattr(fileio, "_split_csv_line", recording)
+        (read_distance_csv if kind == "distance" else read_angular_csv)(path)
+        assert calls == []
+
 
 class TestDistanceCsv:
     def test_round_trip(self, tmp_path):

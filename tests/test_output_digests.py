@@ -79,3 +79,9 @@ def test_one_geometry_and_one_range_run_write_more_rows_than_one_block():
     for rows, header in ((elements, GEOMETRY_HEADER), (samples, DISTANCE_HEADER)):
         assert rows > WRITE_BLOCK_CELLS
         assert rows % (WRITE_BLOCK_CELLS // header.count(",")) != 0
+
+
+def test_every_input_csv_has_a_metrics_run():
+    tool = _tool()
+    read = {args[1] for _, args in tool.RUNS if args[0] == "metrics"}
+    assert {name for name in tool.INPUTS if name.endswith(".csv")} <= read

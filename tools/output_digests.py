@@ -40,8 +40,13 @@ channel energy does not, and runs that must exit 1 and leave no file: a
 ``geometry`` run whose ``--out`` holds a line break, a ``run`` whose
 ``--threads`` does, ``metrics`` on an emitted CSV with a line-broken
 ``--focal``, and ``run --preset ../presets/fig5_r1``, a path where a preset
-name belongs. The input files that runs read are written into the working
-directory first.
+name belongs, and ``metrics`` on four small angular CSVs that the reader
+parses line by line or whose line ends differ from the writer's: one with
+CRLF line ends, one padded with blank and whitespace-only lines, one
+without a final line break, and one whose lines ``0,1,2,3`` and ``0,1``
+hold as many commas as two good lines, which must exit 1 naming its line.
+The input files that runs read are written into the working directory
+first.
 """
 
 from __future__ import annotations
@@ -75,6 +80,10 @@ INPUTS = {
     ),
     "backward_r.csv": "r_m,power_db\n5,-3\n4,-1\n6,-6\n",
     "backward_phi.csv": "theta_rad,phi_rad,power_db\n0,1,-3\n0,0,-1\n1,1,-6\n1,0,-2\n",
+    "crlf.csv": "theta_rad,phi_rad,power_db\r\n0,0,-3\r\n0,1,-1\r\n1,0,-6\r\n1,1,-2\r\n",
+    "padded.csv": "theta_rad,phi_rad,power_db\n\n0,0,-3\n   \n0,1,-1\n\t\n1,0,-6\n1,1,-2\n \n\n",
+    "no_final_line_break.csv": "theta_rad,phi_rad,power_db\n0,0,-3\n0,1,-1\n1,0,-6\n1,1,-2",
+    "compensating_commas.csv": "theta_rad,phi_rad,power_db\n0,0,-3\n0,1,2,3\n0,1\n1,1,-2\n",
 }
 
 # (name, arguments); a run that writes files and gives no --out names its
@@ -177,6 +186,10 @@ RUNS = [
     ("metrics_upa_distance_narrow_focus_00", ("metrics", "upa_distance_narrow/focus_00.csv")),
     ("metrics_backward_r", ("metrics", "backward_r.csv", "--focal", FRONT)),
     ("metrics_backward_phi", ("metrics", "backward_phi.csv", "--focal", FRONT)),
+    *(
+        (f"metrics_{stem}", ("metrics", f"{stem}.csv", "--focal", FRONT))
+        for stem in ("crlf", "padded", "no_final_line_break", "compensating_commas")
+    ),
     ("help_geometry", ("geometry", "--help")),
     ("help_pattern_angle", ("pattern", "angle", "--help")),
     ("help_pattern_distance", ("pattern", "distance", "--help")),
